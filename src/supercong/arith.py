@@ -9,13 +9,14 @@ without any overflow handling.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 __all__ = [
     "PrimeCtx",
     "ValuedResidue",
-    "batch_inverse",
     "factorial_vp",
+    "horner",
     "inv_mod",
     "is_prime",
     "jacobi",
@@ -99,25 +100,13 @@ def inv_mod(a: int, m: int) -> int:
                          f"(gcd = {math.gcd(a, m)})") from None
 
 
-def batch_inverse(xs: list[int], m: int) -> list[int]:
-    """Inverses mod m of every entry of xs, using a single modular inverse.
-
-    All entries must be coprime to m.
-    """
-    n = len(xs)
-    if n == 0:
-        return []
-    prefix = [0] * n
-    acc = 1
-    for i, x in enumerate(xs):
-        prefix[i] = acc
-        acc = acc * x % m
-    inv = inv_mod(acc, m)
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = prefix[i] * inv % m
-        inv = inv * xs[i] % m
-    return out
+def horner(coeffs: Sequence[int], y: int, mod: int) -> int:
+    """The polynomial with coefficients listed highest degree first, at y,
+    mod `mod`: one multiply and one reduction per coefficient."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc * y + c) % mod
+    return acc
 
 
 def jacobi(a: int, n: int) -> int:

@@ -5,14 +5,20 @@ The terms of interest are
     s(k) = C(2k,k)**2 * C(4k,2k) = (4k)! / k!**4
     t(k) = C(2k,k)    * C(4k,2k) = (4k)! / ((2k)! * k!**2)
 
-both tracked with their p-adic valuation so the truncated sums
+and the truncated sums
 
     S(m) = sum_{k=0}^{p-1} s(k) * m**(-k)      (mod p**2)
     T(x) = sum_{k=0}^{p-1} t(k) * x**k         (mod p**2)
 
-are exact.  sum_S has two independent evaluation routes: the fast
-valued-residue path and a big-integer oracle (sum_S_exact) that clears
-denominators and reduces once at the end.
+For k < p the only factors p in these terms come from the numerator
+(4k)!, one per multiple of p up to 4k, less those of (2k)! for t:
+
+    v_p(s(k)) = [4k/p]        v_p(t(k)) = [4k/p] - [2k/p]
+
+so s(k) = 0 mod p**2 once k > (p-1)/2, and t(k) = 0 mod p**2 once
+k > (3p-1)/4.  Only those nonzero prefixes are built and summed, by one
+Horner pass each.  sum_S has a second, independent route: a big-integer
+oracle (sum_S_exact) that clears denominators and reduces once at the end.
 
 The polynomial identity
 
@@ -38,11 +44,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .arith import PrimeCtx, ValuedResidue, batch_inverse, inv_mod
+from .arith import PrimeCtx, ValuedResidue, horner, inv_mod
 
 __all__ = [
     "CentralSumParams",
     "binom_exact",
+    "central_prefix",
     "central_series",
     "central_term",
     "lemma21_recurrence_residual",
@@ -85,58 +92,70 @@ def t_term(k: int, ctx: PrimeCtx) -> ValuedResidue:
             .div(factorial_vp(k, ctx).pow(2)))
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def _series(ctx: PrimeCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Residues mod p**2 of s(k) and t(k) for k = 0..p-1, built incrementally.
+    """Residues mod p**2 of s(k) for k = (p-1)/2 .. 0 and of t(k) for
+    k = (3p-1)//4 .. 0: the nonzero prefixes, highest k first (Horner order).
 
-    Factorial units and valuations advance with k; the only factors
-    divisible by p on the way to (4k)! are p, 2p, 3p themselves, and
-    denominator factorials stay below p, so one batched inversion covers
-    every k.
+    Past those bounds v_p(s(k)) = [4k/p] and v_p(t(k)) = [4k/p] - [2k/p]
+    reach 2, because k! has no factor p while (4k)! gains one at each
+    multiple of p.  The terms follow from t(0) = 1 and the ratios
+
+        t(k)/t(k-1) = 4(4k-1)(4k-3)/k**2      C(2k,k)/C(2k-2,k-1) = 2(2k-1)/k
+
+    with s(k) = t(k) C(2k,k).  Of these factors only 4k-1 and 4k-3 can be
+    divisible by p (at the values p and 3p; within the prefixes only p
+    occurs), so that one factor p is stripped and kept as the valuation.
+    The denominators are powers of k! with k < p: one modular inverse of
+    K! and a backward walk give every 1/k!.
     """
     p, p2 = ctx.p, ctx.p2
-    u4 = u2 = u1 = 1
-    e4 = e2 = 0  # k! is never divisible by p for k < p
-    num_u, num_e4, num_e2 = [1], [0], [0]
-    den_s, den_t = [1], [1]
-    for k in range(1, p):
-        i = k
-        u1 = u1 * i % p2
-        for i in (2 * k - 1, 2 * k):
-            while i % p == 0:
-                i //= p
-                e2 += 1
-            u2 = u2 * i % p2
-        for i in (4 * k - 3, 4 * k - 2, 4 * k - 1, 4 * k):
-            while i % p == 0:
-                i //= p
-                e4 += 1
-            u4 = u4 * i % p2
-        num_u.append(u4)
-        num_e4.append(e4)
-        num_e2.append(e2)
-        den_s.append(pow(u1, 4, p2))
-        den_t.append(u2 * u1 * u1 % p2)
-    inv_all = batch_inverse(den_s + den_t, p2)
-    s_out, t_out = [], []
-    for k in range(p):
-        es = num_e4[k]
-        et = num_e4[k] - num_e2[k]
-        us = num_u[k] * inv_all[k] % p2
-        ut = num_u[k] * inv_all[p + k] % p2
-        s_out.append(0 if es >= 2 else us * p % p2 if es == 1 else us)
-        t_out.append(0 if et >= 2 else ut * p % p2 if et == 1 else ut)
+    ks, kt = ctx.half, (3 * p - 1) // 4
+    fact = 1
+    for k in range(2, kt + 1):
+        fact = fact * k % p2
+    inv_fact = [0] * (kt + 1)
+    inv = inv_mod(fact, p2)
+    for k in range(kt, -1, -1):
+        inv_fact[k] = inv
+        inv = inv * k % p2
+    s_out, t_out = [1], [1]
+    num = cent = 1  # prod 4(4j-1)(4j-3) with p stripped; (2k)!/k!
+    e = 0
+    for k in range(1, kt + 1):
+        f = 4 * (4 * k - 1) * (4 * k - 3)
+        if f % p == 0:
+            f //= p
+            e = 1
+        num = num * f % p2
+        t = num * inv_fact[k] % p2 * inv_fact[k] % p2
+        if e:
+            t = t * p % p2
+        t_out.append(t)
+        if k <= ks:
+            cent = cent * (4 * k - 2) % p2
+            s_out.append(t * cent % p2 * inv_fact[k] % p2)
+    s_out.reverse()
+    t_out.reverse()
     return tuple(s_out), tuple(t_out)
+
+
+def central_prefix(ctx: PrimeCtx) -> tuple[int, ...]:
+    """s(k) mod p**2 for k = (p-1)/2 down to 0: the nonzero part of
+    central_series, highest degree first, as horner takes it."""
+    return _series(ctx)[0]
 
 
 def central_series(ctx: PrimeCtx) -> tuple[int, ...]:
     """Residues mod p**2 of (4k)!/k!**4 for k = 0..p-1."""
-    return _series(ctx)[0]
+    prefix = _series(ctx)[0]
+    return prefix[::-1] + (0,) * (ctx.p - len(prefix))
 
 
 def t_series(ctx: PrimeCtx) -> tuple[int, ...]:
     """Residues mod p**2 of (4k)!/((2k)! k!**2) for k = 0..p-1."""
-    return _series(ctx)[1]
+    prefix = _series(ctx)[1]
+    return prefix[::-1] + (0,) * (ctx.p - len(prefix))
 
 
 @dataclass(frozen=True)
@@ -162,26 +181,15 @@ class CentralSumParams:
                            den * inv_mod(num, self.ctx.p2) % self.ctx.p2)
 
 
-@lru_cache(maxsize=65536)
-def _sum_s_cached(m_inv: int, ctx: PrimeCtx) -> int:
-    p2 = ctx.p2
-    acc = 0
-    yk = 1
-    for s in central_series(ctx):
-        acc = (acc + s * yk) % p2
-        yk = yk * m_inv % p2
-    return acc
-
-
 def sum_S(params: CentralSumParams) -> int:
     """sum_{k=0}^{p-1} (4k)!/k!**4 * m**(-k) reduced mod p**2."""
-    return _sum_s_cached(params.m_inv, params.ctx)
+    return horner(_series(params.ctx)[0], params.m_inv, params.ctx.p2)
 
 
 def sum_S_exact(m: int | Fraction, ctx: PrimeCtx) -> int:
     """Big-integer oracle for sum_S: clear denominators, reduce once.
 
-    Independent of the valued-residue route; intended for modest p.
+    Independent of the series route; intended for modest p.
     """
     num = m.numerator if isinstance(m, Fraction) else int(m)
     den = m.denominator if isinstance(m, Fraction) else 1
@@ -197,28 +205,15 @@ def sum_S_exact(m: int | Fraction, ctx: PrimeCtx) -> int:
 
 def sum_T(x: int, ctx: PrimeCtx) -> int:
     """sum_{k=0}^{p-1} (4k)!/((2k)! k!**2) * x**k mod p**2."""
-    p2 = ctx.p2
-    x %= p2
-    acc = 0
-    xk = 1
-    for t in t_series(ctx):
-        acc = (acc + t * xk) % p2
-        xk = xk * x % p2
-    return acc
+    return horner(_series(ctx)[1], x % ctx.p2, ctx.p2)
 
 
 def theorem21_check(x: int, ctx: PrimeCtx) -> bool:
     """Does sum_k s(k) (x(1-64x))**k = T(x)**2 hold mod p**2?"""
     p2 = ctx.p2
     x %= p2
-    y = x * (1 - 64 * x) % p2
-    acc = 0
-    yk = 1
-    for s in central_series(ctx):
-        acc = (acc + s * yk) % p2
-        yk = yk * y % p2
-    t = sum_T(x, ctx)
-    return acc == t * t % p2
+    lhs = horner(_series(ctx)[0], x * (1 - 64 * x) % p2, p2)
+    return lhs == sum_T(x, ctx) ** 2 % p2
 
 
 def lemma21_sides(m: int) -> tuple[int, int]:

@@ -37,7 +37,7 @@ class CubicCurve:
         return cls(a % p, b % p, c % p)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def _chi_table(ctx: PrimeCtx) -> tuple[int, ...]:
     """chi(z) for z = 0..p-1, built from the set of nonzero squares."""
     p = ctx.p

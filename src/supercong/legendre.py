@@ -32,7 +32,7 @@ class PolyArg:
     provenance: str = "direct"
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def _fact_tables(ctx: PrimeCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Unit parts of i! mod p and their inverses, for i = 0 .. 2p-2.
 
@@ -76,13 +76,17 @@ def legendre_eval(n: int, t: int | PolyArg, ctx: PrimeCtx) -> int:
         raise ValueError(f"n must be in [0, p-1], got {n}")
     tv = _arg(t) % p
     t2 = tv * tv % p
+    fac, inv = _fact_tables(ctx)
     acc = 0
-    tp = 1 if n % 2 == 0 else tv  # t**(n-2k) at k = [n/2], ascending after
-    for k in range(n // 2, -1, -1):
-        term = binom_mod_p(n, k, ctx) * binom_mod_p(2 * n - 2 * k, n, ctx) % p
-        term = term * tp % p
-        acc = (acc - term if k % 2 else acc + term) % p
-        tp = tp * t2 % p
+    for k in range(n // 2 + 1):  # Horner in t**2, from t**n down
+        # C(n,k) C(2n-2k,n) = (2n-2k)!/(k! (n-k)! (n-2k)!); once
+        # 2n-2k >= p, p divides it (one Kummer carry) and the term vanishes.
+        a = 2 * n - 2 * k
+        term = (fac[a] * inv[k] % p * inv[n - k] % p * inv[n - 2 * k] % p
+                if a < p else 0)
+        acc = (acc * t2 - term if k % 2 else acc * t2 + term) % p
+    if n % 2:
+        acc = acc * tv % p
     return acc * inv_mod(pow(2, n, p), p) % p
 
 

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator
 
 from .arith import (
     PrimeCtx,
+    horner,
     inv_mod,
     jacobi,
     primes_in,
@@ -34,7 +35,7 @@ from .arith import (
     sqrt_mod_p,
     sqrt_mod_p2,
 )
-from .binom import CentralSumParams, central_series, sum_S, sum_T
+from .binom import CentralSumParams, central_prefix, sum_S, sum_T
 from .curves import CubicCurve, char_sum, power_sum
 from .legendre import legendre_eval
 from .quadform import cornacchia, normalize, represent
@@ -252,19 +253,15 @@ def _vacuous(spec: TheoremSpec, p: int, label: str) -> VerdictReport:
 # ---------------------------------------------------------------------------
 # sampled statements (seeded per theorem and prime)
 
-def _poly_sum(series: tuple[int, ...], y: int, mod: int) -> int:
-    acc = 0
-    yk = 1
-    for s in series:
-        acc = (acc + s * yk) % mod
-        yk = yk * y % mod
-    return acc
+# T2.1's left side, under its own name so that it is timed apart from the
+# other polynomial evaluations.
+_poly_sum = horner
 
 
 def _eval_t21(spec: TheoremSpec, ctx: PrimeCtx,
               rng: random.Random) -> list[VerdictReport]:
     p2 = ctx.p2
-    series = central_series(ctx)
+    series = central_prefix(ctx)
     out = []
     for i in range(20):
         x = rng.randrange(p2)
@@ -304,18 +301,12 @@ def _eval_c21(spec: TheoremSpec, ctx: PrimeCtx,
 def _eval_c22(spec: TheoremSpec, ctx: PrimeCtx,
               rng: random.Random) -> list[VerdictReport]:
     p, p2 = ctx.p, ctx.p2
-    series = central_series(ctx)
+    head = central_prefix(ctx)[-(ctx.qcap + 1):]  # s(k), k = [p/4] .. 0
     out = []
     for m in _C22_TEST_SET:
         if m % p == 0 or (m - 256) % p == 0:
             continue
-        m_inv = inv_mod(m, p)
-        acc = 0
-        yk = 1
-        for k in range(ctx.qcap + 1):
-            acc = (acc + series[k] * yk) % p
-            yk = yk * m_inv % p
-        if acc != 0:
+        if horner(head, inv_mod(m, p), p) != 0:
             continue
         lhs = sum_S(CentralSumParams(m, ctx))
         out.append(VerdictReport(spec.id, p, True, f"implication m={m}",

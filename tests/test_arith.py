@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from supercong.arith import (
     PrimeCtx,
     ValuedResidue,
-    batch_inverse,
     factorial_vp,
     inv_mod,
     is_prime,
@@ -110,21 +109,6 @@ def test_inv_mod_examples():
     assert inv_mod(1, 25) == 1
     with pytest.raises(ValueError):
         inv_mod(11, 121)
-
-
-def test_batch_inverse_matches_inv_mod():
-    rng = random.Random(1)
-    for m in (121, 169, 2021 * 2021):
-        xs = [rng.randrange(1, m) for _ in range(50)]
-        xs = [x for x in xs if inv_gcd_ok(x, m)]
-        assert batch_inverse(xs, m) == [inv_mod(x, m) for x in xs]
-    assert batch_inverse([], 25) == []
-
-
-def inv_gcd_ok(x, m):
-    import math
-
-    return math.gcd(x, m) == 1
 
 
 def test_factorial_vp_examples():

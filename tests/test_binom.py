@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from supercong.arith import PrimeCtx, inv_mod, primes_in
+from supercong import binom
+from supercong.arith import PrimeCtx, horner, inv_mod, primes_in
 from supercong.binom import (
     CentralSumParams,
     binom_exact,
@@ -19,6 +20,7 @@ from supercong.binom import (
     t_term,
     theorem21_check,
 )
+from supercong.theorems import REGISTRY
 
 
 def test_binom_exact():
@@ -40,9 +42,15 @@ def test_central_term_examples():
 
 
 def test_series_agree_with_factorial_route():
-    for p in (5, 7, 13, 101):
+    """Every prime < 200, so both residues of p mod 4 pin where the stored
+    prefixes stop: v_p(s(k)) = [4k/p] and v_p(t(k)) = [4k/p] - [2k/p]."""
+    for p in primes_in(5, 199):
         ctx = PrimeCtx(p)
+        s_prefix, t_prefix = binom._series(ctx)
+        assert len(s_prefix) == (p - 1) // 2 + 1
+        assert len(t_prefix) == (3 * p - 1) // 4 + 1
         cs, ts = central_series(ctx), t_series(ctx)
+        assert len(cs) == len(ts) == p
         for k in range(p):
             assert cs[k] == central_term(k, ctx).residue()
             assert ts[k] == t_term(k, ctx).residue()
@@ -108,6 +116,46 @@ def test_sum_t_matches_direct_binomials():
             direct = sum(math.comb(2 * k, k) * math.comb(4 * k, 2 * k)
                          * x**k for k in range(p)) % ctx.p2
             assert sum_T(x, ctx) == direct
+
+
+@pytest.mark.parametrize("p", [1009, 1019])  # 1 and 3 mod 4
+def test_large_p_sums_match_big_integer_routes(p):
+    """The big-integer routes cost O(p**2) digit work; at p = 4999 each
+    takes tens of seconds, so larger primes stay out of the fast suite."""
+    ctx = PrimeCtx(p)
+    m = REGISTRY["T3.1"].m
+    assert sum_S(CentralSumParams(m, ctx)) == sum_S_exact(m, ctx)
+    x = random.Random(p).randrange(ctx.p2)
+    direct = sum(math.comb(2 * k, k) * math.comb(4 * k, 2 * k) * x**k
+                 for k in range(p)) % ctx.p2
+    assert sum_T(x, ctx) == direct
+
+
+def _power_sum_loop(coeffs, y, mod):
+    """The two-multiply power-sum loop the Horner kernel replaced, with
+    coefficients in ascending degree."""
+    acc = 0
+    yk = 1
+    for c in coeffs:
+        acc = (acc + c * yk) % mod
+        yk = yk * y % mod
+    return acc
+
+
+def test_horner_matches_power_sum_loop():
+    rng = random.Random(3)
+    for p in primes_in(5, 299):
+        ctx = PrimeCtx(p)
+        s_prefix, t_prefix = binom._series(ctx)
+        for full, prefix in ((central_series(ctx), s_prefix),
+                             (t_series(ctx), t_prefix)):
+            ys = (0, 1, p, ctx.p2 - 1, rng.randrange(ctx.p2),
+                  rng.randrange(ctx.p2))
+            for mod in (p, ctx.p2):
+                for y in ys:
+                    ref = _power_sum_loop(full, y, mod)
+                    assert horner(full[::-1], y, mod) == ref, (p, y, mod)
+                    assert horner(prefix, y, mod) == ref, (p, y, mod)
 
 
 def test_theorem21_examples():

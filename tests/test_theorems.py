@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from supercong import binom, curves, legendre
 from supercong.arith import PrimeCtx, jacobi, primes_in, quad_char, sqrt_mod_p
 from supercong.quadform import cornacchia, normalize
 from supercong.theorems import (
@@ -221,3 +222,9 @@ def test_seed_changes_samples_but_not_verdicts():
     assert [r.witnesses["x"] for r in a] != [r.witnesses["x"] for r in b]
     assert all(r.passed for r in a + b)
     assert verify("T2.1", 13, seed=1) == a
+
+
+def test_sweep_keeps_one_prime_of_tables():
+    list(verify_range(ALL_IDS, 5, 200))
+    for cached in (binom._series, legendre._fact_tables, curves._chi_table):
+        assert cached.cache_info().currsize <= 1
