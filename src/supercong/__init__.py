@@ -8,7 +8,7 @@ a declarative verdict engine over all registered statements (theorems)
 with a batch CLI (cli).
 """
 
-from .arith import PrimeCtx, ValuedResidue
+from .arith import PrimeCtx
 from .theorems import (
     ALL_IDS,
     CONJECTURE_IDS,
@@ -28,7 +28,6 @@ __all__ = [
     "PROVEN_IDS",
     "PrimeCtx",
     "REGISTRY",
-    "ValuedResidue",
     "VerdictReport",
     "classify",
     "verify",

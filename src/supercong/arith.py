@@ -1,9 +1,9 @@
 """Modular arithmetic kernel.
 
 Residues mod p and mod p**2, quadratic characters, modular square roots,
-and p-adic factorial bookkeeping.  Everything is exact integer arithmetic;
-Python's arbitrary-precision ints mean primes up to and beyond 2**31 work
-without any overflow handling.
+and the packed polynomial-evaluation kernel.  Everything is exact integer
+arithmetic; Python's arbitrary-precision ints mean primes up to and beyond
+2**31 work without any overflow handling.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 __all__ = [
+    "PackedPoly",
     "PrimeCtx",
-    "ValuedResidue",
-    "factorial_vp",
-    "horner",
     "inv_mod",
     "is_prime",
     "jacobi",
@@ -100,13 +98,52 @@ def inv_mod(a: int, m: int) -> int:
                          f"(gcd = {math.gcd(a, m)})") from None
 
 
-def horner(coeffs: Sequence[int], y: int, mod: int) -> int:
-    """The polynomial with coefficients listed highest degree first, at y,
-    mod `mod`: one multiply and one reduction per coefficient."""
-    acc = 0
-    for c in coeffs:
-        acc = (acc * y + c) % mod
-    return acc
+def _lane_width(b: int, mod: int) -> int:
+    """Bytes W per lane, with 8W > bitlen(b * (mod-1)**2)."""
+    return (b * (mod - 1) ** 2).bit_length() // 8 + 1
+
+
+class PackedPoly:
+    """A polynomial mod `mod` (coefficients highest degree first), packed
+    for evaluation at many points by baby steps and giant steps.
+
+    With n coefficients a[j] (of y**j), b = isqrt(n) and g = ceil(n/b),
+    column i < b packs a[s*b+i] for s < g into one int, one W-byte lane per
+    s.  A call adds column i times y**i mod `mod` over all i, which puts
+    block s's sum over i of a[s*b+i] y**i in lane s, then runs g Horner
+    steps in y**b over the lanes: O(b + g) interpreter steps per point, the
+    n products run inside big-int multiplies.  A lane holds at most
+    b*(mod-1)**2 and 8W > bitlen(b*(mod-1)**2), so no lane carries.
+    """
+
+    __slots__ = ("mod", "b", "g", "width", "cols")
+
+    def __init__(self, coeffs: Sequence[int], mod: int) -> None:
+        n = len(coeffs)
+        b = max(1, math.isqrt(n))
+        g = -(-n // b)
+        width = _lane_width(b, mod)
+        asc = [c % mod for c in reversed(coeffs)] + [0] * (b * g - n)
+        self.mod, self.b, self.g, self.width = mod, b, g, width
+        self.cols = tuple(
+            int.from_bytes(b"".join(c.to_bytes(width, "little")
+                                    for c in asc[i::b]), "little")
+            for i in range(b))
+
+    def __call__(self, y: int) -> int:
+        mod, width = self.mod, self.width
+        y %= mod
+        baby = [1] * self.b
+        for i in range(1, self.b):
+            baby[i] = baby[i - 1] * y % mod
+        big = baby[-1] * y % mod  # y**b
+        lanes = sum(map(int.__mul__, self.cols, baby)).to_bytes(
+            self.g * width, "big")  # highest block first
+        from_bytes = int.from_bytes
+        acc = 0
+        for o in range(0, len(lanes), width):
+            acc = (acc * big + from_bytes(lanes[o:o + width], "big")) % mod
+        return acc
 
 
 def jacobi(a: int, n: int) -> int:
@@ -190,89 +227,3 @@ def sqrt_mod_p2(a: int, ctx: PrimeCtx) -> tuple[int, ...]:
     r = roots[0]
     r2 = (r - (r * r - a) * inv_mod(2 * r, p2)) % p2
     return (r2, p2 - r2) if r2 <= p2 - r2 else (p2 - r2, r2)
-
-
-@dataclass(frozen=True)
-class ValuedResidue:
-    """A value u * p**e with the unit u tracked mod p**2.
-
-    The canonical zero is (e=0, u=0); for every other value u is a unit
-    mod p**2.  This representation keeps sums of p-divisible terms exact
-    mod p**2 where plain modular division would be undefined.
-    """
-
-    ctx: PrimeCtx
-    e: int
-    u: int
-
-    def __post_init__(self) -> None:
-        if self.u == 0:
-            if self.e != 0:
-                raise ValueError("canonical zero must have e = 0")
-            return
-        if not (0 <= self.u < self.ctx.p2) or self.u % self.ctx.p == 0:
-            raise ValueError(f"u = {self.u} is not a unit residue mod p**2")
-
-    @classmethod
-    def from_int(cls, n: int, ctx: PrimeCtx) -> "ValuedResidue":
-        if n == 0:
-            return cls(ctx, 0, 0)
-        e = 0
-        while n % ctx.p == 0:
-            n //= ctx.p
-            e += 1
-        return cls(ctx, e, n % ctx.p2)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.u == 0
-
-    def __mul__(self, other: "ValuedResidue") -> "ValuedResidue":
-        if self.is_zero or other.is_zero:
-            return ValuedResidue(self.ctx, 0, 0)
-        return ValuedResidue(self.ctx, self.e + other.e,
-                             self.u * other.u % self.ctx.p2)
-
-    def div(self, other: "ValuedResidue") -> "ValuedResidue":
-        """Exact quotient; other must be nonzero."""
-        if other.is_zero:
-            raise ZeroDivisionError("division by the canonical zero")
-        if self.is_zero:
-            return self
-        return ValuedResidue(self.ctx, self.e - other.e,
-                             self.u * inv_mod(other.u, self.ctx.p2)
-                             % self.ctx.p2)
-
-    def pow(self, k: int) -> "ValuedResidue":
-        if k < 0:
-            raise ValueError("negative exponent")
-        if self.is_zero:
-            return self if k else ValuedResidue(self.ctx, 0, 1)
-        return ValuedResidue(self.ctx, self.e * k,
-                             pow(self.u, k, self.ctx.p2))
-
-    def residue(self) -> int:
-        """Reduction to a plain residue mod p**2."""
-        if self.is_zero:
-            return 0
-        if self.e < 0:
-            raise ValueError("negative valuation has no residue mod p**2")
-        if self.e >= 2:
-            return 0
-        if self.e == 1:
-            return self.u * self.ctx.p % self.ctx.p2
-        return self.u
-
-
-def factorial_vp(n: int, ctx: PrimeCtx) -> ValuedResidue:
-    """n! as a ValuedResidue: exact p-adic valuation plus unit mod p**2."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    p, p2 = ctx.p, ctx.p2
-    e, u = 0, 1
-    for i in range(2, n + 1):
-        while i % p == 0:
-            i //= p
-            e += 1
-        u = u * i % p2
-    return ValuedResidue(ctx, e, u)

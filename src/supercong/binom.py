@@ -16,9 +16,11 @@ For k < p the only factors p in these terms come from the numerator
     v_p(s(k)) = [4k/p]        v_p(t(k)) = [4k/p] - [2k/p]
 
 so s(k) = 0 mod p**2 once k > (p-1)/2, and t(k) = 0 mod p**2 once
-k > (3p-1)/4.  Only those nonzero prefixes are built and summed, by one
-Horner pass each.  sum_S has a second, independent route: a big-integer
-oracle (sum_S_exact) that clears denominators and reduces once at the end.
+k > (3p-1)/4.  Only those nonzero prefixes are built, and each is packed
+once per prime into an arith.PackedPoly, the baby-step/giant-step kernel
+that evaluates it at every point.  sum_S has a second, independent route:
+a big-integer oracle (sum_S_exact) that clears denominators and reduces
+once at the end.
 
 The polynomial identity
 
@@ -44,58 +46,27 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .arith import PrimeCtx, ValuedResidue, horner, inv_mod
+from .arith import PackedPoly, PrimeCtx, inv_mod
 
 __all__ = [
     "CentralSumParams",
-    "binom_exact",
-    "central_prefix",
+    "central_poly",
     "central_series",
-    "central_term",
     "lemma21_recurrence_residual",
     "lemma21_sides",
     "sum_S",
     "sum_S_exact",
     "sum_T",
     "t_series",
-    "t_term",
-    "theorem21_check",
+    "t_poly",
 ]
-
-
-def binom_exact(n: int, k: int) -> int:
-    """C(n, k) as an exact integer; 0 when k < 0 or k > n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def central_term(k: int, ctx: PrimeCtx) -> ValuedResidue:
-    """(4k)!/k!**4 with its p-divisibility tracked (single-k route)."""
-    if not 0 <= k <= ctx.p - 1:
-        raise ValueError(f"k must be in [0, p-1], got {k}")
-    from .arith import factorial_vp
-
-    return factorial_vp(4 * k, ctx).div(factorial_vp(k, ctx).pow(4))
-
-
-def t_term(k: int, ctx: PrimeCtx) -> ValuedResidue:
-    """(4k)!/((2k)! k!**2) with its p-divisibility tracked."""
-    if not 0 <= k <= ctx.p - 1:
-        raise ValueError(f"k must be in [0, p-1], got {k}")
-    from .arith import factorial_vp
-
-    return (factorial_vp(4 * k, ctx)
-            .div(factorial_vp(2 * k, ctx))
-            .div(factorial_vp(k, ctx).pow(2)))
 
 
 @lru_cache(maxsize=1)
 def _series(ctx: PrimeCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Residues mod p**2 of s(k) for k = (p-1)/2 .. 0 and of t(k) for
-    k = (3p-1)//4 .. 0: the nonzero prefixes, highest k first (Horner order).
+    k = (3p-1)//4 .. 0: the nonzero prefixes, highest k first (as
+    PackedPoly takes them).
 
     Past those bounds v_p(s(k)) = [4k/p] and v_p(t(k)) = [4k/p] - [2k/p]
     reach 2, because k! has no factor p while (4k)! gains one at each
@@ -140,10 +111,16 @@ def _series(ctx: PrimeCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(s_out), tuple(t_out)
 
 
-def central_prefix(ctx: PrimeCtx) -> tuple[int, ...]:
-    """s(k) mod p**2 for k = (p-1)/2 down to 0: the nonzero part of
-    central_series, highest degree first, as horner takes it."""
-    return _series(ctx)[0]
+@lru_cache(maxsize=1)
+def central_poly(ctx: PrimeCtx) -> PackedPoly:
+    """sum_k s(k) y**k mod p**2, packed for evaluation at many y."""
+    return PackedPoly(_series(ctx)[0], ctx.p2)
+
+
+@lru_cache(maxsize=1)
+def t_poly(ctx: PrimeCtx) -> PackedPoly:
+    """sum_k t(k) x**k mod p**2, packed for evaluation at many x."""
+    return PackedPoly(_series(ctx)[1], ctx.p2)
 
 
 def central_series(ctx: PrimeCtx) -> tuple[int, ...]:
@@ -183,7 +160,7 @@ class CentralSumParams:
 
 def sum_S(params: CentralSumParams) -> int:
     """sum_{k=0}^{p-1} (4k)!/k!**4 * m**(-k) reduced mod p**2."""
-    return horner(_series(params.ctx)[0], params.m_inv, params.ctx.p2)
+    return central_poly(params.ctx)(params.m_inv)
 
 
 def sum_S_exact(m: int | Fraction, ctx: PrimeCtx) -> int:
@@ -205,15 +182,7 @@ def sum_S_exact(m: int | Fraction, ctx: PrimeCtx) -> int:
 
 def sum_T(x: int, ctx: PrimeCtx) -> int:
     """sum_{k=0}^{p-1} (4k)!/((2k)! k!**2) * x**k mod p**2."""
-    return horner(_series(ctx)[1], x % ctx.p2, ctx.p2)
-
-
-def theorem21_check(x: int, ctx: PrimeCtx) -> bool:
-    """Does sum_k s(k) (x(1-64x))**k = T(x)**2 hold mod p**2?"""
-    p2 = ctx.p2
-    x %= p2
-    lhs = horner(_series(ctx)[0], x * (1 - 64 * x) % p2, p2)
-    return lhs == sum_T(x, ctx) ** 2 % p2
+    return t_poly(ctx)(x)
 
 
 def lemma21_sides(m: int) -> tuple[int, int]:

@@ -8,9 +8,11 @@ and small number-theory utilities.
     supercong tools jacobi --a 2 --n 7
 
 verify exits 0 unless a proven statement fails (exit 1); bad arguments exit
-2.  Conjecture failures are flagged as counterexample candidates but do not
-change the exit status.  For a fixed seed the report stream is
-byte-identical regardless of --workers.
+2; an internal error (an exception raised inside the engine during the
+sweep) exits 3, after the traceback and the summary line for the records
+already written go to stderr.  Conjecture failures are flagged as
+counterexample candidates but do not change the exit status.  For a fixed
+seed the report stream is byte-identical regardless of --workers.
 """
 
 from __future__ import annotations
@@ -121,32 +123,40 @@ def cmd_verify(config: RunConfig, out=None) -> int:
                   f"theorems={','.join(config.theorems)} "
                   f"primes={config.pmin}..{config.pmax}\n")
     checked = failures = candidates = 0
+    error = False
     stream = verify_range(config.theorems, config.pmin, config.pmax,
                           seed=config.seed, workers=config.workers)
-    for rec in stream:
-        checked += 1
-        if not rec.passed:
-            if rec.kind == "proven":
-                failures += 1
+    try:
+        for rec in stream:
+            checked += 1
+            if not rec.passed:
+                if rec.kind == "proven":
+                    failures += 1
+                else:
+                    candidates += 1
+            if config.fmt == "jsonl":
+                out.write(json.dumps(rec.to_record(), separators=(",", ":"))
+                          + "\n")
+            elif config.fmt == "csv":
+                r = rec.to_record()
+                writer.writerow([
+                    r["theorem"], r["p"], r["applicable"], r["branch"],
+                    r["lhs"] or "", r["rhs"] or "", r["modulus"] or "",
+                    _wit_str(rec.witnesses), r["pass"], r["kind"],
+                ])
             else:
-                candidates += 1
-        if config.fmt == "jsonl":
-            out.write(json.dumps(rec.to_record(), separators=(",", ":"))
-                      + "\n")
-        elif config.fmt == "csv":
-            r = rec.to_record()
-            writer.writerow([
-                r["theorem"], r["p"], r["applicable"], r["branch"],
-                r["lhs"] or "", r["rhs"] or "", r["modulus"] or "",
-                _wit_str(rec.witnesses), r["pass"], r["kind"],
-            ])
-        else:
-            _render_text(rec, out)
-        if config.fail_fast and failures:
-            break
+                _render_text(rec, out)
+            if config.fail_fast and failures:
+                break
+    except Exception as exc:  # an engine fault, never a verdict
+        import traceback  # imported on this path only: keeps start-up lean
+
+        traceback.print_exc()
+        error = True
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
     print(f"checked {checked} records: {failures} failures, "
           f"{candidates} counterexample-candidates", file=sys.stderr)
-    return 1 if failures else 0
+    return 3 if error else 1 if failures else 0
 
 
 def cmd_sum(m: int, p: int, out=None) -> int:

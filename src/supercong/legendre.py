@@ -4,7 +4,8 @@ P_n is evaluated through its explicit finite sum
 
     P_n(t) = 2**(-n) * sum_{k=0}^{[n/2]} C(n,k) (-1)**k C(2n-2k, n) t**(n-2k)
 
-with all arithmetic mod p.  The derivative (Rodrigues) form is not used.
+with all arithmetic mod p, as a polynomial in t**2 packed once per (n, p)
+into an arith.PackedPoly.  The derivative (Rodrigues) form is not used.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import PrimeCtx, inv_mod
+from .arith import PackedPoly, PrimeCtx, inv_mod
 
 __all__ = [
     "PolyArg",
-    "binom_mod_p",
     "legendre_eval",
     "parity_check",
     "truncated_128_sum",
@@ -34,35 +34,33 @@ class PolyArg:
 
 @lru_cache(maxsize=1)
 def _fact_tables(ctx: PrimeCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Unit parts of i! mod p and their inverses, for i = 0 .. 2p-2.
-
-    The single factor p inside i! (for i >= p) is stripped, so entries are
-    units; the stripped valuation is recovered from the index.
-    """
+    """i! mod p and its inverse, for i = 0 .. p-1."""
     p = ctx.p
-    n = 2 * p - 1
-    fac = [1] * n
-    for i in range(1, n):
-        f = i // p if i % p == 0 else i
-        fac[i] = fac[i - 1] * f % p
-    inv = [1] * n
-    inv[n - 1] = inv_mod(fac[n - 1], p)
-    for i in range(n - 1, 0, -1):
-        f = i // p if i % p == 0 else i
-        inv[i - 1] = inv[i] * f % p
+    fac = [1] * p
+    for i in range(1, p):
+        fac[i] = fac[i - 1] * i % p
+    inv = [1] * p
+    inv[p - 1] = inv_mod(fac[p - 1], p)
+    for i in range(p - 1, 0, -1):
+        inv[i - 1] = inv[i] * i % p
     return tuple(fac), tuple(inv)
 
 
-def binom_mod_p(a: int, b: int, ctx: PrimeCtx) -> int:
-    """C(a, b) mod p for 0 <= a <= 2p-2 (Kummer carry gives at most one p)."""
-    if b < 0 or b > a:
-        return 0
+@lru_cache(maxsize=1)
+def _legendre_poly(n: int, ctx: PrimeCtx) -> PackedPoly:
+    """2**(-n) P_n as a polynomial in t**2 (t**n down to t**(n mod 2))."""
     p = ctx.p
     fac, inv = _fact_tables(ctx)
-    e = (a >= p) - (b >= p) - (a - b >= p)
-    if e > 0:
-        return 0
-    return fac[a] * inv[b] % p * inv[a - b] % p
+    scale = inv_mod(pow(2, n, p), p)
+    coeffs = []
+    for k in range(n // 2 + 1):
+        # C(n,k) C(2n-2k,n) = (2n-2k)!/(k! (n-k)! (n-2k)!); once
+        # 2n-2k >= p, p divides it (one Kummer carry) and the term vanishes.
+        a = 2 * n - 2 * k
+        term = (scale * fac[a] % p * inv[k] % p * inv[n - k] % p
+                * inv[n - 2 * k] % p if a < p else 0)
+        coeffs.append(-term if k % 2 else term)
+    return PackedPoly(coeffs, p)
 
 
 def _arg(t: int | PolyArg) -> int:
@@ -75,19 +73,8 @@ def legendre_eval(n: int, t: int | PolyArg, ctx: PrimeCtx) -> int:
     if not 0 <= n <= p - 1:
         raise ValueError(f"n must be in [0, p-1], got {n}")
     tv = _arg(t) % p
-    t2 = tv * tv % p
-    fac, inv = _fact_tables(ctx)
-    acc = 0
-    for k in range(n // 2 + 1):  # Horner in t**2, from t**n down
-        # C(n,k) C(2n-2k,n) = (2n-2k)!/(k! (n-k)! (n-2k)!); once
-        # 2n-2k >= p, p divides it (one Kummer carry) and the term vanishes.
-        a = 2 * n - 2 * k
-        term = (fac[a] * inv[k] % p * inv[n - k] % p * inv[n - 2 * k] % p
-                if a < p else 0)
-        acc = (acc * t2 - term if k % 2 else acc * t2 + term) % p
-    if n % 2:
-        acc = acc * tv % p
-    return acc * inv_mod(pow(2, n, p), p) % p
+    acc = _legendre_poly(n, ctx)(tv * tv)
+    return acc * tv % p if n % 2 else acc
 
 
 def parity_check(n: int, t: int | PolyArg, ctx: PrimeCtx) -> bool:

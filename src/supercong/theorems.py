@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .arith import (
+    PackedPoly,
     PrimeCtx,
-    horner,
     inv_mod,
     jacobi,
     primes_in,
@@ -35,7 +35,7 @@ from .arith import (
     sqrt_mod_p,
     sqrt_mod_p2,
 )
-from .binom import CentralSumParams, central_prefix, sum_S, sum_T
+from .binom import CentralSumParams, central_poly, central_series, sum_S, sum_T
 from .curves import CubicCurve, char_sum, power_sum
 from .legendre import legendre_eval
 from .quadform import cornacchia, normalize, represent
@@ -255,17 +255,17 @@ def _vacuous(spec: TheoremSpec, p: int, label: str) -> VerdictReport:
 
 # T2.1's left side, under its own name so that it is timed apart from the
 # other polynomial evaluations.
-_poly_sum = horner
+_poly_sum = PackedPoly.__call__
 
 
 def _eval_t21(spec: TheoremSpec, ctx: PrimeCtx,
               rng: random.Random) -> list[VerdictReport]:
     p2 = ctx.p2
-    series = central_prefix(ctx)
+    s_poly = central_poly(ctx)
     out = []
     for i in range(20):
         x = rng.randrange(p2)
-        lhs = _poly_sum(series, x * (1 - 64 * x) % p2, p2)
+        lhs = _poly_sum(s_poly, x * (1 - 64 * x))
         rhs = sum_T(x, ctx) ** 2 % p2
         out.append(VerdictReport(spec.id, ctx.p, True, f"x-sample-{i:02d}",
                                  lhs, rhs, p2, {"x": x}, lhs == rhs,
@@ -301,12 +301,13 @@ def _eval_c21(spec: TheoremSpec, ctx: PrimeCtx,
 def _eval_c22(spec: TheoremSpec, ctx: PrimeCtx,
               rng: random.Random) -> list[VerdictReport]:
     p, p2 = ctx.p, ctx.p2
-    head = central_prefix(ctx)[-(ctx.qcap + 1):]  # s(k), k = [p/4] .. 0
+    # sum_{k <= [p/4]} s(k) y**k mod p
+    head = PackedPoly(central_series(ctx)[ctx.qcap::-1], p)
     out = []
     for m in _C22_TEST_SET:
         if m % p == 0 or (m - 256) % p == 0:
             continue
-        if horner(head, inv_mod(m, p), p) != 0:
+        if head(inv_mod(m, p)) != 0:
             continue
         lhs = sum_S(CentralSumParams(m, ctx))
         out.append(VerdictReport(spec.id, p, True, f"implication m={m}",

@@ -17,7 +17,6 @@ from supercong.binom import (
     lemma21_sides,
     sum_S,
     sum_T,
-    theorem21_check,
 )
 from supercong.curves import (
     CubicCurve,
@@ -34,6 +33,7 @@ from supercong.theorems import (
     verify,
     verify_range,
 )
+from test_binom import theorem21_check
 
 THEOREM_D_SET = (2, 5, 6, 7, 9, 10, 13, 18, 22, 25, 29, 37, 58)
 

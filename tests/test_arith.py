@@ -3,10 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from padic import ValuedResidue, factorial_vp
 from supercong.arith import (
     PrimeCtx,
-    ValuedResidue,
-    factorial_vp,
     inv_mod,
     is_prime,
     jacobi,

@@ -4,32 +4,26 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import binom
-from supercong.arith import PrimeCtx, horner, inv_mod, primes_in
+from padic import central_term, t_term
+from supercong import arith, binom
+from supercong.arith import PackedPoly, PrimeCtx, inv_mod, primes_in
 from supercong.binom import (
     CentralSumParams,
-    binom_exact,
+    central_poly,
     central_series,
-    central_term,
     lemma21_recurrence_residual,
     lemma21_sides,
     sum_S,
     sum_S_exact,
     sum_T,
     t_series,
-    t_term,
-    theorem21_check,
 )
 from supercong.theorems import REGISTRY
 
 
-def test_binom_exact():
-    assert binom_exact(4, 2) == 6
-    assert binom_exact(1, 2) == 0
-    assert binom_exact(8, 4) == 70
-    assert binom_exact(5, -1) == 0
-    with pytest.raises(ValueError):
-        binom_exact(-1, 0)
+def theorem21_check(x, ctx):
+    """Does sum_k s(k) (x(1-64x))**k = T(x)**2 hold mod p**2?"""
+    return central_poly(ctx)(x * (1 - 64 * x)) == sum_T(x, ctx) ** 2 % ctx.p2
 
 
 def test_central_term_examples():
@@ -132,8 +126,8 @@ def test_large_p_sums_match_big_integer_routes(p):
 
 
 def _power_sum_loop(coeffs, y, mod):
-    """The two-multiply power-sum loop the Horner kernel replaced, with
-    coefficients in ascending degree."""
+    """The two-multiply power-sum loop, with coefficients in ascending
+    degree."""
     acc = 0
     yk = 1
     for c in coeffs:
@@ -142,20 +136,80 @@ def _power_sum_loop(coeffs, y, mod):
     return acc
 
 
+def horner(coeffs, y, mod):
+    """Horner's rule, coefficients highest degree first: one multiply and
+    one reduction per coefficient."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc * y + c) % mod
+    return acc
+
+
+def _assert_kernels_agree(desc, ys, mod):
+    """PackedPoly, Horner and the power-sum loop give one value at each y."""
+    packed = PackedPoly(desc, mod)
+    for y in ys:
+        ref = _power_sum_loop(desc[::-1], y, mod)
+        assert horner(desc, y, mod) == ref, (len(desc), y, mod)
+        assert packed(y) == ref, (len(desc), y, mod)
+
+
 def test_horner_matches_power_sum_loop():
+    """On the s and t series (full length and nonzero prefix) and C2.2's
+    mod-p head s(k), k <= [p/4], for every prime < 300, mod p and p**2."""
     rng = random.Random(3)
     for p in primes_in(5, 299):
         ctx = PrimeCtx(p)
         s_prefix, t_prefix = binom._series(ctx)
-        for full, prefix in ((central_series(ctx), s_prefix),
-                             (t_series(ctx), t_prefix)):
-            ys = (0, 1, p, ctx.p2 - 1, rng.randrange(ctx.p2),
-                  rng.randrange(ctx.p2))
-            for mod in (p, ctx.p2):
-                for y in ys:
-                    ref = _power_sum_loop(full, y, mod)
-                    assert horner(full[::-1], y, mod) == ref, (p, y, mod)
-                    assert horner(prefix, y, mod) == ref, (p, y, mod)
+        ys = (0, 1, p, ctx.p2 - 1, rng.randrange(ctx.p2),
+              rng.randrange(ctx.p2))
+        for mod in (p, ctx.p2):
+            for full, prefix in ((central_series(ctx), s_prefix),
+                                 (t_series(ctx), t_prefix)):
+                _assert_kernels_agree(full[::-1], ys, mod)
+                _assert_kernels_agree(prefix, ys, mod)
+        head = [c % p for c in s_prefix[-(ctx.qcap + 1):]]
+        _assert_kernels_agree(head, ys, p)
+
+
+@pytest.mark.parametrize("mod", [7, 121, 65521, 2**61 - 1])
+def test_packed_poly_edge_shapes(mod):
+    rng = random.Random(mod)
+    ys = (0, 1, mod - 1, rng.randrange(mod), rng.randrange(mod**2))
+    for b in (1, 2, 3, 7):
+        for n in sorted({1, 2, b * b, b * b + 1}):
+            _assert_kernels_agree([rng.randrange(mod) for _ in range(n)],
+                                  ys, mod)
+            _assert_kernels_agree([0] * n, ys, mod)
+            _assert_kernels_agree([mod - 1] * n, (mod - 1,), mod)
+    _assert_kernels_agree([], ys, mod)
+
+
+@pytest.mark.parametrize("mod,n", [(121, 401), (65521, 51), (121**2, 101),
+                                   (2**61 - 1, 401)])
+def test_packed_lane_width_is_needed(mod, n, monkeypatch):
+    """All coefficients mod-1 at y = mod-1 fill each lane to about half the
+    bound b * (mod-1)**2.  At these shapes that needs the lane's top byte:
+    one byte less gives a wrong value or no room for the packed sum."""
+    desc, y = [mod - 1] * n, mod - 1
+    ref = horner(desc, y, mod)
+    assert PackedPoly(desc, mod)(y) == ref
+    width = arith._lane_width
+    monkeypatch.setattr(arith, "_lane_width", lambda b, m: width(b, m) - 1)
+    try:
+        narrow = PackedPoly(desc, mod)(y)
+    except OverflowError:
+        narrow = None
+    assert narrow != ref
+
+
+def test_packed_lane_width_follows_the_modulus():
+    mod = (2**61 - 1) ** 2
+    rng = random.Random(61)
+    for n in (1, 17, 64, 300):
+        _assert_kernels_agree([rng.randrange(mod) for _ in range(n)],
+                              (mod - 1, rng.randrange(mod),
+                               rng.randrange(mod)), mod)
 
 
 def test_theorem21_examples():

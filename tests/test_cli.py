@@ -2,11 +2,12 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from supercong.cli import RunConfig, cmd_sum, cmd_verify, main
-from supercong.theorems import VerdictReport, verify_range
+from supercong.theorems import REGISTRY, VerdictReport, verify_range
 
 
 def run_cli(*args):
@@ -157,3 +158,42 @@ def test_proven_failure_exits_one():
         assert "CANDIDATE" in buf.getvalue()
     finally:
         del REGISTRY["X-false"]
+
+
+def _break_first_branch(monkeypatch, **changes):
+    """Swap T3.1's first branch for a copy with `changes` applied."""
+    spec = REGISTRY["T3.1"]
+    branch = replace(spec.branches[0], **changes)
+    monkeypatch.setitem(REGISTRY, "T3.1",
+                        replace(spec, branches=(branch,) + spec.branches[1:]))
+
+
+def _faulty_rhs(ctx, w):
+    if ctx.p >= 11:
+        raise ValueError(f"rhs broke at p = {ctx.p}")
+    return 4 * w["C"] ** 2
+
+
+@pytest.mark.parametrize("fault", ["overlap", "rhs"])
+def test_engine_error_exits_three(fault, monkeypatch, capsys):
+    """An exception inside the engine is neither a failed statement (1) nor
+    a bad argument (2): exit 3, with the records already written and their
+    summary kept."""
+    if fault == "overlap":  # both branches hold from p = 13 (6 mod 7) on
+        holds = REGISTRY["T3.1"].branches[0].holds
+        _break_first_branch(monkeypatch, holds=lambda p: p >= 11 or holds(p))
+        message = "RuntimeError: T3.1: branch predicates overlap at p = 13"
+    else:  # the first branch applies at p = 11 (4 mod 7)
+        _break_first_branch(monkeypatch, rhs=_faulty_rhs)
+        message = "ValueError: rhs broke at p = 11"
+    code = main(["verify", "--theorems", "T3.1", "--primes", "5..50",
+                 "--format", "jsonl"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    records = [json.loads(ln) for ln in out.splitlines()[1:]]
+    assert records and {r["p"] for r in records} <= {5, 7, 11}
+    assert "Traceback" in err
+    assert f"internal error: {message}" in err
+    assert err.rstrip().endswith(
+        f"checked {len(records)} records: 0 failures, "
+        "0 counterexample-candidates")

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from supercong import legendre
 from supercong.arith import PrimeCtx, inv_mod, jacobi, primes_in
 from supercong.curves import CubicCurve, power_sum
 from supercong.legendre import (
     PolyArg,
-    binom_mod_p,
     legendre_eval,
     parity_check,
     truncated_128_sum,
@@ -27,12 +27,31 @@ def test_degree_bound():
         legendre_eval(11, 2, PrimeCtx(11))
 
 
-def test_binom_mod_p_matches_exact():
-    for p in (5, 11, 13):
+def _legendre_sum(n, t, p):
+    """P_n(t) mod p by the explicit finite sum, one term at a time:
+    2**(-n) sum_k (-1)**k C(n,k) C(2n-2k,n) t**(n-2k)."""
+    acc = 0
+    for k in range(n // 2 + 1):
+        term = math.comb(n, k) * math.comb(2 * n - 2 * k, n)
+        acc += (-1) ** k * term * pow(t, n - 2 * k, p)
+    return acc * inv_mod(pow(2, n, p), p) % p
+
+
+def test_packed_eval_matches_explicit_sum():
+    """Every n < p for every p < 200, n in shuffled order, three arguments
+    each, so the one-entry (n, p) cache is hit, missed and replaced."""
+    rng = random.Random(17)
+    before = legendre._legendre_poly.cache_info()
+    for p in primes_in(5, 199):
         ctx = PrimeCtx(p)
-        for a in range(2 * p - 1):
-            for b in range(a + 1):
-                assert binom_mod_p(a, b, ctx) == math.comb(a, b) % p
+        ns = list(range(p))
+        rng.shuffle(ns)
+        for n in ns:
+            for t in (0, p - 1, rng.randrange(p)):
+                assert legendre_eval(n, t, ctx) == _legendre_sum(n, t, p), \
+                    (p, n, t)
+    after = legendre._legendre_poly.cache_info()
+    assert after.hits - before.hits >= 2 * (after.misses - before.misses) > 0
 
 
 def test_parity_examples():

@@ -226,5 +226,7 @@ def test_seed_changes_samples_but_not_verdicts():
 
 def test_sweep_keeps_one_prime_of_tables():
     list(verify_range(ALL_IDS, 5, 200))
-    for cached in (binom._series, legendre._fact_tables, curves._chi_table):
+    for cached in (binom._series, binom.central_poly, binom.t_poly,
+                   legendre._fact_tables, legendre._legendre_poly,
+                   curves._chi_table):
         assert cached.cache_info().currsize <= 1
