@@ -1,9 +1,12 @@
 """Quadratic character sums and power sums of cubics over F_p.
 
-char_sum brute-forces sum_x chi(x^3 + a x^2 + b x + c) as an exact integer;
-power_sum is the Euler-criterion twin sum_x f(x)**((p-1)/2) mod p.  These
-are the bridge between Legendre-polynomial values and point counts on
-y^2 = f(x): the count is p + 1 + char_sum.
+char_sum brute-forces sum_x chi(x^3 + a x^2 + b x + c) as an exact integer,
+reading chi from the set of nonzero squares; power_sum is the Euler-criterion
+twin sum_x f(x)**((p-1)/2) mod p, reading z**((p-1)/2) from a table built
+once per prime by pow.  The two routes share no table, so tests comparing
+them compare two computations.  These sums are the bridge between
+Legendre-polynomial values and point counts on y^2 = f(x): the count is
+p + 1 + char_sum.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ __all__ = [
     "CubicCurve",
     "char_sum",
     "discriminant",
-    "point_count",
     "power_sum",
     "scale_check",
 ]
@@ -59,19 +61,20 @@ def char_sum(curve: CubicCurve, ctx: PrimeCtx) -> int:
     return total
 
 
+@lru_cache(maxsize=1)
+def _euler_table(ctx: PrimeCtx) -> tuple[int, ...]:
+    """z**((p-1)/2) mod p for z = 0..p-1 (Euler's criterion, by pow)."""
+    p, half = ctx.p, ctx.half
+    return tuple([pow(z, half, p) for z in range(p)])
+
+
 def power_sum(curve: CubicCurve, ctx: PrimeCtx) -> int:
     """sum_x (x^3 + a x^2 + b x + c)**((p-1)/2) mod p."""
-    p, half = ctx.p, ctx.half
+    p = ctx.p
     a, b, c = curve.a % p, curve.b % p, curve.c % p
-    total = 0
-    for x in range(p):
-        total += pow((((x + a) * x + b) * x + c) % p, half, p)
-    return total % p
-
-
-def point_count(curve: CubicCurve, ctx: PrimeCtx) -> int:
-    """Number of points on y^2 = x^3 + a x^2 + b x + c over F_p, with infinity."""
-    return ctx.p + 1 + char_sum(curve, ctx)
+    table = _euler_table(ctx)
+    return sum([table[(((x + a) * x + b) * x + c) % p]
+                for x in range(p)]) % p
 
 
 def discriminant(curve: CubicCurve, ctx: PrimeCtx) -> int:

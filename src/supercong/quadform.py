@@ -2,8 +2,8 @@
 
 cornacchia solves x^2 + d y^2 = p for prime p (complete: it finds a
 solution whenever one exists).  represent is the exhaustive oracle, also
-used for the scaled targets 4p = u^2 + d v^2 and 2p = x^2 + d y^2 and for
-forms a x^2 + d y^2 with a > 1.
+used for the target 2p = x^2 + d y^2 and for forms a x^2 + d y^2 with
+a > 1.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .arith import PrimeCtx, is_prime, jacobi, sqrt_mod_p
 __all__ = [
     "QuadRep",
     "cornacchia",
-    "cornacchia_scaled",
     "normalize",
     "represent",
 ]
@@ -24,15 +23,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadRep:
-    """A representation x^2 + d y^2 of p (or of 4p when scaled)."""
+    """A representation x^2 + d y^2 of p."""
 
     d: int
     x: int
     y: int
-    scaled: bool = False
-
-    def value(self) -> int:
-        return self.x * self.x + self.d * self.y * self.y
 
 
 def represent(d: int, n: int, a: int = 1) -> tuple[int, int] | None:
@@ -91,14 +86,6 @@ def cornacchia(d: int, p: int) -> QuadRep | None:
     return QuadRep(d, x, y)
 
 
-def cornacchia_scaled(d: int, p: int) -> QuadRep | None:
-    """Representation 4p = u^2 + d v^2 (exhaustive-backed), or None."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    xy = represent(d, 4 * p)
-    return QuadRep(d, xy[0], xy[1], scaled=True) if xy else None
-
-
 def normalize(rep: QuadRep, convention: str = "nonneg") -> QuadRep:
     """Sign-adjust x to the requested convention.
 
@@ -121,4 +108,4 @@ def normalize(rep: QuadRep, convention: str = "nonneg") -> QuadRep:
             x = -x
     else:
         raise ValueError(f"unknown normalization convention {convention!r}")
-    return QuadRep(rep.d, x, y, rep.scaled)
+    return QuadRep(rep.d, x, y)

@@ -20,6 +20,7 @@ relative to the character-sum form it is derived from.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -798,7 +799,10 @@ def _eval_prime(args: tuple[tuple[str, ...], int, int]) -> list[VerdictReport]:
 def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
                  workers: int = 1) -> Iterator[VerdictReport]:
     """Verdicts for every requested statement and every prime in
-    [pmin, pmax], in ascending (p, id) order regardless of worker count."""
+    [pmin, pmax], in ascending (p, id) order regardless of worker count.
+
+    At most os.cpu_count() worker processes start, whatever `workers` asks
+    for; the records do not depend on the count."""
     if pmin <= 3 or pmin > pmax:
         raise ValueError("need 3 < pmin <= pmax")
     id_list = tuple(sorted(set(ids)))
@@ -808,6 +812,7 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     if not id_list:
         return
     tasks = [(id_list, p, seed) for p in primes_in(pmin, pmax)]
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         for task in tasks:
             yield from _eval_prime(task)

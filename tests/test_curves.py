@@ -1,15 +1,26 @@
 import math
 import random
 
+from supercong import curves
 from supercong.arith import PrimeCtx, jacobi, primes_in, quad_char
 from supercong.curves import (
     CubicCurve,
     char_sum,
     discriminant,
-    point_count,
     power_sum,
     scale_check,
 )
+
+
+def _power_sum_loop(curve, ctx):
+    """sum_x f(x)**((p-1)/2) mod p with one pow per x: the reference for
+    power_sum's per-prime Euler table."""
+    p = ctx.p
+    a, b, c = curve.a % p, curve.b % p, curve.c % p
+    total = 0
+    for x in range(p):
+        total += pow((((x + a) * x + b) * x + c) % p, ctx.half, p)
+    return total % p
 
 
 def test_char_sum_examples():
@@ -29,14 +40,14 @@ def test_char_sum_matches_quad_char():
 
 
 def test_point_counts():
-    assert point_count(CubicCurve(0, 0, 1), PrimeCtx(5)) == 6
-    assert point_count(CubicCurve(0, 0, 0), PrimeCtx(7)) == 8
+    assert 5 + 1 + char_sum(CubicCurve(0, 0, 1), PrimeCtx(5)) == 6
+    assert 7 + 1 + char_sum(CubicCurve(0, 0, 0), PrimeCtx(7)) == 8
     c11 = PrimeCtx(11)
     cu = CubicCurve.reduced(21, 112, 0, c11)
     # affine solutions of y^2 = f(x) counted directly, plus infinity
     affine = sum(1 for x in range(11) for y in range(11)
                  if (y * y - (x**3 + 21 * x * x + 112 * x)) % 11 == 0)
-    assert affine + 1 == point_count(cu, c11) == 8
+    assert affine + 1 == 11 + 1 + char_sum(cu, c11) == 8
 
 
 def test_power_sum_examples():
@@ -44,6 +55,31 @@ def test_power_sum_examples():
     c13 = PrimeCtx(13)
     cu = CubicCurve(4, 2, 0)
     assert power_sum(cu, c13) == char_sum(cu, c13) % 13
+
+
+def test_power_sum_matches_pow_loop():
+    """Every prime < 300, visited in shuffled order with one prime visited
+    twice, so the one-prime Euler table is hit, missed and replaced."""
+    rng = random.Random(25)
+    primes = primes_in(5, 299)
+    rng.shuffle(primes)
+    primes.insert(len(primes) // 2, primes[0])
+    curves._euler_table.cache_clear()
+    for p in primes:
+        ctx = PrimeCtx(p)
+        r, u, v = (rng.randrange(p) for _ in range(3))
+        cubics = [CubicCurve(0, 0, 0), CubicCurve(4, 0, 0),
+                  CubicCurve(rng.randrange(p), rng.randrange(p), 0),
+                  # (x - r)(x^2 + u x + v) has the root r in F_p
+                  CubicCurve.reduced(u - r, v - r * u, -r * v, ctx)]
+        cubics += [CubicCurve(rng.randrange(p), rng.randrange(p),
+                              rng.randrange(p)) for _ in range(4)]
+        for cu in cubics:
+            assert power_sum(cu, ctx) == _power_sum_loop(cu, ctx), (p, cu)
+    info = curves._euler_table.cache_info()
+    assert info.misses == len(primes)
+    assert info.hits == 7 * len(primes)
+    assert info.currsize == 1
 
 
 def test_euler_consistency_sweep():

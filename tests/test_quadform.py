@@ -6,7 +6,6 @@ from supercong.arith import primes_in
 from supercong.quadform import (
     QuadRep,
     cornacchia,
-    cornacchia_scaled,
     normalize,
     represent,
 )
@@ -40,7 +39,7 @@ def test_cornacchia_soundness_random():
             continue
         rep = cornacchia(d, p)
         if rep is not None:
-            assert rep.value() == p
+            assert rep.x * rep.x + d * rep.y * rep.y == p
             assert rep.x >= 0 and rep.y >= 0
 
 
@@ -75,10 +74,8 @@ def test_represent_forms():
 
 
 def test_scaled_representation():
-    rep = cornacchia_scaled(7, 11)
-    assert rep == QuadRep(7, 4, 2, scaled=True)
-    assert rep.value() == 44
-    assert cornacchia_scaled(7, 5) is None
+    assert represent(7, 44) == (4, 2)  # 4p = u^2 + 7 v^2 at p = 11
+    assert represent(7, 20) is None
 
 
 def test_normalize_examples():
@@ -104,4 +101,4 @@ def test_normalize_preserves_value():
             continue
         adjusted = normalize(rep, "one_mod_4")
         assert adjusted.x % 4 == 1
-        assert adjusted.value() == p
+        assert adjusted.x * adjusted.x + 2 * adjusted.y * adjusted.y == p

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from supercong import binom, curves, legendre
+from supercong import binom, curves, legendre, theorems
 from supercong.arith import PrimeCtx, jacobi, primes_in, quad_char, sqrt_mod_p
 from supercong.quadform import cornacchia, normalize
 from supercong.theorems import (
@@ -202,6 +202,35 @@ def test_shifted_cubic_leg_mini_sweep():
             if m % p == 0:
                 continue
             assert shifted_cubic_leg(m, ctx) in (True, None), (p, m)
+    assert curves._euler_table.cache_info().currsize <= 1
+
+
+def test_worker_count_is_capped_at_cpu_count(monkeypatch):
+    """A stub pool records its size and maps serially: no process starts."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(theorems.multiprocessing, "Pool", SerialPool)
+    ids = ("RV256", "T3.1", "Conj-A25")
+    serial = list(verify_range(ids, 5, 80, workers=1))
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    assert list(verify_range(ids, 5, 80, workers=10**6)) == serial
+    assert sizes == [2]
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: None)
+    assert list(verify_range(ids, 5, 80, workers=4)) == serial
+    assert sizes == [2]
 
 
 def test_conjectures_have_no_candidates_to_300():
@@ -227,6 +256,5 @@ def test_seed_changes_samples_but_not_verdicts():
 def test_sweep_keeps_one_prime_of_tables():
     list(verify_range(ALL_IDS, 5, 200))
     for cached in (binom._series, binom.central_poly, binom.t_poly,
-                   legendre._fact_tables, legendre._legendre_poly,
-                   curves._chi_table):
+                   legendre._legendre_poly, curves._chi_table):
         assert cached.cache_info().currsize <= 1
