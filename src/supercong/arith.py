@@ -9,8 +9,11 @@ arithmetic; Python's arbitrary-precision ints mean primes up to and beyond
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 __all__ = [
     "PackedPoly",
@@ -114,6 +117,9 @@ class PackedPoly:
     steps in y**b over the lanes: O(b + g) interpreter steps per point, the
     n products run inside big-int multiplies.  A lane holds at most
     b*(mod-1)**2 and 8W > bitlen(b*(mod-1)**2), so no lane carries.
+    The columns are cut from one buffer of b*g W-byte lanes: limb j (64
+    bits) of all coefficients is converted by one array('Q') call, and
+    strided slices copy its low min(8, W-8j) bytes into every lane.
     """
 
     __slots__ = ("mod", "b", "g", "width", "cols")
@@ -124,11 +130,23 @@ class PackedPoly:
         g = -(-n // b)
         width = _lane_width(b, mod)
         asc = [c % mod for c in reversed(coeffs)] + [0] * (b * g - n)
+        cells = []
+        for i in range(b):
+            cells += asc[i::b]
+        buf = bytearray(b * g * width)
+        nlimbs = -(-(mod - 1).bit_length() // 64)
+        for j in range(nlimbs):
+            limbs = array("Q", cells if nlimbs == 1 else map(int.__and__, map(
+                int.__rshift__, cells, repeat(64 * j)), repeat(2**64 - 1)))
+            if sys.byteorder == "big":
+                limbs.byteswap()
+            raw = limbs.tobytes()
+            for r in range(min(8, width - 8 * j)):
+                buf[8 * j + r::width] = raw[r::8]
+        step = g * width
         self.mod, self.b, self.g, self.width = mod, b, g, width
-        self.cols = tuple(
-            int.from_bytes(b"".join(c.to_bytes(width, "little")
-                                    for c in asc[i::b]), "little")
-            for i in range(b))
+        self.cols = tuple(int.from_bytes(buf[i * step:(i + 1) * step],
+                                         "little") for i in range(b))
 
     def __call__(self, y: int) -> int:
         mod, width = self.mod, self.width

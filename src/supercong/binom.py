@@ -16,11 +16,16 @@ For k < p the only factors p in these terms come from the numerator
     v_p(s(k)) = [4k/p]        v_p(t(k)) = [4k/p] - [2k/p]
 
 so s(k) = 0 mod p**2 once k > (p-1)/2, and t(k) = 0 mod p**2 once
-k > (3p-1)/4.  Only those nonzero prefixes are built, and each is packed
-once per prime into an arith.PackedPoly, the baby-step/giant-step kernel
-that evaluates it at every point.  sum_S has a second, independent route:
-a big-integer oracle (sum_S_exact) that clears denominators and reduces
-once at the end.
+k > (3p-1)/4.  Only those nonzero prefixes are built, from the ratio
+t(k)/t(k-1) = 4(4k-1)(4k-3)/k**2.  Below k = (3p-1)/4 its odd numerator
+meets p once, at k = (p+1)/4 or (p+3)/4 (3p needs k > (3p-1)/4); that
+factor stays in the running product mod p**2, so every later term comes
+out a multiple of p.  _series builds the head k <= (p-1)/2 (all of s);
+_t_prefix continues t from it only when T is evaluated, so a sweep that
+reads only S never builds t's tail.  Each prefix is packed once per prime
+into an arith.PackedPoly, the baby-step/giant-step kernel that evaluates
+it at every point.  sum_S has a second, independent route: a big-integer
+oracle (sum_S_exact) that clears denominators and reduces once at the end.
 
 The polynomial identity
 
@@ -63,52 +68,51 @@ __all__ = [
 
 
 @lru_cache(maxsize=1)
-def _series(ctx: PrimeCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Residues mod p**2 of s(k) for k = (p-1)/2 .. 0 and of t(k) for
-    k = (3p-1)//4 .. 0: the nonzero prefixes, highest k first (as
-    PackedPoly takes them).
-
-    Past those bounds v_p(s(k)) = [4k/p] and v_p(t(k)) = [4k/p] - [2k/p]
-    reach 2, because k! has no factor p while (4k)! gains one at each
-    multiple of p.  The terms follow from t(0) = 1 and the ratios
-
-        t(k)/t(k-1) = 4(4k-1)(4k-3)/k**2      C(2k,k)/C(2k-2,k-1) = 2(2k-1)/k
-
-    with s(k) = t(k) C(2k,k).  Of these factors only 4k-1 and 4k-3 can be
-    divisible by p (at the values p and 3p; within the prefixes only p
-    occurs), so that one factor p is stripped and kept as the valuation.
-    The denominators are powers of k! with k < p: one modular inverse of
-    K! and a backward walk give every 1/k!.
+def _series(ctx: PrimeCtx) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """The series head: s(k) and t(k) mod p**2 for k = (p-1)/2 .. 0,
+    highest k first (as PackedPoly takes them), then the running numerator
+    prod_{j <= (p-1)/2} 4(4j-1)(4j-3) and ((p-1)/2)!, mod p**2, from which
+    _t_prefix continues t.  t(k) = prod_{j <= k} 4(4j-1)(4j-3) / k!**2 and
+    s(k) = t(k) (2k)!/k!**2; the denominators are units, and one modular
+    inverse of ((p-1)/2)! and a backward walk give every 1/k!.
     """
-    p, p2 = ctx.p, ctx.p2
-    ks, kt = ctx.half, (3 * p - 1) // 4
-    fact = 1
-    for k in range(2, kt + 1):
+    p2, half = ctx.p2, ctx.half
+    nums, cents = [1], [1]  # prod 4(4j-1)(4j-3) and (2k)!/k!, k = 0..half
+    num = cent = fact = 1
+    for k in range(1, half + 1):
+        num = num * (4 * (4 * k - 1) * (4 * k - 3)) % p2
+        cent = cent * (4 * k - 2) % p2
         fact = fact * k % p2
-    inv_fact = [0] * (kt + 1)
+        nums.append(num)
+        cents.append(cent)
     inv = inv_mod(fact, p2)
-    for k in range(kt, -1, -1):
-        inv_fact[k] = inv
-        inv = inv * k % p2
-    s_out, t_out = [1], [1]
-    num = cent = 1  # prod 4(4j-1)(4j-3) with p stripped; (2k)!/k!
-    e = 0
-    for k in range(1, kt + 1):
-        f = 4 * (4 * k - 1) * (4 * k - 3)
-        if f % p == 0:
-            f //= p
-            e = 1
-        num = num * f % p2
-        t = num * inv_fact[k] % p2 * inv_fact[k] % p2
-        if e:
-            t = t * p % p2
+    s_out, t_out = [], []
+    for k in range(half, -1, -1):
+        t = nums[k] * inv * inv % p2
         t_out.append(t)
-        if k <= ks:
-            cent = cent * (4 * k - 2) % p2
-            s_out.append(t * cent % p2 * inv_fact[k] % p2)
-    s_out.reverse()
-    t_out.reverse()
-    return tuple(s_out), tuple(t_out)
+        s_out.append(t * cents[k] * inv % p2)
+        inv = inv * k % p2
+    return tuple(s_out), tuple(t_out), num, fact
+
+
+def _t_prefix(ctx: PrimeCtx) -> tuple[int, ...]:
+    """t(k) mod p**2 for k = (3p-1)//4 .. 0: the head of _series continued
+    to the end of t's nonzero prefix.  Uncached, and called only by t_poly
+    and t_series, so a sweep that never evaluates T never builds the tail.
+    """
+    _, head, num, fact = _series(ctx)
+    p2, lo, hi = ctx.p2, ctx.half + 1, (3 * ctx.p - 1) // 4
+    nums = []
+    for k in range(lo, hi + 1):
+        num = num * (4 * (4 * k - 1) * (4 * k - 3)) % p2
+        fact = fact * k % p2
+        nums.append(num)
+    inv = inv_mod(fact, p2)
+    tail = []
+    for k, num_k in zip(range(hi, lo - 1, -1), reversed(nums)):
+        tail.append(num_k * inv * inv % p2)
+        inv = inv * k % p2
+    return tuple(tail) + head
 
 
 @lru_cache(maxsize=1)
@@ -120,7 +124,7 @@ def central_poly(ctx: PrimeCtx) -> PackedPoly:
 @lru_cache(maxsize=1)
 def t_poly(ctx: PrimeCtx) -> PackedPoly:
     """sum_k t(k) x**k mod p**2, packed for evaluation at many x."""
-    return PackedPoly(_series(ctx)[1], ctx.p2)
+    return PackedPoly(_t_prefix(ctx), ctx.p2)
 
 
 def central_series(ctx: PrimeCtx) -> tuple[int, ...]:
@@ -131,7 +135,7 @@ def central_series(ctx: PrimeCtx) -> tuple[int, ...]:
 
 def t_series(ctx: PrimeCtx) -> tuple[int, ...]:
     """Residues mod p**2 of (4k)!/((2k)! k!**2) for k = 0..p-1."""
-    prefix = _series(ctx)[1]
+    prefix = _t_prefix(ctx)
     return prefix[::-1] + (0,) * (ctx.p - len(prefix))
 
 

@@ -13,8 +13,8 @@ sweep) exits 3, after the traceback and the summary line for the records
 already written go to stderr.  Conjecture failures are flagged as
 counterexample candidates but do not change the exit status.  For a fixed
 seed the report stream is byte-identical regardless of --workers, which is
-capped at the machine's CPU count (os.cpu_count()): asking for more starts
-no more processes.
+capped at the machine's CPU count (os.cpu_count()) and at the number of
+primes: asking for more starts no more processes.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .arith import (
     sqrt_mod_p,
     sqrt_mod_p2,
 )
-from .binom import CentralSumParams, central_poly, central_series, sum_S, sum_T
+from .binom import CentralSumParams, _series, central_poly, sum_S, sum_T
 from .curves import CubicCurve, char_sum, power_sum
 from .legendre import legendre_eval
 from .quadform import cornacchia, normalize, represent
@@ -303,7 +303,7 @@ def _eval_c22(spec: TheoremSpec, ctx: PrimeCtx,
               rng: random.Random) -> list[VerdictReport]:
     p, p2 = ctx.p, ctx.p2
     # sum_{k <= [p/4]} s(k) y**k mod p
-    head = PackedPoly(central_series(ctx)[ctx.qcap::-1], p)
+    head = PackedPoly(_series(ctx)[0][-(ctx.qcap + 1):], p)
     out = []
     for m in _C22_TEST_SET:
         if m % p == 0 or (m - 256) % p == 0:
@@ -747,15 +747,17 @@ def classify(spec: TheoremSpec | str, p: int) -> tuple[str, dict[str, int]]:
     return branch.label, branch.witnesses(ctx)
 
 
-def verify(spec: TheoremSpec | str, p: int, seed: int = 0) -> list[VerdictReport]:
-    """All verdict records for one statement at one prime.
+def verify(spec: TheoremSpec | str, p: PrimeCtx | int,
+           seed: int = 0) -> list[VerdictReport]:
+    """All verdict records for one statement at one prime, int or PrimeCtx.
 
     Most statements produce a single record; the Legendre-polynomial side
     claims and the sampled statements produce several.
     """
     if isinstance(spec, str):
         spec = REGISTRY[spec]
-    ctx = PrimeCtx(p)
+    ctx = p if isinstance(p, PrimeCtx) else PrimeCtx(p)
+    p = ctx.p
     if _is_excluded(spec, p):
         return [_vacuous(spec, p, "excluded")]
     if not spec.applies(p):
@@ -790,9 +792,10 @@ def verify(spec: TheoremSpec | str, p: int, seed: int = 0) -> list[VerdictReport
 
 def _eval_prime(args: tuple[tuple[str, ...], int, int]) -> list[VerdictReport]:
     ids, p, seed = args
+    ctx = PrimeCtx(p)
     out: list[VerdictReport] = []
     for tid in ids:
-        out.extend(verify(REGISTRY[tid], p, seed))
+        out.extend(verify(REGISTRY[tid], ctx, seed))
     return out
 
 
@@ -801,8 +804,8 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     """Verdicts for every requested statement and every prime in
     [pmin, pmax], in ascending (p, id) order regardless of worker count.
 
-    At most os.cpu_count() worker processes start, whatever `workers` asks
-    for; the records do not depend on the count."""
+    At most min(os.cpu_count(), number of primes) processes start, whatever
+    `workers` asks for; the records do not depend on the count."""
     if pmin <= 3 or pmin > pmax:
         raise ValueError("need 3 < pmin <= pmax")
     id_list = tuple(sorted(set(ids)))
@@ -812,7 +815,7 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     if not id_list:
         return
     tasks = [(id_list, p, seed) for p in primes_in(pmin, pmax)]
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         for task in tasks:
             yield from _eval_prime(task)

@@ -35,14 +35,27 @@ def test_central_term_examples():
         central_term(5, ctx)
 
 
+def _prefixes(ctx):
+    """The s prefix, t's head and t's full prefix, highest k first, and the
+    head's running numerator product and ((p-1)/2)! mod p**2."""
+    s_prefix, t_head, num, fact = binom._series(ctx)
+    return s_prefix, t_head, binom._t_prefix(ctx), num, fact
+
+
 def test_series_agree_with_factorial_route():
     """Every prime < 200, so both residues of p mod 4 pin where the stored
-    prefixes stop: v_p(s(k)) = [4k/p] and v_p(t(k)) = [4k/p] - [2k/p]."""
+    prefixes stop: v_p(s(k)) = [4k/p] and v_p(t(k)) = [4k/p] - [2k/p].
+    The head ends at k = (p-1)/2 and the tail continues it."""
     for p in primes_in(5, 199):
         ctx = PrimeCtx(p)
-        s_prefix, t_prefix = binom._series(ctx)
-        assert len(s_prefix) == (p - 1) // 2 + 1
+        s_prefix, t_head, t_prefix, num, fact = _prefixes(ctx)
+        half = (p - 1) // 2
+        assert len(s_prefix) == len(t_head) == half + 1
         assert len(t_prefix) == (3 * p - 1) // 4 + 1
+        assert t_prefix[-len(t_head):] == t_head
+        assert fact == math.factorial(half) % ctx.p2
+        assert num == math.prod(4 * (4 * j - 1) * (4 * j - 3)
+                                for j in range(1, half + 1)) % ctx.p2
         cs, ts = central_series(ctx), t_series(ctx)
         assert len(cs) == len(ts) == p
         for k in range(p):
@@ -160,7 +173,7 @@ def test_horner_matches_power_sum_loop():
     rng = random.Random(3)
     for p in primes_in(5, 299):
         ctx = PrimeCtx(p)
-        s_prefix, t_prefix = binom._series(ctx)
+        s_prefix, _, t_prefix, _, _ = _prefixes(ctx)
         ys = (0, 1, p, ctx.p2 - 1, rng.randrange(ctx.p2),
               rng.randrange(ctx.p2))
         for mod in (p, ctx.p2):
@@ -183,6 +196,35 @@ def test_packed_poly_edge_shapes(mod):
             _assert_kernels_agree([0] * n, ys, mod)
             _assert_kernels_agree([mod - 1] * n, (mod - 1,), mod)
     _assert_kernels_agree([], ys, mod)
+
+
+def _to_bytes_cols(coeffs, mod):
+    """PackedPoly's columns built with one to_bytes per coefficient: the
+    reference for its buffer packing."""
+    n = len(coeffs)
+    b = max(1, math.isqrt(n))
+    g = -(-n // b)
+    width = arith._lane_width(b, mod)
+    asc = [c % mod for c in reversed(coeffs)] + [0] * (b * g - n)
+    return tuple(int.from_bytes(b"".join(c.to_bytes(width, "little")
+                                         for c in asc[i::b]), "little")
+                 for i in range(b))
+
+
+@pytest.mark.parametrize("mod", [7, 121, 65521, 2**61 - 1, (2**61 - 1) ** 2,
+                                 10**40 + 1])
+def test_packed_columns_match_to_bytes_packer(mod):
+    """One limb (mod <= 2**64), two and three limbs; lanes narrower and
+    wider than a limb; coefficients outside 0..mod-1."""
+    rng = random.Random(mod)
+    edges = (-1, mod, 2 * mod - 1, 0, mod - 1)
+    for b in (1, 2, 3, 7):
+        for n in sorted({0, 1, b * b, b * b + 1}):
+            coeffs = [rng.randrange(-mod, 2 * mod) for _ in range(n)]
+            for i, c in zip(rng.sample(range(n), min(n, len(edges))), edges):
+                coeffs[i] = c
+            for desc in (coeffs, [-1] * n):
+                assert PackedPoly(desc, mod).cols == _to_bytes_cols(desc, mod)
 
 
 @pytest.mark.parametrize("mod,n", [(121, 401), (65521, 51), (121**2, 101),

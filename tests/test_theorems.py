@@ -231,11 +231,31 @@ def test_worker_count_is_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: None)
     assert list(verify_range(ids, 5, 80, workers=4)) == serial
     assert sizes == [2]
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 64)
+    two = list(verify_range(["RV256"], 5, 7, workers=64))
+    assert two == list(verify_range(["RV256"], 5, 7, workers=1))
+    assert sizes == [2, 2]  # one process per prime, not 64
+    one = list(verify_range(ids, 11, 12, workers=64))
+    assert one == list(verify_range(ids, 11, 12, workers=1))
+    assert sizes == [2, 2]  # a one-prime range starts no pool
 
 
 def test_conjectures_have_no_candidates_to_300():
     for r in verify_range(CONJECTURE_IDS, 5, 300):
         assert r.passed, r
+
+
+def test_conjecture_sweep_never_builds_t_tail(monkeypatch):
+    """The conjectures read only S, so t is never continued past the head
+    that S is built from."""
+    expected = list(verify_range(CONJECTURE_IDS, 5, 300))
+    binom.t_poly.cache_clear()
+
+    def tail(ctx):
+        raise AssertionError(f"t's tail built at p = {ctx.p}")
+
+    monkeypatch.setattr(binom, "_t_prefix", tail)
+    assert list(verify_range(CONJECTURE_IDS, 5, 300)) == expected
 
 
 def test_record_round_trip():
