@@ -15,7 +15,6 @@ from .theorems import (
     PROVEN_IDS,
     REGISTRY,
     VerdictReport,
-    classify,
     verify,
     verify_range,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "PrimeCtx",
     "REGISTRY",
     "VerdictReport",
-    "classify",
     "verify",
     "verify_range",
     "__version__",

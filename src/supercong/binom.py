@@ -56,13 +56,11 @@ from .arith import PackedPoly, PrimeCtx, inv_mod
 __all__ = [
     "CentralSumParams",
     "central_poly",
-    "central_series",
     "lemma21_recurrence_residual",
     "lemma21_sides",
     "sum_S",
     "sum_S_exact",
     "sum_T",
-    "t_series",
     "t_poly",
 ]
 
@@ -97,8 +95,8 @@ def _series(ctx: PrimeCtx) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
 
 def _t_prefix(ctx: PrimeCtx) -> tuple[int, ...]:
     """t(k) mod p**2 for k = (3p-1)//4 .. 0: the head of _series continued
-    to the end of t's nonzero prefix.  Uncached, and called only by t_poly
-    and t_series, so a sweep that never evaluates T never builds the tail.
+    to the end of t's nonzero prefix.  Uncached, and called only by t_poly,
+    so a sweep that never evaluates T never builds the tail.
     """
     _, head, num, fact = _series(ctx)
     p2, lo, hi = ctx.p2, ctx.half + 1, (3 * ctx.p - 1) // 4
@@ -125,18 +123,6 @@ def central_poly(ctx: PrimeCtx) -> PackedPoly:
 def t_poly(ctx: PrimeCtx) -> PackedPoly:
     """sum_k t(k) x**k mod p**2, packed for evaluation at many x."""
     return PackedPoly(_t_prefix(ctx), ctx.p2)
-
-
-def central_series(ctx: PrimeCtx) -> tuple[int, ...]:
-    """Residues mod p**2 of (4k)!/k!**4 for k = 0..p-1."""
-    prefix = _series(ctx)[0]
-    return prefix[::-1] + (0,) * (ctx.p - len(prefix))
-
-
-def t_series(ctx: PrimeCtx) -> tuple[int, ...]:
-    """Residues mod p**2 of (4k)!/((2k)! k!**2) for k = 0..p-1."""
-    prefix = _t_prefix(ctx)
-    return prefix[::-1] + (0,) * (ctx.p - len(prefix))
 
 
 @dataclass(frozen=True)

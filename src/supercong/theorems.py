@@ -1,11 +1,16 @@
 """Verdict engine: a declarative registry of congruence statements.
 
-Every statement is a TheoremSpec: an applicability predicate plus an
-ordered branch table (congruence-class predicate -> quadratic-form
-witnesses -> expected residue at modulus p or p**2).  verify evaluates one
-statement at one prime into VerdictReport records; verify_range sweeps a
-prime interval, optionally fanning out across worker processes with a
-deterministic ordered merge.
+Every statement is a TheoremSpec: an applicability predicate plus a claims
+function that lists, at one prime, the congruences to check.  A Claim
+names its left side by a request -- S(m), the s series at a raw point,
+T(x) or P_[p/4](t) -- and carries the right side, the modulus p or p**2
+and the quadratic-form witnesses.  The default claims function reads the
+spec's ordered branch table (congruence-class predicate -> witnesses ->
+expected residue of S(m)); the sampled statements draw their claims from
+an rng seeded per statement and prime.  verify is the one interpreter of
+claims: it evaluates the requests and builds the VerdictReport records.
+verify_range sweeps a prime interval, optionally fanning out across
+worker processes with a deterministic ordered merge.
 
 Failures of proven statements are genuine failures; failures of
 conjecture-kind statements are downgraded to counterexample candidates by
@@ -24,8 +29,10 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, NamedTuple
 
+from . import binom
 from .arith import (
     PackedPoly,
     PrimeCtx,
@@ -36,7 +43,7 @@ from .arith import (
     sqrt_mod_p,
     sqrt_mod_p2,
 )
-from .binom import CentralSumParams, _series, central_poly, sum_S, sum_T
+from .binom import CentralSumParams, central_poly, sum_S, sum_T
 from .curves import CubicCurve, char_sum, power_sum
 from .legendre import legendre_eval
 from .quadform import cornacchia, normalize, represent
@@ -45,13 +52,13 @@ __all__ = [
     "ALL_IDS",
     "CONJECTURE_IDS",
     "ISHII_CURVES",
+    "Claim",
     "MissingRepresentationError",
     "PROVEN_IDS",
     "REGISTRY",
     "SUM_ARGUMENTS",
     "TheoremSpec",
     "VerdictReport",
-    "classify",
     "consistency_triangle",
     "eq31_sign_survey",
     "ishii_char_sum",
@@ -123,6 +130,49 @@ class Branch:
     rhs: Callable[[PrimeCtx, dict[str, int]], int] = lambda ctx, w: 0
 
 
+class Claim(NamedTuple):
+    """One congruence at one prime: the left side that `request` names is
+    `rhs` modulo `modulus`.
+
+    A request is ("S", m) for S(m), ("Sy", y) for sum_k s(k) y**k at the
+    raw point y, ("T", x) for T(x), or ("P", t) for P_[p/4](t) mod p.  A
+    claim with no request is a record as it stands: a skip when it is not
+    `applicable`, and a missing quadratic-form representation (a failure)
+    when it is."""
+
+    label: str
+    request: tuple[str, int | Fraction] | None = None
+    rhs: int = 0
+    modulus: int | None = None
+    witnesses: dict[str, int] | None = None
+    applicable: bool = True
+
+
+def _match_branch(spec: "TheoremSpec", p: int) -> Branch | None:
+    hits = [b for b in spec.branches if b.holds(p)]
+    if len(hits) > 1:
+        raise RuntimeError(
+            f"{spec.id}: branch predicates overlap at p = {p}: "
+            f"{[b.label for b in hits]}")
+    return hits[0] if hits else None
+
+
+def _branch_claims(spec: "TheoremSpec", ctx: PrimeCtx, seed: int,
+                   request: tuple | None = None) -> list[Claim]:
+    """The default claims: the one branch that holds at p, as a claim on
+    S(m) unless another request is given; none when no branch holds."""
+    branch = _match_branch(spec, ctx.p)
+    if branch is None:
+        return []
+    try:
+        wit = branch.witnesses(ctx)
+    except MissingRepresentationError:
+        return [Claim(f"{branch.label}; missing representation")]
+    return [Claim(branch.label, request or ("S", spec.m),
+                  branch.rhs(ctx, wit),
+                  ctx.p if branch.mod_exp == 1 else ctx.p2, wit)]
+
+
 @dataclass(frozen=True)
 class TheoremSpec:
     id: str
@@ -131,10 +181,8 @@ class TheoremSpec:
     m: int | None = None
     excluded: frozenset[int] = frozenset()
     branches: tuple[Branch, ...] = ()
-    lhs: Callable[[PrimeCtx], int] | None = None
-    extra: Callable[["TheoremSpec", PrimeCtx], list[VerdictReport]] | None = None
-    custom: Callable[["TheoremSpec", PrimeCtx, random.Random],
-                     list[VerdictReport]] | None = None
+    claims: Callable[["TheoremSpec", PrimeCtx, int],
+                     Iterable[Claim]] = _branch_claims
 
 
 # ---------------------------------------------------------------------------
@@ -246,36 +294,28 @@ def _mod_in(mod: int, classes: tuple[int, ...]):
     return lambda p: p % mod in cs
 
 
-def _vacuous(spec: TheoremSpec, p: int, label: str) -> VerdictReport:
-    return VerdictReport(spec.id, p, False, label, None, None, None, {},
-                         True, spec.kind)
-
-
 # ---------------------------------------------------------------------------
-# sampled statements (seeded per theorem and prime)
+# sampled statements (seeded per theorem and prime) and the statements that
+# check several sum arguments
 
 # T2.1's left side, under its own name so that it is timed apart from the
 # other polynomial evaluations.
 _poly_sum = PackedPoly.__call__
 
 
-def _eval_t21(spec: TheoremSpec, ctx: PrimeCtx,
-              rng: random.Random) -> list[VerdictReport]:
+def _t21_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
+    rng = random.Random(f"{seed}:{spec.id}:{ctx.p}")
     p2 = ctx.p2
-    s_poly = central_poly(ctx)
     out = []
     for i in range(20):
         x = rng.randrange(p2)
-        lhs = _poly_sum(s_poly, x * (1 - 64 * x))
-        rhs = sum_T(x, ctx) ** 2 % p2
-        out.append(VerdictReport(spec.id, ctx.p, True, f"x-sample-{i:02d}",
-                                 lhs, rhs, p2, {"x": x}, lhs == rhs,
-                                 spec.kind))
+        out.append(Claim(f"x-sample-{i:02d}", ("Sy", x * (1 - 64 * x)),
+                         sum_T(x, ctx) ** 2, p2, {"x": x}))
     return out
 
 
-def _eval_c21(spec: TheoremSpec, ctx: PrimeCtx,
-              rng: random.Random) -> list[VerdictReport]:
+def _c21_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
+    rng = random.Random(f"{seed}:{spec.id}:{ctx.p}")
     p, p2 = ctx.p, ctx.p2
     inv128 = inv_mod(128, p2)
     out = []
@@ -289,33 +329,19 @@ def _eval_c21(spec: TheoremSpec, ctx: PrimeCtx,
         if not roots:
             continue
         t = roots[0]
-        lhs = sum_S(CentralSumParams(m, ctx))
-        rhs = sum_T((1 - t) * inv128 % p2, ctx) ** 2 % p2
-        out.append(VerdictReport(spec.id, p, True,
-                                 f"m-sample-{len(out):02d}", lhs, rhs, p2,
-                                 {"m": m, "t": t}, lhs == rhs, spec.kind))
-    if not out:
-        out.append(_vacuous(spec, p, "n/a"))
+        out.append(Claim(f"m-sample-{len(out):02d}", ("S", m),
+                         sum_T((1 - t) * inv128 % p2, ctx) ** 2, p2,
+                         {"m": m, "t": t}))
     return out
 
 
-def _eval_c22(spec: TheoremSpec, ctx: PrimeCtx,
-              rng: random.Random) -> list[VerdictReport]:
-    p, p2 = ctx.p, ctx.p2
+def _c22_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
+    p = ctx.p
     # sum_{k <= [p/4]} s(k) y**k mod p
-    head = PackedPoly(_series(ctx)[0][-(ctx.qcap + 1):], p)
-    out = []
-    for m in _C22_TEST_SET:
-        if m % p == 0 or (m - 256) % p == 0:
-            continue
-        if head(inv_mod(m, p)) != 0:
-            continue
-        lhs = sum_S(CentralSumParams(m, ctx))
-        out.append(VerdictReport(spec.id, p, True, f"implication m={m}",
-                                 lhs, 0, p2, {"m": m}, lhs == 0, spec.kind))
-    if not out:
-        out.append(_vacuous(spec, p, "n/a"))
-    return out
+    head = PackedPoly(binom._series(ctx)[0][-(ctx.qcap + 1):], p)
+    return [Claim(f"implication m={m}", ("S", m), 0, ctx.p2, {"m": m})
+            for m in _C22_TEST_SET
+            if m % p and (m - 256) % p and head(inv_mod(m, p)) == 0]
 
 
 _T311_PARTS = (
@@ -325,21 +351,13 @@ _T311_PARTS = (
 )
 
 
-def _eval_t311(spec: TheoremSpec, ctx: PrimeCtx,
-               rng: random.Random) -> list[VerdictReport]:
-    p, p2 = ctx.p, ctx.p2
+def _t311_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
     out = []
     for m, label, holds in _T311_PARTS:
-        if m % p == 0:
-            out.append(_vacuous(spec, p, f"m={m}: excluded"))
-            continue
-        if not holds(p):
-            continue
-        lhs = sum_S(CentralSumParams(m, ctx))
-        out.append(VerdictReport(spec.id, p, True, label, lhs, 0, p2,
-                                 {"m": m}, lhs == 0, spec.kind))
-    if not out:
-        out.append(_vacuous(spec, p, "n/a"))
+        if m % ctx.p == 0:
+            out.append(Claim(f"m={m}: excluded", applicable=False))
+        elif holds(ctx.p):
+            out.append(Claim(label, ("S", m), 0, ctx.p2, {"m": m}))
     return out
 
 
@@ -347,92 +365,31 @@ def _eval_t311(spec: TheoremSpec, ctx: PrimeCtx,
 # Legendre-polynomial side claims (both square-root branches, with the
 # character factor computed from the same root)
 
-def _skip_p_claim(spec: TheoremSpec, p: int) -> VerdictReport:
-    return _vacuous(spec, p, "P; t not in F_p")
+def _p_claims(radicand: int, coef: Fraction, char: tuple[int, int],
+              base: Callable[[PrimeCtx, dict[str, int]], int]):
+    """Claims function: the branch table's claim, then for each square
+    root r of the radicand P_[p/4](coef*r) = ((c0 + c1*r)/p) * base mod p,
+    where (c0, c1) = char and base reads the branch's own witnesses (the
+    zero branch has none, and base 0)."""
+    def claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
+        out = _branch_claims(spec, ctx, seed)
+        p = ctx.p
+        roots = sqrt_mod_p(radicand % p, ctx)
+        if not roots:
+            return out + [Claim("P; t not in F_p", applicable=False)]
+        if out and out[0].request is None:
+            return out + [Claim("P; missing representation")]
+        wit = out[0].witnesses if out else {}
+        b = base(ctx, wit) if wit else 0
+        c = coef.numerator * inv_mod(coef.denominator, p)
+        for tag, r in zip(("min", "max"), roots):
+            t = c * r % p
+            rhs = b and quad_char((char[0] + char[1] * r) % p, ctx) * b
+            out.append(Claim(f"P; root={tag}", ("P", t), rhs, p,
+                             {"root": r, "t": t, **wit}))
+        return out
 
-
-def _extra_t31(spec: TheoremSpec, ctx: PrimeCtx) -> list[VerdictReport]:
-    p = ctx.p
-    roots = sqrt_mod_p(-7 % p, ctx)
-    if not roots:
-        return [_skip_p_claim(spec, p)]
-    rep = cornacchia(7, p)
-    if rep is None:
-        return [VerdictReport(spec.id, p, True, "P; missing representation",
-                              None, None, None, {}, False, spec.kind)]
-    base = jacobi(rep.x, 7) * 2 * rep.x
-    inv9 = inv_mod(9, p)
-    out = []
-    for tag, r in zip(("min", "max"), roots):
-        t = 5 * inv9 * r % p
-        lhs = legendre_eval(ctx.qcap, t, ctx)
-        # sign fixed empirically; the stated character-sum form carries the
-        # opposite sign (see eq31_sign_survey)
-        rhs = quad_char(3 * (7 + r) % p, ctx) * base % p
-        out.append(VerdictReport(spec.id, p, True, f"P; root={tag}",
-                                 lhs, rhs, p,
-                                 {"root": r, "t": t, "C": rep.x, "D": rep.y},
-                                 lhs == rhs, spec.kind))
-    return out
-
-
-def _extra_t32(spec: TheoremSpec, ctx: PrimeCtx) -> list[VerdictReport]:
-    p = ctx.p
-    roots = sqrt_mod_p(3 % p, ctx)
-    if not roots:
-        return [_skip_p_claim(spec, p)]
-    zero_case = p % 12 == 11
-    wit_base: dict[str, int] = {}
-    base = 0
-    if not zero_case:
-        rep = cornacchia(9, p)
-        if rep is None:
-            return [VerdictReport(spec.id, p, True,
-                                  "P; missing representation", None, None,
-                                  None, {}, False, spec.kind)]
-        rep = normalize(rep, "one_mod_3")
-        base = 2 * rep.x
-        wit_base = {"x": rep.x, "y": rep.y}
-    inv12 = inv_mod(12, p)
-    out = []
-    for tag, r in zip(("min", "max"), roots):
-        t = 7 * inv12 * r % p
-        lhs = legendre_eval(ctx.qcap, t, ctx)
-        rhs = 0 if zero_case else quad_char((2 + 2 * r) % p, ctx) * base % p
-        out.append(VerdictReport(spec.id, p, True, f"P; root={tag}",
-                                 lhs, rhs, p,
-                                 {"root": r, "t": t, **wit_base},
-                                 lhs == rhs, spec.kind))
-    return out
-
-
-def _extra_t35(spec: TheoremSpec, ctx: PrimeCtx) -> list[VerdictReport]:
-    p = ctx.p
-    roots = sqrt_mod_p(2 % p, ctx)
-    if not roots:
-        return [_skip_p_claim(spec, p)]
-    zero_case = p % 24 in (17, 23)
-    wit_base: dict[str, int] = {}
-    base = 0
-    if not zero_case:
-        rep = cornacchia(6, p)
-        if rep is None:
-            return [VerdictReport(spec.id, p, True,
-                                  "P; missing representation", None, None,
-                                  None, {}, False, spec.kind)]
-        base = (-1) ** (ctx.half % 2) * jacobi(rep.x, 3) * 2 * rep.x
-        wit_base = {"x": rep.x, "y": rep.y}
-    inv3 = inv_mod(3, p)
-    out = []
-    for tag, r in zip(("min", "max"), roots):
-        t = 2 * inv3 * r % p
-        lhs = legendre_eval(ctx.qcap, t, ctx)
-        rhs = 0 if zero_case else quad_char(r, ctx) * base % p
-        out.append(VerdictReport(spec.id, p, True, f"P; root={tag}",
-                                 lhs, rhs, p,
-                                 {"root": r, "t": t, **wit_base},
-                                 lhs == rhs, spec.kind))
-    return out
+    return claims
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +447,22 @@ _register(TheoremSpec(
 ))
 
 _register(TheoremSpec(id="T2.1", kind="proven", applies=_always,
-                      custom=_eval_t21))
+                      claims=_t21_claims))
 
 _register(TheoremSpec(id="C2.1", kind="proven", applies=_always,
-                      custom=_eval_c21))
+                      claims=_c21_claims))
 
 _register(TheoremSpec(id="C2.2", kind="proven", applies=_always,
-                      custom=_eval_c22))
+                      claims=_c22_claims))
 
 _register(TheoremSpec(
     id="C2.3", kind="proven", applies=_mod_in(8, (1, 3)),
-    lhs=lambda ctx: sum_T(inv_mod(128, ctx.p2), ctx),
     branches=(
         Branch("p mod 8 in {1,3}", _mod_in(8, (1, 3)), 2,
                _form_wit(2, ("c", "d"), "one_mod_4"), _rhs_c23),
     ),
+    claims=lambda spec, ctx, seed: _branch_claims(
+        spec, ctx, seed, ("T", inv_mod(128, ctx.p2))),
 ))
 
 _register(TheoremSpec(
@@ -515,7 +473,10 @@ _register(TheoremSpec(
                _form_wit(7, ("C", "D")), lambda ctx, w: 4 * w["C"] ** 2),
         _zero_branch("p mod 7 in {3,5,6}", _mod_in(7, (3, 5, 6))),
     ),
-    extra=_extra_t31,
+    # sign fixed empirically; the stated character-sum form carries the
+    # opposite sign (see eq31_sign_survey)
+    claims=_p_claims(-7, Fraction(5, 9), (21, 3),
+                     lambda ctx, w: jacobi(w["C"], 7) * 2 * w["C"]),
 ))
 
 _register(TheoremSpec(
@@ -525,7 +486,7 @@ _register(TheoremSpec(
                _form_wit(9, convention="one_mod_3"), _rhs_4x2),
         _zero_branch("p mod 12 = 11", _mod_in(12, (11,))),
     ),
-    extra=_extra_t32,
+    claims=_p_claims(3, Fraction(7, 12), (2, 2), lambda ctx, w: 2 * w["x"]),
 ))
 
 _register(TheoremSpec(
@@ -553,7 +514,9 @@ _register(TheoremSpec(
                _form_wit(6), _rhs_4x2),
         _zero_branch("p mod 24 in {17,23}", _mod_in(24, (17, 23))),
     ),
-    extra=_extra_t35,
+    claims=_p_claims(2, Fraction(2, 3), (0, 1),
+                     lambda ctx, w: (-1) ** (ctx.half % 2)
+                     * jacobi(w["x"], 3) * 2 * w["x"]),
 ))
 
 _register(TheoremSpec(
@@ -608,7 +571,7 @@ _register(TheoremSpec(
 ))
 
 _register(TheoremSpec(id="T3.11", kind="proven", applies=_always,
-                      custom=_eval_t311))
+                      claims=_t311_claims))
 
 _register(TheoremSpec(
     id="Conj-A3", kind="conjecture", applies=_always, m=81,
@@ -715,41 +678,10 @@ ALL_IDS: tuple[str, ...] = tuple(REGISTRY)
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _match_branch(spec: TheoremSpec, p: int) -> Branch | None:
-    hits = [b for b in spec.branches if b.holds(p)]
-    if len(hits) > 1:
-        raise RuntimeError(
-            f"{spec.id}: branch predicates overlap at p = {p}: "
-            f"{[b.label for b in hits]}")
-    return hits[0] if hits else None
-
-
-def _is_excluded(spec: TheoremSpec, p: int) -> bool:
-    if p in spec.excluded:
-        return True
-    return spec.m is not None and spec.m % p == 0
-
-
-def classify(spec: TheoremSpec | str, p: int) -> tuple[str, dict[str, int]]:
-    """Branch label and quadratic-form witnesses for an applicable prime."""
-    if isinstance(spec, str):
-        spec = REGISTRY[spec]
-    ctx = PrimeCtx(p)
-    if _is_excluded(spec, p):
-        raise ValueError(f"p = {p} is excluded for {spec.id}")
-    if not spec.applies(p):
-        raise ValueError(f"{spec.id} is not applicable at p = {p}")
-    if not spec.branches:
-        raise ValueError(f"{spec.id} has no branch table")
-    branch = _match_branch(spec, p)
-    if branch is None:
-        return "n/a", {}
-    return branch.label, branch.witnesses(ctx)
-
-
 def verify(spec: TheoremSpec | str, p: PrimeCtx | int,
            seed: int = 0) -> list[VerdictReport]:
-    """All verdict records for one statement at one prime, int or PrimeCtx.
+    """All verdict records for one statement at one prime, int or PrimeCtx:
+    one per claim, or one "excluded" or "n/a" skip record.
 
     Most statements produce a single record; the Legendre-polynomial side
     claims and the sampled statements produce several.
@@ -758,35 +690,32 @@ def verify(spec: TheoremSpec | str, p: PrimeCtx | int,
         spec = REGISTRY[spec]
     ctx = p if isinstance(p, PrimeCtx) else PrimeCtx(p)
     p = ctx.p
-    if _is_excluded(spec, p):
-        return [_vacuous(spec, p, "excluded")]
-    if not spec.applies(p):
-        return [_vacuous(spec, p, "n/a")]
-    if spec.custom is not None:
-        rng = random.Random(f"{seed}:{spec.id}:{p}")
-        return spec.custom(spec, ctx, rng)
-    reports: list[VerdictReport] = []
-    branch = _match_branch(spec, p)
-    if branch is None:
-        reports.append(_vacuous(spec, p, "n/a"))
+    if p in spec.excluded or (spec.m is not None and spec.m % p == 0):
+        claims = [Claim("excluded", applicable=False)]
     else:
-        try:
-            wit = branch.witnesses(ctx)
-        except MissingRepresentationError:
-            reports.append(VerdictReport(
-                spec.id, p, True, f"{branch.label}; missing representation",
-                None, None, None, {}, False, spec.kind))
+        claims = list(spec.claims(spec, ctx, seed)) if spec.applies(p) else []
+    reports = []
+    for label, request, rhs, mod, wit, applicable in (
+            claims or [Claim("n/a", applicable=False)]):
+        lhs = None
+        if request is None:  # a skip, or a missing representation
+            rhs = mod = None
         else:
-            mod = ctx.p if branch.mod_exp == 1 else ctx.p2
-            base = (spec.lhs(ctx) if spec.lhs is not None
-                    else sum_S(CentralSumParams(spec.m, ctx)))
-            lhs = base % mod
-            rhs = branch.rhs(ctx, wit) % mod
-            reports.append(VerdictReport(spec.id, p, True, branch.label,
-                                         lhs, rhs, mod, wit, lhs == rhs,
-                                         spec.kind))
-    if spec.extra is not None:
-        reports.extend(spec.extra(spec, ctx))
+            what, arg = request
+            if what == "S":
+                lhs = sum_S(CentralSumParams(arg, ctx))
+            elif what == "Sy":
+                lhs = _poly_sum(central_poly(ctx), arg)
+            elif what == "T":
+                lhs = sum_T(arg, ctx)
+            elif what == "P":
+                lhs = legendre_eval(ctx.qcap, arg, ctx)
+            else:
+                raise ValueError(f"{spec.id}: unknown lhs request {request}")
+            lhs, rhs = lhs % mod, rhs % mod
+        reports.append(VerdictReport(
+            spec.id, p, applicable, label, lhs, rhs, mod, wit or {},
+            not applicable if mod is None else lhs == rhs, spec.kind))
     return reports
 
 
@@ -828,6 +757,17 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 # cross-statement consistency machinery
 
+@lru_cache(maxsize=1)
+def _t_roots(m: int | Fraction, ctx: PrimeCtx):
+    """a = 1 - 256/m, a mod p, the square roots t of a mod p, and S(m) when
+    there are any (else None): the start of both consistency checks, which
+    a sweep asks for twice in a row for each (m, p)."""
+    a = 1 - Fraction(256) / Fraction(m)
+    a_p = a.numerator * inv_mod(a.denominator, ctx.p) % ctx.p
+    roots = sqrt_mod_p(a_p, ctx)
+    return a, a_p, roots, sum_S(CentralSumParams(m, ctx)) if roots else None
+
+
 def consistency_triangle(m: int | Fraction, ctx: PrimeCtx) -> dict:
     """Cross-check S(m) against P_[p/4](t)**2 mod p and T((1-t)/128)**2
     mod p**2, with t = sqrt(1 - 256/m), for both root choices.
@@ -838,12 +778,9 @@ def consistency_triangle(m: int | Fraction, ctx: PrimeCtx) -> dict:
     square root exists mod p**2 to feed the 128-denominator sum).
     """
     p, p2 = ctx.p, ctx.p2
-    a = 1 - Fraction(256) / Fraction(m)
-    a_p = a.numerator * inv_mod(a.denominator, p) % p
-    roots = sqrt_mod_p(a_p, ctx)
+    a, a_p, roots, s_val = _t_roots(m, ctx)
     if not roots:
         return {"skipped": "t not in F_p"}
-    s_val = sum_S(CentralSumParams(m, ctx))
     ok_p = all(legendre_eval(ctx.qcap, r, ctx) ** 2 % p == s_val % p
                for r in roots)
     if a == 0:
@@ -865,17 +802,11 @@ def shifted_cubic_leg(m: int | Fraction, ctx: PrimeCtx) -> bool | None:
     """Does the squared power sum of x^3+4x^2+(2-2t)x match S(m) mod p
     for both roots t = sqrt(1 - 256/m)?  None when t is not in F_p."""
     p = ctx.p
-    a = 1 - Fraction(256) / Fraction(m)
-    a_p = a.numerator * inv_mod(a.denominator, p) % p
-    roots = sqrt_mod_p(a_p, ctx)
+    _, _, roots, s_val = _t_roots(m, ctx)
     if not roots:
         return None
-    s_val = sum_S(CentralSumParams(m, ctx)) % p
-    for t in roots:
-        cu = CubicCurve.reduced(4, 2 - 2 * t, 0, ctx)
-        if power_sum(cu, ctx) ** 2 % p != s_val:
-            return False
-    return True
+    return all(power_sum(CubicCurve.reduced(4, 2 - 2 * t, 0, ctx), ctx) ** 2
+               % p == s_val % p for t in roots)
 
 
 #: CM curves attached to the two statements whose Legendre-polynomial

@@ -10,13 +10,11 @@ from supercong.arith import PackedPoly, PrimeCtx, inv_mod, primes_in
 from supercong.binom import (
     CentralSumParams,
     central_poly,
-    central_series,
     lemma21_recurrence_residual,
     lemma21_sides,
     sum_S,
     sum_S_exact,
     sum_T,
-    t_series,
 )
 from supercong.theorems import REGISTRY
 
@@ -33,6 +31,20 @@ def test_central_term_examples():
     assert (central_term(2, ctx).e, central_term(2, ctx).u) == (1, 4)
     with pytest.raises(ValueError):
         central_term(5, ctx)
+
+
+def central_series(ctx):
+    """Residues mod p**2 of (4k)!/k!**4 for k = 0..p-1, from the stored
+    prefix padded with the zeros past k = (p-1)/2."""
+    prefix = binom._series(ctx)[0]
+    return prefix[::-1] + (0,) * (ctx.p - len(prefix))
+
+
+def t_series(ctx):
+    """Residues mod p**2 of (4k)!/((2k)! k!**2) for k = 0..p-1, from the
+    stored prefix padded with the zeros past k = (3p-1)/4."""
+    prefix = binom._t_prefix(ctx)
+    return prefix[::-1] + (0,) * (ctx.p - len(prefix))
 
 
 def _prefixes(ctx):

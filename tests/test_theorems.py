@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,6 @@ from supercong.theorems import (
     REGISTRY,
     SUM_ARGUMENTS,
     VerdictReport,
-    classify,
     consistency_triangle,
     eq31_sign_survey,
     ishii_char_sum,
@@ -35,20 +35,21 @@ def test_registry_contents():
     assert len(ALL_IDS) == 26
 
 
-def test_classify_examples():
-    label, wit = classify("T3.1", 11)
-    assert label == "p mod 7 in {1,2,4}"
-    assert wit == {"C": 2, "D": 1}
-    label, wit = classify("T3.1", 13)
-    assert label == "p mod 7 in {3,5,6}" and wit == {}
-    label, _ = classify("T3.5", 17)
-    assert label == "p mod 24 in {17,23}"
-    with pytest.raises(ValueError):
-        classify("T3.1", 7)
-    with pytest.raises(ValueError):
-        classify("T3.3", 7)  # (13/7) = -1: not applicable
-    with pytest.raises(ValueError):
-        classify("T2.1", 11)  # sampled statement has no branch table
+def test_branch_records_examples():
+    """The branch label and witnesses of the first record, and the skip
+    records of an excluded and of an inapplicable prime."""
+    rec = verify("T3.1", 11)[0]
+    assert rec.branch == "p mod 7 in {1,2,4}"
+    assert rec.witnesses == {"C": 2, "D": 1}
+    rec = verify("T3.1", 13)[0]
+    assert rec.branch == "p mod 7 in {3,5,6}" and rec.witnesses == {}
+    rec = verify("T3.5", 17)[0]
+    assert rec.branch == "p mod 24 in {17,23}" and rec.applicable
+    (rec,) = verify("T3.1", 7)
+    assert (rec.applicable, rec.branch, rec.passed) == (False, "excluded",
+                                                        True)
+    (rec,) = verify("T3.3", 7)  # (13/7) = -1: not applicable
+    assert (rec.applicable, rec.branch, rec.passed) == (False, "n/a", True)
 
 
 def test_verify_spot_records():
@@ -203,6 +204,7 @@ def test_shifted_cubic_leg_mini_sweep():
                 continue
             assert shifted_cubic_leg(m, ctx) in (True, None), (p, m)
     assert curves._euler_table.cache_info().currsize <= 1
+    assert theorems._t_roots.cache_info().currsize <= 1
 
 
 def test_worker_count_is_capped_at_cpu_count(monkeypatch):
@@ -278,3 +280,29 @@ def test_sweep_keeps_one_prime_of_tables():
     for cached in (binom._series, binom.central_poly, binom.t_poly,
                    legendre._legendre_poly, curves._chi_table):
         assert cached.cache_info().currsize <= 1
+
+
+def test_every_claim_can_fail(monkeypatch):
+    """Non-vacuity: with 1 added to the right side of every claim, every
+    record that checks a congruence fails, and each (statement, branch)
+    that passes unperturbed on 5..300 is among the failures."""
+    passing = {(r.theorem, r.branch) for r in verify_range(ALL_IDS, 5, 300)
+               if r.modulus is not None and r.passed}
+
+    def off_by_one(claims):
+        def perturbed(spec, ctx, seed):
+            return [c._replace(rhs=c.rhs + 1)
+                    for c in claims(spec, ctx, seed)]
+
+        return perturbed
+
+    for tid, spec in list(REGISTRY.items()):
+        monkeypatch.setitem(REGISTRY, tid,
+                            replace(spec, claims=off_by_one(spec.claims)))
+    failing = set()
+    for r in verify_range(ALL_IDS, 5, 300):
+        if r.modulus is not None:
+            assert not r.passed, r
+            failing.add((r.theorem, r.branch))
+    assert {tid for tid, _ in passing} == set(ALL_IDS)
+    assert passing <= failing
