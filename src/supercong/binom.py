@@ -24,42 +24,19 @@ out a multiple of p.  _series builds the head k <= (p-1)/2 (all of s);
 _t_prefix continues t from it only when T is evaluated, so a sweep that
 reads only S never builds t's tail.  Each prefix is packed once per prime
 into an arith.PackedPoly, the baby-step/giant-step kernel that evaluates
-it at every point.  sum_S has a second, independent route: a big-integer
-oracle (sum_S_exact) that clears denominators and reduces once at the end.
-
-The polynomial identity
-
-    sum_k s(k) * C(k, m-k) * (-64)**(m-k)
-      = sum_k t(k) * t-coefficient-reversed(m-k)          (over Z)
-
-is checked exactly via lemma21_sides; both sides satisfy the three-term
-recurrence probed by lemma21_recurrence_residual.  (The identity has
-rational-function certificates in the WZ style,
-
-    -4096 k^2 (m+2)(m-2k)(m-2k+1) / ((m-k+1)(m-k+2))            [left]
-    16 k^2 (4m-4k+1)(4m-4k+3)(16m^2-16mk+55m-26k+46)
-        / ((m-k+1)^2 (m-k+2)^2)                                 [right]
-
-recorded here for reference; only the recurrence is verified, numerically.)
+it at every point.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .arith import PackedPoly, PrimeCtx, inv_mod
 
 __all__ = [
-    "CentralSumParams",
     "central_poly",
-    "lemma21_recurrence_residual",
-    "lemma21_sides",
     "sum_S",
-    "sum_S_exact",
     "sum_T",
     "t_poly",
 ]
@@ -125,84 +102,22 @@ def t_poly(ctx: PrimeCtx) -> PackedPoly:
     return PackedPoly(_t_prefix(ctx), ctx.p2)
 
 
-@dataclass(frozen=True)
-class CentralSumParams:
-    """Sum argument m (integer or rational in Z_p) with p not dividing m."""
-
-    m: int | Fraction
-    ctx: PrimeCtx
-    m_inv: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        m = self.m
-        num = m.numerator if isinstance(m, Fraction) else int(m)
-        den = m.denominator if isinstance(m, Fraction) else 1
-        p = self.ctx.p
-        if num == 0:
-            raise ValueError("m must be nonzero")
-        if den % p == 0:
-            raise ValueError(f"m = {m} is not a p-adic integer for p = {p}")
-        if num % p == 0:
-            raise ValueError(f"p = {p} divides m = {m}")
-        object.__setattr__(self, "m_inv",
-                           den * inv_mod(num, self.ctx.p2) % self.ctx.p2)
-
-
-def sum_S(params: CentralSumParams) -> int:
-    """sum_{k=0}^{p-1} (4k)!/k!**4 * m**(-k) reduced mod p**2."""
-    return central_poly(params.ctx)(params.m_inv)
-
-
-def sum_S_exact(m: int | Fraction, ctx: PrimeCtx) -> int:
-    """Big-integer oracle for sum_S: clear denominators, reduce once.
-
-    Independent of the series route; intended for modest p.
-    """
-    num = m.numerator if isinstance(m, Fraction) else int(m)
-    den = m.denominator if isinstance(m, Fraction) else 1
-    p, p2 = ctx.p, ctx.p2
-    if num == 0 or num % p == 0 or den % p == 0:
-        raise ValueError(f"m = {m} must be a nonzero p-adic unit argument")
-    total = 0
-    for k in range(p):
-        term = math.comb(2 * k, k) ** 2 * math.comb(4 * k, 2 * k)
-        total += term * den ** k * num ** (p - 1 - k)
-    return total * pow(inv_mod(num, p2), p - 1, p2) % p2
+def sum_S(m: int | Fraction, ctx: PrimeCtx) -> int:
+    """sum_{k=0}^{p-1} (4k)!/k!**4 * m**(-k) reduced mod p**2, for m an
+    integer or a Fraction whose numerator and denominator p does not
+    divide."""
+    if not isinstance(m, (int, Fraction)):
+        raise TypeError(f"m must be an int or a Fraction, got {m!r}")
+    num, den, p = m.numerator, m.denominator, ctx.p
+    if num == 0:
+        raise ValueError("m must be nonzero")
+    if den % p == 0:
+        raise ValueError(f"m = {m} is not a p-adic integer for p = {p}")
+    if num % p == 0:
+        raise ValueError(f"p = {p} divides m = {m}")
+    return central_poly(ctx)(den * inv_mod(num, ctx.p2) % ctx.p2)
 
 
 def sum_T(x: int, ctx: PrimeCtx) -> int:
     """sum_{k=0}^{p-1} (4k)!/((2k)! k!**2) * x**k mod p**2."""
     return t_poly(ctx)(x)
-
-
-def lemma21_sides(m: int) -> tuple[int, int]:
-    """Both sides of the degree-m convolution identity, as exact integers.
-
-    L = sum_k s(k) C(k, m-k) (-64)**(m-k)
-    R = sum_k t(k) t(m-k)
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    left = 0
-    for k in range((m + 1) // 2, m + 1):
-        left += (math.comb(2 * k, k) ** 2 * math.comb(4 * k, 2 * k)
-                 * math.comb(k, m - k) * (-64) ** (m - k))
-    right = 0
-    for k in range(m + 1):
-        j = m - k
-        right += (math.comb(2 * k, k) * math.comb(4 * k, 2 * k)
-                  * math.comb(2 * j, j) * math.comb(4 * j, 2 * j))
-    return left, right
-
-
-def lemma21_recurrence_residual(m: int, S: Callable[[int], int]) -> int:
-    """Residual of the three-term recurrence both identity sides satisfy.
-
-    1024 (m+1)(2m+1)(2m+3) S(m) - 8 (2m+3)(8m**2+24m+19) S(m+1)
-        + (m+2)**3 S(m+2)
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return (1024 * (m + 1) * (2 * m + 1) * (2 * m + 3) * S(m)
-            - 8 * (2 * m + 3) * (8 * m * m + 24 * m + 19) * S(m + 1)
-            + (m + 2) ** 3 * S(m + 2))

@@ -26,8 +26,8 @@ import sys
 from dataclasses import dataclass
 
 from .arith import PrimeCtx, inv_mod, jacobi, sqrt_mod_p
-from .binom import CentralSumParams, sum_S
-from .curves import CubicCurve, char_sum
+from .binom import sum_S
+from .curves import char_sum
 from .legendre import legendre_eval
 from .quadform import cornacchia
 from .theorems import (
@@ -164,7 +164,7 @@ def cmd_verify(config: RunConfig, out=None) -> int:
 def cmd_sum(m: int, p: int, out=None) -> int:
     out = out or sys.stdout
     ctx = PrimeCtx(p)
-    value = sum_S(CentralSumParams(m, ctx))
+    value = sum_S(m, ctx)
     out.write(f"sum_S(m={m}, p={p}) = {value} (mod {ctx.p2})\n")
     a = (1 - 256 * inv_mod(m, ctx.p)) % ctx.p
     roots = sqrt_mod_p(a, ctx)
@@ -192,11 +192,10 @@ def cmd_tools(args, out=None) -> int:
     out = out or sys.stdout
     if args.tool == "charsum":
         a, b, c = _parse_cubic(args.cubic)
-        ctx = PrimeCtx(args.p)
-        out.write(f"{char_sum(CubicCurve.reduced(a, b, c, ctx), ctx)}\n")
+        out.write(f"{char_sum(a, b, c, PrimeCtx(args.p))}\n")
     elif args.tool == "cornacchia":
         rep = cornacchia(args.d, args.p)
-        out.write(f"({rep.x},{rep.y})\n" if rep else "no representation\n")
+        out.write(f"({rep[0]},{rep[1]})\n" if rep else "no representation\n")
     else:  # jacobi
         out.write(f"{jacobi(args.a, args.n)}\n")
     return 0

@@ -6,37 +6,20 @@ twin sum_x f(x)**((p-1)/2) mod p, reading z**((p-1)/2) from a table built
 once per prime by pow.  The two routes share no table, so tests comparing
 them compare two computations.  These sums are the bridge between
 Legendre-polynomial values and point counts on y^2 = f(x): the count is
-p + 1 + char_sum.
+p + 1 + char_sum.  Both take the coefficients a, b, c as plain integers and
+reduce them mod p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import PrimeCtx, jacobi
+from .arith import PrimeCtx
 
 __all__ = [
-    "CubicCurve",
     "char_sum",
-    "discriminant",
     "power_sum",
-    "scale_check",
 ]
-
-
-@dataclass(frozen=True)
-class CubicCurve:
-    """Coefficients of the monic cubic x^3 + a x^2 + b x + c."""
-
-    a: int
-    b: int
-    c: int
-
-    @classmethod
-    def reduced(cls, a: int, b: int, c: int, ctx: PrimeCtx) -> "CubicCurve":
-        p = ctx.p
-        return cls(a % p, b % p, c % p)
 
 
 @lru_cache(maxsize=1)
@@ -50,10 +33,10 @@ def _chi_table(ctx: PrimeCtx) -> tuple[int, ...]:
     return tuple(chi)
 
 
-def char_sum(curve: CubicCurve, ctx: PrimeCtx) -> int:
+def char_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
     """Exact integer sum_x chi(x^3 + a x^2 + b x + c), brute force over F_p."""
     p = ctx.p
-    a, b, c = curve.a % p, curve.b % p, curve.c % p
+    a, b, c = a % p, b % p, c % p
     chi = _chi_table(ctx)
     total = 0
     for x in range(p):
@@ -68,35 +51,10 @@ def _euler_table(ctx: PrimeCtx) -> tuple[int, ...]:
     return tuple([pow(z, half, p) for z in range(p)])
 
 
-def power_sum(curve: CubicCurve, ctx: PrimeCtx) -> int:
+def power_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
     """sum_x (x^3 + a x^2 + b x + c)**((p-1)/2) mod p."""
     p = ctx.p
-    a, b, c = curve.a % p, curve.b % p, curve.c % p
+    a, b, c = a % p, b % p, c % p
     table = _euler_table(ctx)
     return sum([table[(((x + a) * x + b) * x + c) % p]
                 for x in range(p)]) % p
-
-
-def discriminant(curve: CubicCurve, ctx: PrimeCtx) -> int:
-    """Discriminant of the cubic mod p (zero exactly for singular curves)."""
-    p = ctx.p
-    a, b, c = curve.a % p, curve.b % p, curve.c % p
-    return (18 * a * b * c - 4 * a ** 3 * c + a * a * b * b
-            - 4 * b ** 3 - 27 * c * c) % p
-
-
-def scale_check(a: int, m: int, n: int, ctx: PrimeCtx) -> bool:
-    """Does the x -> ax substitution law hold for x^3 + a^2 m x + a^3 n?
-
-    Checks the exact character-sum identity with the factor (a/p) and the
-    power-sum variant with the factor a**((p-1)/2) mod p.
-    """
-    p = ctx.p
-    a %= p
-    scaled = CubicCurve.reduced(0, a * a * m, a ** 3 * n, ctx)
-    plain = CubicCurve.reduced(0, m, n, ctx)
-    if char_sum(scaled, ctx) != jacobi(a, p) * char_sum(plain, ctx):
-        return False
-    lhs = power_sum(scaled, ctx)
-    rhs = pow(a, ctx.half, p) * power_sum(plain, ctx) % p
-    return lhs == rhs

@@ -16,7 +16,6 @@ from .arith import PackedPoly, PrimeCtx, inv_mod
 
 __all__ = [
     "legendre_eval",
-    "parity_check",
 ]
 
 
@@ -53,14 +52,3 @@ def legendre_eval(n: int, t: int, ctx: PrimeCtx) -> int:
     t %= p
     acc = _legendre_poly(n, ctx)(t * t)
     return acc * t % p if n % 2 else acc
-
-
-def parity_check(n: int, t: int, ctx: PrimeCtx) -> bool:
-    """Does P_n(-t) = (-1)**n P_n(t) hold mod p?"""
-    p = ctx.p
-    t %= p
-    lhs = legendre_eval(n, (p - t) % p, ctx)
-    rhs = legendre_eval(n, t, ctx)
-    if n % 2:
-        rhs = (p - rhs) % p
-    return lhs == rhs

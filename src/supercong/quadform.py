@@ -3,31 +3,20 @@
 cornacchia solves x^2 + d y^2 = p for prime p (complete: it finds a
 solution whenever one exists).  represent is the exhaustive oracle, also
 used for the target 2p = x^2 + d y^2 and for forms a x^2 + d y^2 with
-a > 1.
+a > 1.  Both return the pair (x, y), or None.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .arith import PrimeCtx, is_prime, jacobi, sqrt_mod_p
+from .arith import PrimeCtx, is_prime, sqrt_mod_p
 
 __all__ = [
-    "QuadRep",
     "cornacchia",
     "normalize",
     "represent",
 ]
-
-
-@dataclass(frozen=True)
-class QuadRep:
-    """A representation x^2 + d y^2 of p."""
-
-    d: int
-    x: int
-    y: int
 
 
 def represent(d: int, n: int, a: int = 1) -> tuple[int, int] | None:
@@ -45,8 +34,8 @@ def represent(d: int, n: int, a: int = 1) -> tuple[int, int] | None:
     return None
 
 
-def cornacchia(d: int, p: int) -> QuadRep | None:
-    """Representation p = x^2 + d y^2 for prime p, or None.
+def cornacchia(d: int, p: int) -> tuple[int, int] | None:
+    """Representation (x, y) of p = x^2 + d y^2 for prime p, or None.
 
     Classic algorithm: seed with the square root of -d mod p lying in
     (p/2, p), run the Euclidean remainder chain down to sqrt(p), and test
@@ -60,8 +49,7 @@ def cornacchia(d: int, p: int) -> QuadRep | None:
         raise ValueError("p must not divide d")
     if p <= 3 or d >= p:
         # Tiny p, or y forced to 0: settle directly.
-        xy = represent(d, p)
-        return QuadRep(d, *xy) if xy else None
+        return represent(d, p)
     ctx = PrimeCtx(p)
     roots = sqrt_mod_p(-d % p, ctx)
     if not roots:
@@ -83,29 +71,32 @@ def cornacchia(d: int, p: int) -> QuadRep | None:
     x = b
     if d == 1 and y > x:
         x, y = y, x
-    return QuadRep(d, x, y)
+    return x, y
 
 
-def normalize(rep: QuadRep, convention: str = "nonneg") -> QuadRep:
-    """Sign-adjust x to the requested convention.
+def normalize(rep: tuple[int, int],
+              convention: str = "nonneg") -> tuple[int, int]:
+    """Sign-adjust x of a representation (x, y) to the requested convention;
+    y comes back nonnegative.
 
     Conventions: "nonneg" (x >= 0), "one_mod_4" (x = 1 mod 4, requires x
     odd), "one_mod_3" (x = 1 mod 3, requires 3 not dividing x).
     """
-    x = abs(rep.x)
-    y = abs(rep.y)
+    x, y = abs(rep[0]), abs(rep[1])
     if convention == "nonneg":
         pass
     elif convention == "one_mod_4":
         if x % 2 == 0:
-            raise ValueError(f"x = {rep.x} is even; no sign gives x = 1 mod 4")
+            raise ValueError(
+                f"x = {rep[0]} is even; no sign gives x = 1 mod 4")
         if x % 4 != 1:
             x = -x
     elif convention == "one_mod_3":
         if x % 3 == 0:
-            raise ValueError(f"3 divides x = {rep.x}; no sign gives x = 1 mod 3")
+            raise ValueError(
+                f"3 divides x = {rep[0]}; no sign gives x = 1 mod 3")
         if x % 3 != 1:
             x = -x
     else:
         raise ValueError(f"unknown normalization convention {convention!r}")
-    return QuadRep(rep.d, x, y)
+    return x, y

@@ -18,8 +18,9 @@ the callers (the records carry kind="conjecture").
 
 Sign conventions for the Legendre-polynomial claims were fixed by brute
 force: the character sum of x^3+21x^2+112x equals -2C(C/7) (see
-eq31_sign_survey), which flips the sign of the matching P_[p/4] claim
-relative to the character-sum form it is derived from.
+eq31_sign_survey in tests/test_theorems.py), which flips the sign of the
+matching P_[p/4] claim relative to the character-sum form it is derived
+from.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .arith import (
     sqrt_mod_p,
     sqrt_mod_p2,
 )
-from .binom import CentralSumParams, central_poly, sum_S, sum_T
-from .curves import CubicCurve, char_sum, power_sum
+from .binom import central_poly, sum_S, sum_T
+from .curves import char_sum, power_sum
 from .legendre import legendre_eval
 from .quadform import cornacchia, normalize, represent
 
@@ -60,7 +61,6 @@ __all__ = [
     "TheoremSpec",
     "VerdictReport",
     "consistency_triangle",
-    "eq31_sign_survey",
     "ishii_char_sum",
     "shifted_cubic_leg",
     "verify",
@@ -101,24 +101,6 @@ class VerdictReport:
             "pass": self.passed,
             "kind": self.kind,
         }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "VerdictReport":
-        def _int(v):
-            return None if v is None else int(v)
-
-        return cls(
-            theorem=rec["theorem"],
-            p=rec["p"],
-            applicable=rec["applicable"],
-            branch=rec["branch"],
-            lhs=_int(rec["lhs"]),
-            rhs=_int(rec["rhs"]),
-            modulus=_int(rec["modulus"]),
-            witnesses={k: int(v) for k, v in rec["witnesses"].items()},
-            passed=rec["pass"],
-            kind=rec["kind"],
-        )
 
 
 @dataclass(frozen=True)
@@ -197,7 +179,7 @@ def _form_wit(d: int, names: tuple[str, str] = ("x", "y"),
                 f"p = {ctx.p} has no representation x^2 + {d} y^2")
         if convention is not None:
             rep = normalize(rep, convention)
-        return {names[0]: rep.x, names[1]: rep.y}
+        return dict(zip(names, rep))
 
     return build
 
@@ -229,7 +211,7 @@ def _gauss_wit(ctx: PrimeCtx) -> dict[str, int]:
     rep = cornacchia(1, ctx.p)
     if rep is None:
         raise MissingRepresentationError(f"p = {ctx.p} is not x^2 + y^2")
-    x, y = (rep.x, rep.y) if rep.x % 2 else (rep.y, rep.x)
+    x, y = rep if rep[0] % 2 else rep[::-1]
     if x % 4 != 1:
         x = -x
     return {"x": x, "y": y}
@@ -243,7 +225,7 @@ def _gauss5_wit(ctx: PrimeCtx) -> dict[str, int]:
     rep = cornacchia(1, ctx.p)
     if rep is None:
         raise MissingRepresentationError(f"p = {ctx.p} is not x^2 + y^2")
-    a, b = rep.x, rep.y
+    a, b = rep
     for x, y in ((a, b), (a, -b), (-a, b), (-a, -b),
                  (b, a), (b, -a), (-b, a), (-b, -a)):
         if (x - y) % 5 == 0:
@@ -370,16 +352,19 @@ def _p_claims(radicand: int, coef: Fraction, char: tuple[int, int],
     """Claims function: the branch table's claim, then for each square
     root r of the radicand P_[p/4](coef*r) = ((c0 + c1*r)/p) * base mod p,
     where (c0, c1) = char and base reads the branch's own witnesses (the
-    zero branch has none, and base 0)."""
+    zero branch has none, and base 0).  No claim at all when no branch
+    holds, as for a branch table alone."""
     def claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
         out = _branch_claims(spec, ctx, seed)
+        if not out:
+            return out
         p = ctx.p
         roots = sqrt_mod_p(radicand % p, ctx)
         if not roots:
             return out + [Claim("P; t not in F_p", applicable=False)]
-        if out and out[0].request is None:
+        if out[0].request is None:
             return out + [Claim("P; missing representation")]
-        wit = out[0].witnesses if out else {}
+        wit = out[0].witnesses
         b = base(ctx, wit) if wit else 0
         c = coef.numerator * inv_mod(coef.denominator, p)
         for tag, r in zip(("min", "max"), roots):
@@ -474,7 +459,7 @@ _register(TheoremSpec(
         _zero_branch("p mod 7 in {3,5,6}", _mod_in(7, (3, 5, 6))),
     ),
     # sign fixed empirically; the stated character-sum form carries the
-    # opposite sign (see eq31_sign_survey)
+    # opposite sign (see eq31_sign_survey in tests/test_theorems.py)
     claims=_p_claims(-7, Fraction(5, 9), (21, 3),
                      lambda ctx, w: jacobi(w["C"], 7) * 2 * w["C"]),
 ))
@@ -561,10 +546,11 @@ _register(TheoremSpec(
 _register(TheoremSpec(
     id="T3.10", kind="proven", applies=_mod_in(5, (1, 4)), m=_M_T310,
     branches=(
-        # p = 1 mod 4 primes without a d = 25 representation fall through
-        # to "n/a" (the statement is silent there).
-        Branch("p = x^2+25y^2",
-               lambda p: p % 4 == 1 and represent(25, p) is not None, 1,
+        # Every applicable p = 1 mod 4 is x^2 + 25y^2: p = a^2 + b^2, and
+        # were 5 to divide neither, a^2 + b^2 would be 2, 0 or 3 mod 5
+        # (squares of units are 1 or 4), not p = +-1 mod 5.  So 5 divides
+        # one of them, b say, and p = a^2 + 25(b/5)^2.
+        Branch("p = x^2+25y^2", _mod_in(4, (1,)), 1,
                _form_wit(25), _rhs_4x2),
         _zero_branch("p mod 4 = 3", _mod_in(4, (3,))),
     ),
@@ -703,7 +689,7 @@ def verify(spec: TheoremSpec | str, p: PrimeCtx | int,
         else:
             what, arg = request
             if what == "S":
-                lhs = sum_S(CentralSumParams(arg, ctx))
+                lhs = sum_S(arg, ctx)
             elif what == "Sy":
                 lhs = _poly_sum(central_poly(ctx), arg)
             elif what == "T":
@@ -765,7 +751,7 @@ def _t_roots(m: int | Fraction, ctx: PrimeCtx):
     a = 1 - Fraction(256) / Fraction(m)
     a_p = a.numerator * inv_mod(a.denominator, ctx.p) % ctx.p
     roots = sqrt_mod_p(a_p, ctx)
-    return a, a_p, roots, sum_S(CentralSumParams(m, ctx)) if roots else None
+    return a, a_p, roots, sum_S(m, ctx) if roots else None
 
 
 def consistency_triangle(m: int | Fraction, ctx: PrimeCtx) -> dict:
@@ -805,8 +791,8 @@ def shifted_cubic_leg(m: int | Fraction, ctx: PrimeCtx) -> bool | None:
     _, _, roots, s_val = _t_roots(m, ctx)
     if not roots:
         return None
-    return all(power_sum(CubicCurve.reduced(4, 2 - 2 * t, 0, ctx), ctx) ** 2
-               % p == s_val % p for t in roots)
+    return all(power_sum(4, 2 - 2 * t, 0, ctx) ** 2 % p == s_val % p
+               for t in roots)
 
 
 #: CM curves attached to the two statements whose Legendre-polynomial
@@ -822,26 +808,4 @@ def ishii_char_sum(tid: str, root: int, ctx: PrimeCtx) -> int:
     """Character sum of the registered CM curve, reduced with the given
     square root of its radicand."""
     rad, (b0, b1), (c0, c1) = ISHII_CURVES[tid]
-    cu = CubicCurve.reduced(0, b0 + b1 * root, c0 + c1 * root, ctx)
-    return char_sum(cu, ctx)
-
-
-def eq31_sign_survey(pmax: int = 1000) -> dict[int, int]:
-    """Empirical sign of the character sum of x^3+21x^2+112x against the
-    reference value 2C(C/7) from p = C^2+7D^2, for p = 1,2,4 mod 7.
-
-    The survey result (constant -1) is what fixes the sign of the
-    Legendre-polynomial claim attached to the m = 81 statement.
-    """
-    out: dict[int, int] = {}
-    for p in primes_in(5, pmax):
-        if p % 7 not in (1, 2, 4):
-            continue
-        ctx = PrimeCtx(p)
-        cs = char_sum(CubicCurve.reduced(21, 112, 0, ctx), ctx)
-        rep = cornacchia(7, p)
-        ref = 2 * rep.x * jacobi(rep.x, 7)
-        if cs == 0 or abs(cs) != abs(ref):
-            raise RuntimeError(f"unexpected character sum {cs} at p = {p}")
-        out[p] = 1 if cs == ref else -1
-    return out
+    return char_sum(0, b0 + b1 * root, c0 + c1 * root, ctx)

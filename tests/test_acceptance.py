@@ -11,20 +11,8 @@ import sys
 import time
 
 from supercong.arith import PrimeCtx, inv_mod, jacobi, primes_in
-from supercong.binom import (
-    CentralSumParams,
-    lemma21_recurrence_residual,
-    lemma21_sides,
-    sum_S,
-    sum_T,
-)
-from supercong.curves import (
-    CubicCurve,
-    char_sum,
-    discriminant,
-    power_sum,
-    scale_check,
-)
+from supercong.binom import sum_S, sum_T
+from supercong.curves import char_sum, power_sum
 from supercong.quadform import cornacchia, normalize, represent
 from supercong.theorems import (
     CONJECTURE_IDS,
@@ -33,7 +21,12 @@ from supercong.theorems import (
     verify,
     verify_range,
 )
-from test_binom import theorem21_check
+from test_binom import (
+    lemma21_recurrence_residual,
+    lemma21_sides,
+    theorem21_check,
+)
+from test_curves import discriminant, scale_check
 
 THEOREM_D_SET = (2, 5, 6, 7, 9, 10, 13, 18, 22, 25, 29, 37, 58)
 
@@ -73,14 +66,14 @@ def test_criterion_02_theorem21_random_arguments():
 
 
 def test_criterion_03_rv256():
-    assert sum_S(CentralSumParams(256, PrimeCtx(11))) == 14
+    assert sum_S(256, PrimeCtx(11)) == 14
     for p in primes_in(5, 2000):
         ctx = PrimeCtx(p)
-        value = sum_S(CentralSumParams(256, ctx))
+        value = sum_S(256, ctx)
         if p % 8 in (1, 3):
             rep = cornacchia(2, p)
             assert rep is not None, p
-            assert value == (4 * rep.x**2 - 2 * p) % ctx.p2, p
+            assert value == (4 * rep[0]**2 - 2 * p) % ctx.p2, p
         else:
             assert value == 0, p
     _report(3, "m=256 sum vs 4x^2-2p / 0 mod p^2, primes <= 2000")
@@ -93,7 +86,7 @@ def test_criterion_04_corollary_2_3():
         if p % 8 not in (1, 3):
             continue
         ctx = PrimeCtx(p)
-        c = normalize(cornacchia(2, p), "one_mod_4").x
+        c, _ = normalize(cornacchia(2, p), "one_mod_4")
         sign = -1 if (p // 8 + ctx.half) % 2 else 1
         rhs = sign * (2 * c - p * inv_mod(2 * c, ctx.p2)) % ctx.p2
         assert sum_T(inv_mod(128, ctx.p2), ctx) == rhs, p
@@ -160,22 +153,19 @@ def test_criterion_07_curve_invariants():
     rng = random.Random("acc7")
     for p in primes_in(5, 300):
         ctx = PrimeCtx(p)
-        base = CubicCurve(rng.randrange(p), rng.randrange(p),
-                          rng.randrange(p))
-        base_cs = char_sum(base, ctx)
+        a, b, c = rng.randrange(p), rng.randrange(p), rng.randrange(p)
+        base_cs = char_sum(a, b, c, ctx)
         for _ in range(20):
-            cu = CubicCurve(rng.randrange(p), rng.randrange(p),
-                            rng.randrange(p))
-            cs = char_sum(cu, ctx)
-            assert power_sum(cu, ctx) == cs % p, (p, cu)
-            if discriminant(cu, ctx) != 0:
+            cu = (rng.randrange(p), rng.randrange(p), rng.randrange(p))
+            cs = char_sum(*cu, ctx)
+            assert power_sum(*cu, ctx) == cs % p, (p, cu)
+            if discriminant(*cu, ctx) != 0:
                 assert cs * cs <= 4 * p, (p, cu)
             s = rng.randrange(p)
-            shifted = CubicCurve.reduced(
-                base.a + 3 * s,
-                base.b + 2 * base.a * s + 3 * s * s,
-                base.c + base.b * s + base.a * s * s + s**3, ctx)
-            assert char_sum(shifted, ctx) == base_cs, (p, s)
+            shifted = (a + 3 * s,
+                       b + 2 * a * s + 3 * s * s,
+                       c + b * s + a * s * s + s**3)
+            assert char_sum(*shifted, ctx) == base_cs, (p, s)
             assert scale_check(rng.randrange(1, p), rng.randrange(p),
                                rng.randrange(p), ctx), p
     _report(7, "Euler consistency, Hasse bound, shift invariance, scaling "
@@ -192,7 +182,7 @@ def test_criterion_08_cornacchia_vs_exhaustive():
             if oracle is None:
                 assert rep is None, (d, p)
             else:
-                assert rep is not None and (rep.x, rep.y) == oracle, (d, p)
+                assert rep == oracle, (d, p)
     _report(8, "cornacchia vs exhaustive search, 13 coefficients, "
                "primes <= 2000")
 

@@ -7,7 +7,8 @@ from dataclasses import replace
 import pytest
 
 from supercong.cli import RunConfig, cmd_sum, cmd_verify, main
-from supercong.theorems import REGISTRY, VerdictReport, verify_range
+from supercong.theorems import REGISTRY, verify_range
+from test_theorems import from_record
 
 
 def run_cli(*args):
@@ -94,7 +95,7 @@ def test_jsonl_round_trip():
     lines = buf.getvalue().splitlines()
     header = json.loads(lines[0])
     assert header["seed"] == 9
-    parsed = [VerdictReport.from_record(json.loads(ln)) for ln in lines[1:]]
+    parsed = [from_record(json.loads(ln)) for ln in lines[1:]]
     direct = list(verify_range(("T3.1", "RV256", "Conj-A25"), 5, 60, seed=9))
     assert parsed == direct
 

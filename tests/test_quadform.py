@@ -3,21 +3,16 @@ import random
 import pytest
 
 from supercong.arith import primes_in
-from supercong.quadform import (
-    QuadRep,
-    cornacchia,
-    normalize,
-    represent,
-)
+from supercong.quadform import cornacchia, normalize, represent
 
 THEOREM_D_SET = (2, 5, 6, 7, 9, 10, 13, 18, 22, 25, 29, 37, 58)
 
 
 def test_cornacchia_examples():
-    assert cornacchia(7, 11) == QuadRep(7, 2, 1)
-    assert cornacchia(2, 11) == QuadRep(2, 3, 1)
+    assert cornacchia(7, 11) == (2, 1)
+    assert cornacchia(2, 11) == (3, 1)
     assert cornacchia(7, 3) is None
-    assert cornacchia(1, 5) == QuadRep(1, 2, 1)
+    assert cornacchia(1, 5) == (2, 1)
 
 
 def test_cornacchia_validation():
@@ -39,8 +34,9 @@ def test_cornacchia_soundness_random():
             continue
         rep = cornacchia(d, p)
         if rep is not None:
-            assert rep.x * rep.x + d * rep.y * rep.y == p
-            assert rep.x >= 0 and rep.y >= 0
+            x, y = rep
+            assert x * x + d * y * y == p
+            assert x >= 0 and y >= 0
 
 
 def test_cornacchia_agrees_with_exhaustive_search():
@@ -53,8 +49,7 @@ def test_cornacchia_agrees_with_exhaustive_search():
             if oracle is None:
                 assert rep is None, (d, p)
             else:
-                assert rep is not None, (d, p)
-                assert (rep.x, rep.y) == oracle, (d, p)
+                assert rep == oracle, (d, p)
 
 
 def test_genus_split_d7():
@@ -79,19 +74,19 @@ def test_scaled_representation():
 
 
 def test_normalize_examples():
-    assert normalize(cornacchia(2, 11), "one_mod_4").x == -3
-    assert normalize(cornacchia(9, 13), "one_mod_3").x == -2
-    assert normalize(cornacchia(2, 17), "one_mod_4").x == -3
-    assert normalize(QuadRep(2, -3, -1)).x == 3
+    assert normalize(cornacchia(2, 11), "one_mod_4") == (-3, 1)
+    assert normalize(cornacchia(9, 13), "one_mod_3") == (-2, 1)
+    assert normalize(cornacchia(2, 17), "one_mod_4") == (-3, 2)
+    assert normalize((-3, -1)) == (3, 1)
 
 
 def test_normalize_unsatisfiable():
     with pytest.raises(ValueError):
-        normalize(QuadRep(4, 3, 1), "one_mod_3")
+        normalize((3, 1), "one_mod_3")
     with pytest.raises(ValueError):
-        normalize(QuadRep(1, 2, 3), "one_mod_4")
+        normalize((2, 3), "one_mod_4")
     with pytest.raises(ValueError):
-        normalize(QuadRep(2, 3, 1), "sign_of_the_times")
+        normalize((3, 1), "sign_of_the_times")
 
 
 def test_normalize_preserves_value():
@@ -99,6 +94,6 @@ def test_normalize_preserves_value():
         rep = cornacchia(2, p)
         if rep is None:
             continue
-        adjusted = normalize(rep, "one_mod_4")
-        assert adjusted.x % 4 == 1
-        assert adjusted.x * adjusted.x + 2 * adjusted.y * adjusted.y == p
+        x, y = normalize(rep, "one_mod_4")
+        assert x % 4 == 1
+        assert x * x + 2 * y * y == p
