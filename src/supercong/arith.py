@@ -23,6 +23,7 @@ __all__ = [
     "jacobi",
     "primes_in",
     "quad_char",
+    "shares_block",
     "sqrt_mod_p",
     "sqrt_mod_p2",
 ]
@@ -71,22 +72,42 @@ def primes_in(lo: int, hi: int) -> list[int]:
     return [i for i in range(lo, hi + 1) if sieve[i]]
 
 
+def shares_block(lo: int, hi: int) -> bool:
+    """May the primes lo <= hi build their s and t series as one block?
+    Yes when (3*hi - 1)//4, the last k of hi's t prefix, is below lo: then
+    every k! the build divides by is a unit mod lo**2 (see binom)."""
+    return (3 * hi - 1) // 4 < lo
+
+
 @dataclass(frozen=True)
 class PrimeCtx:
     """A validated odd prime p > 3 with cached derived constants.
+
+    `block` names the ascending run of primes, p among them, whose s and
+    t series are built together, modulo the product of their squares
+    (see binom); its least and greatest primes must pass shares_block.
+    It defaults to (p,) and takes no part in equality or hashing: it
+    changes how the series are built, not what they are.
 
     Immutable after construction; safe to share across workers.
     """
 
     p: int
+    block: tuple[int, ...] = field(default=(), compare=False, repr=False)
     p2: int = field(init=False)
     half: int = field(init=False)
     qcap: int = field(init=False)
 
     def __post_init__(self) -> None:
-        p = self.p
+        p, block = self.p, tuple(self.block) or (self.p,)
         if not isinstance(p, int) or p <= 3 or not is_prime(p):
             raise ValueError(f"p must be a prime greater than 3, got {p!r}")
+        if block != (p,) and (p not in block
+                              or list(block) != sorted(set(block))
+                              or not shares_block(block[0], block[-1])):
+            raise ValueError(f"{block!r} is not a strictly ascending block "
+                             f"holding p = {p} whose ends pass shares_block")
+        object.__setattr__(self, "block", block)
         object.__setattr__(self, "p2", p * p)
         object.__setattr__(self, "half", (p - 1) // 2)
         object.__setattr__(self, "qcap", p // 4)

@@ -16,21 +16,33 @@ For k < p the only factors p in these terms come from the numerator
     v_p(s(k)) = [4k/p]        v_p(t(k)) = [4k/p] - [2k/p]
 
 so s(k) = 0 mod p**2 once k > (p-1)/2, and t(k) = 0 mod p**2 once
-k > (3p-1)/4.  Only those nonzero prefixes are built, from the ratio
-t(k)/t(k-1) = 4(4k-1)(4k-3)/k**2.  Below k = (3p-1)/4 its odd numerator
-meets p once, at k = (p+1)/4 or (p+3)/4 (3p needs k > (3p-1)/4); that
-factor stays in the running product mod p**2, so every later term comes
-out a multiple of p.  _series builds the head k <= (p-1)/2 (all of s);
-_t_prefix continues t from it only when T is evaluated, so a sweep that
-reads only S never builds t's tail.  Each prefix is packed once per prime
-into an arith.PackedPoly, the baby-step/giant-step kernel that evaluates
-it at every point.
+k > (3p-1)/4.  Only those nonzero prefixes are built, each from its own
+term ratio,
+
+    s(k)/s(k-1) = 8(4k-1)(4k-3)(2k-1)/k**3    t(k)/t(k-1) = 4(4k-1)(4k-3)/k**2
+
+whose numerators meet p only where the valuations above step up; those
+factors stay in the running product, so later terms come out multiples
+of p.  The ratios are the same integers at every prime, so the series are
+built once for a block of nearby primes (PrimeCtx.block), modulo the
+product M of their squares: the numerators run up in M, the factorials
+(k!)**e run down in M, and each prime reads its prefix with one C-level
+pass of % p**2 (none for a one-prime block, where M is p**2).  The
+block's bound on its largest prime keeps every k! a unit mod M.  _series builds the s block and _t_prefix the t block;
+_t_prefix runs only when T is evaluated, so a sweep that reads only S
+never builds t.  Each prefix is packed once per prime into an
+arith.PackedPoly, the baby-step/giant-step kernel that evaluates it at
+every point.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import mod, mul
 
 from .arith import PackedPoly, PrimeCtx, inv_mod
 
@@ -42,58 +54,69 @@ __all__ = [
 ]
 
 
+def _ratio_series(last: int, e: int, numerators: Iterable[int],
+                  modulus: int) -> list[int]:
+    """prod_{j <= k} numerators[j-1] / k!**e mod `modulus`, for
+    k = 0 .. last.  The factorials take one walk down,
+    D(k) = (last!/k!)**e from D(last) = 1, and one inverse: the walk up
+    through the numerators starts at 1/D(0), so the value at k is that
+    walk at k times D(k)."""
+    acc = 1
+    down = [1] + [acc := acc * c % modulus
+                  for c in map(pow, range(last, 0, -1), repeat(e))]
+    acc = pow(down.pop(), -1, modulus)  # 1/D(0); down keeps D(last..1)
+    return [1] + [(acc := acc * f % modulus) * d % modulus
+                  for f, d in zip(numerators, reversed(down))]
+
+
 @lru_cache(maxsize=1)
-def _series(ctx: PrimeCtx) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    """The series head: s(k) and t(k) mod p**2 for k = (p-1)/2 .. 0,
-    highest k first (as PackedPoly takes them), then the running numerator
-    prod_{j <= (p-1)/2} 4(4j-1)(4j-3) and ((p-1)/2)!, mod p**2, from which
-    _t_prefix continues t.  t(k) = prod_{j <= k} 4(4j-1)(4j-3) / k!**2 and
-    s(k) = t(k) (2k)!/k!**2; the denominators are units, and one modular
-    inverse of ((p-1)/2)! and a backward walk give every 1/k!.
-    """
-    p2, half = ctx.p2, ctx.half
-    nums, cents = [1], [1]  # prod 4(4j-1)(4j-3) and (2k)!/k!, k = 0..half
-    num = cent = fact = 1
-    for k in range(1, half + 1):
-        num = num * (4 * (4 * k - 1) * (4 * k - 3)) % p2
-        cent = cent * (4 * k - 2) % p2
-        fact = fact * k % p2
-        nums.append(num)
-        cents.append(cent)
-    inv = inv_mod(fact, p2)
-    s_out, t_out = [], []
-    for k in range(half, -1, -1):
-        t = nums[k] * inv * inv % p2
-        t_out.append(t)
-        s_out.append(t * cents[k] * inv % p2)
-        inv = inv * k % p2
-    return tuple(s_out), tuple(t_out), num, fact
+def _s_block(block: tuple[int, ...]) -> list[int]:
+    """s(k) for k = 0 .. (max-1)//2, modulo the product of the block's
+    squares."""
+    last = (block[-1] - 1) // 2
+    # 8(2k-1) * (4k-1) * (4k-3), k = 1 .. last
+    numerators = map(mul, map(mul, range(8, 16 * last, 16),
+                              range(3, 4 * last, 4)), range(1, 4 * last, 4))
+    return _ratio_series(last, 3, numerators, math.prod(block) ** 2)
+
+
+@lru_cache(maxsize=1)
+def _t_block(block: tuple[int, ...]) -> list[int]:
+    """t(k) for k = 0 .. (3*max-1)//4, modulo the product of the block's
+    squares."""
+    last = (3 * block[-1] - 1) // 4
+    # 4(4k-1) * (4k-3), k = 1 .. last
+    numerators = map(mul, range(12, 16 * last, 16), range(1, 4 * last, 4))
+    return _ratio_series(last, 2, numerators, math.prod(block) ** 2)
+
+
+def _prefix(values: list[int], n: int, ctx: PrimeCtx) -> tuple[int, ...]:
+    """The first n of a block's values, highest k first, mod p**2: a
+    one-prime block's values are already reduced."""
+    head = values[n - 1::-1]
+    if len(ctx.block) == 1:
+        return tuple(head)
+    return tuple(map(mod, head, repeat(ctx.p2)))
+
+
+@lru_cache(maxsize=1)
+def _series(ctx: PrimeCtx) -> tuple[int, ...]:
+    """s(k) mod p**2 for k = (p-1)/2 .. 0, highest k first (as PackedPoly
+    takes them), read from the s series of ctx's block."""
+    return _prefix(_s_block(ctx.block), ctx.half + 1, ctx)
 
 
 def _t_prefix(ctx: PrimeCtx) -> tuple[int, ...]:
-    """t(k) mod p**2 for k = (3p-1)//4 .. 0: the head of _series continued
-    to the end of t's nonzero prefix.  Uncached, and called only by t_poly,
-    so a sweep that never evaluates T never builds the tail.
-    """
-    _, head, num, fact = _series(ctx)
-    p2, lo, hi = ctx.p2, ctx.half + 1, (3 * ctx.p - 1) // 4
-    nums = []
-    for k in range(lo, hi + 1):
-        num = num * (4 * (4 * k - 1) * (4 * k - 3)) % p2
-        fact = fact * k % p2
-        nums.append(num)
-    inv = inv_mod(fact, p2)
-    tail = []
-    for k, num_k in zip(range(hi, lo - 1, -1), reversed(nums)):
-        tail.append(num_k * inv * inv % p2)
-        inv = inv * k % p2
-    return tuple(tail) + head
+    """t(k) mod p**2 for k = (3p-1)//4 .. 0, read from the t series of
+    ctx's block.  Uncached, and called only by t_poly, so a sweep that
+    never evaluates T never builds a t block."""
+    return _prefix(_t_block(ctx.block), (3 * ctx.p - 1) // 4 + 1, ctx)
 
 
 @lru_cache(maxsize=1)
 def central_poly(ctx: PrimeCtx) -> PackedPoly:
     """sum_k s(k) y**k mod p**2, packed for evaluation at many y."""
-    return PackedPoly(_series(ctx)[0], ctx.p2)
+    return PackedPoly(_series(ctx), ctx.p2)
 
 
 @lru_cache(maxsize=1)

@@ -14,7 +14,9 @@ already written go to stderr.  Conjecture failures are flagged as
 counterexample candidates but do not change the exit status.  For a fixed
 seed the report stream is byte-identical regardless of --workers, which is
 capped at the machine's CPU count (os.cpu_count()) and at the number of
-primes: asking for more starts no more processes.
+blocks of primes that verify_range hands out: asking for more starts no
+more processes.  A negative leading coefficient is written
+--cubic=-3,5,-7, since argparse reads a separate "-3,5,-7" as an option.
 """
 
 from __future__ import annotations
@@ -228,7 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tsub = pt.add_subparsers(dest="tool", required=True)
     tc = tsub.add_parser("charsum")
     tc.add_argument("--cubic", required=True,
-                    help="coefficients 'a,b,c' or '1,a,b,c'")
+                    help="coefficients 'a,b,c' or '1,a,b,c'; write "
+                         "--cubic=-3,5,-7 when the first one is negative")
     tc.add_argument("--p", type=int, required=True)
     td = tsub.add_parser("cornacchia")
     td.add_argument("--d", type=int, required=True)

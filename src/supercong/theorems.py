@@ -41,6 +41,7 @@ from .arith import (
     jacobi,
     primes_in,
     quad_char,
+    shares_block,
     sqrt_mod_p,
     sqrt_mod_p2,
 )
@@ -320,7 +321,7 @@ def _c21_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
 def _c22_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
     p = ctx.p
     # sum_{k <= [p/4]} s(k) y**k mod p
-    head = PackedPoly(binom._series(ctx)[0][-(ctx.qcap + 1):], p)
+    head = PackedPoly(binom._series(ctx)[-(ctx.qcap + 1):], p)
     return [Claim(f"implication m={m}", ("S", m), 0, ctx.p2, {"m": m})
             for m in _C22_TEST_SET
             if m % p and (m - 256) % p and head(inv_mod(m, p)) == 0]
@@ -705,12 +706,50 @@ def verify(spec: TheoremSpec | str, p: PrimeCtx | int,
     return reports
 
 
-def _eval_prime(args: tuple[tuple[str, ...], int, int]) -> list[VerdictReport]:
-    ids, p, seed = args
-    ctx = PrimeCtx(p)
+def _eval_prime(ids: tuple[str, ...], ctx: PrimeCtx,
+                seed: int) -> list[VerdictReport]:
     out: list[VerdictReport] = []
     for tid in ids:
         out.extend(verify(REGISTRY[tid], ctx, seed))
+    return out
+
+
+def _eval_block(args: tuple[tuple[str, ...], tuple[int, ...], int]
+                ) -> list[VerdictReport]:
+    ids, block, seed = args
+    return [r for p in block
+            for r in _eval_prime(ids, PrimeCtx(p, block), seed)]
+
+
+_BLOCK = 8  # at most this many primes share one series build
+
+
+def _blocks(primes: list[int], parts: int) -> list[tuple[int, ...]]:
+    """The ascending primes cut into runs of at most _BLOCK consecutive
+    primes whose ends pass shares_block: as few runs as make a multiple of
+    `parts` (one per prime if there are fewer primes), each as near an
+    even share of the primes left as the rest allows."""
+    n = len(primes)
+    # reach[i]: end of the longest run from primes[i]; need[i]: fewest
+    # runs over primes[i:], which the longest first run always attains
+    reach, j = [], 0
+    for i, lo in enumerate(primes):
+        j = max(j, i + 1)
+        while j < min(n, i + _BLOCK) and shares_block(lo, primes[j]):
+            j += 1
+        reach.append(j)
+    need = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        need[i] = need[reach[i]] + 1
+    out, i = [], 0
+    for left in range(min(n, -(-need[0] // parts) * parts), 0, -1):
+        # an even share, longer if the rest would need too many runs; at
+        # reach[i] the rest needs need[i] - 1 < left, so this stops there
+        size = min(-(-(n - i) // left), reach[i] - i)
+        while need[i + size] >= left:
+            size += 1
+        out.append(tuple(primes[i:i + size]))
+        i += size
     return out
 
 
@@ -719,8 +758,11 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     """Verdicts for every requested statement and every prime in
     [pmin, pmax], in ascending (p, id) order regardless of worker count.
 
-    At most min(os.cpu_count(), number of primes) processes start, whatever
-    `workers` asks for; the records do not depend on the count."""
+    The primes are cut into blocks that share their series builds, one
+    block per task; their number is a multiple of the worker count where
+    the primes allow.  At most min(os.cpu_count(), number of blocks)
+    processes start, whatever `workers` asks for; the records depend on
+    neither."""
     if pmin <= 3 or pmin > pmax:
         raise ValueError("need 3 < pmin <= pmax")
     id_list = tuple(sorted(set(ids)))
@@ -729,14 +771,18 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
             raise KeyError(f"unknown theorem id {tid!r}")
     if not id_list:
         return
-    tasks = [(id_list, p, seed) for p in primes_in(pmin, pmax)]
-    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    primes = primes_in(pmin, pmax)
+    workers = max(1, min(workers, os.cpu_count() or 1, len(primes)))
+    blocks = _blocks(primes, workers)
+    workers = min(workers, len(blocks))
     if workers <= 1:
-        for task in tasks:
-            yield from _eval_prime(task)
+        for block in blocks:
+            for p in block:
+                yield from _eval_prime(id_list, PrimeCtx(p, block), seed)
         return
+    tasks = [(id_list, block, seed) for block in blocks]
     with multiprocessing.Pool(workers) as pool:
-        for reports in pool.imap(_eval_prime, tasks, chunksize=1):
+        for reports in pool.imap(_eval_block, tasks, chunksize=1):
             yield from reports
 
 

@@ -27,6 +27,18 @@ def test_prime_ctx_rejects_non_primes_and_small(bad):
         PrimeCtx(bad)
 
 
+def test_prime_ctx_block():
+    """A block defaults to (p,), must hold p, strictly ascend and keep
+    (3*max - 1)//4 < min, and leaves equality and hashing alone."""
+    assert PrimeCtx(11).block == (11,)
+    ctx = PrimeCtx(13, (11, 13))
+    assert ctx.block == (11, 13)
+    assert ctx == PrimeCtx(13) and hash(ctx) == hash(PrimeCtx(13))
+    for block in ((11,), (13, 11), (11, 13, 13), (11, 13, 17)):
+        with pytest.raises(ValueError):
+            PrimeCtx(13, block)
+
+
 def test_prime_ctx_accepts_large_prime():
     ctx = PrimeCtx(2**31 - 1)
     assert ctx.p2 == (2**31 - 1) ** 2

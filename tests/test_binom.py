@@ -99,7 +99,7 @@ def test_central_term_examples():
 def central_series(ctx):
     """Residues mod p**2 of (4k)!/k!**4 for k = 0..p-1, from the stored
     prefix padded with the zeros past k = (p-1)/2."""
-    prefix = binom._series(ctx)[0]
+    prefix = binom._series(ctx)
     return prefix[::-1] + (0,) * (ctx.p - len(prefix))
 
 
@@ -111,31 +111,91 @@ def t_series(ctx):
 
 
 def _prefixes(ctx):
-    """The s prefix, t's head and t's full prefix, highest k first, and the
-    head's running numerator product and ((p-1)/2)! mod p**2."""
-    s_prefix, t_head, num, fact = binom._series(ctx)
-    return s_prefix, t_head, binom._t_prefix(ctx), num, fact
+    """The s and t prefixes of ctx's block build, highest k first.  The
+    per-prime cache of _series keys on p alone, so it is bypassed: a ctx
+    with another block must run its own build."""
+    return binom._series.__wrapped__(ctx), binom._t_prefix(ctx)
 
 
 def test_series_agree_with_factorial_route():
     """Every prime < 200, so both residues of p mod 4 pin where the stored
-    prefixes stop: v_p(s(k)) = [4k/p] and v_p(t(k)) = [4k/p] - [2k/p].
-    The head ends at k = (p-1)/2 and the tail continues it."""
+    prefixes stop: v_p(s(k)) = [4k/p] and v_p(t(k)) = [4k/p] - [2k/p]."""
     for p in primes_in(5, 199):
         ctx = PrimeCtx(p)
-        s_prefix, t_head, t_prefix, num, fact = _prefixes(ctx)
-        half = (p - 1) // 2
-        assert len(s_prefix) == len(t_head) == half + 1
+        s_prefix, t_prefix = _prefixes(ctx)
+        assert len(s_prefix) == (p - 1) // 2 + 1
         assert len(t_prefix) == (3 * p - 1) // 4 + 1
-        assert t_prefix[-len(t_head):] == t_head
-        assert fact == math.factorial(half) % ctx.p2
-        assert num == math.prod(4 * (4 * j - 1) * (4 * j - 3)
-                                for j in range(1, half + 1)) % ctx.p2
-        cs, ts = central_series(ctx), t_series(ctx)
-        assert len(cs) == len(ts) == p
-        for k in range(p):
-            assert cs[k] == central_term(k, ctx).residue()
-            assert ts[k] == t_term(k, ctx).residue()
+        for k, (s, t) in enumerate(zip(s_prefix[::-1], t_prefix[::-1])):
+            assert s == central_term(k, ctx).residue()
+            assert t == t_term(k, ctx).residue()
+        for k in range(len(s_prefix), len(t_prefix)):
+            assert t_prefix[-1 - k] == t_term(k, ctx).residue()
+
+
+def _tiles(primes, size):
+    """The primes cut greedily into runs of at most `size` that PrimeCtx
+    takes as blocks."""
+    out, i = [], 0
+    while i < len(primes):
+        j = i + 1
+        while j < min(len(primes), i + size) \
+                and (3 * primes[j] - 1) // 4 < primes[i]:
+            j += 1
+        out.append(tuple(primes[i:j]))
+        i = j
+    return out
+
+
+def test_block_series_match_one_prime_build():
+    """For every prime < 3000 and every block size 1..8 (smaller where the
+    bound on a block's largest prime cuts it short), the prefixes read
+    from the block's build are the one-prime build's."""
+    primes = primes_in(5, 2999)
+    one = {p: _prefixes(PrimeCtx(p)) for p in primes}
+    sizes = set()
+    for size in range(2, 9):
+        for block in _tiles(primes, size):
+            sizes.add(len(block))
+            for p in block:
+                assert _prefixes(PrimeCtx(p, block)) == one[p], (p, block)
+    assert sizes == set(range(1, 9))
+
+
+def _factorial_route(ctx):
+    """The s and t prefixes, highest k first, from one table F(n) of n!
+    with its factors p removed, mod p**2, for n <= 3p - 1 (so p and 2p
+    give 1 and 2): s(k) = p**[4k >= p] F(4k) / F(k)**4 and
+    t(k) = p**([4k/p] - [2k/p]) F(4k) / (F(2k) F(k)**2)."""
+    p, p2 = ctx.p, ctx.p2
+    table = [1]
+    for n in range(1, 3 * p):
+        table.append(table[-1] * (n // p if n % p == 0 else n) % p2)
+    inv = [pow(f, -1, p2) for f in table[:(3 * p + 3) // 2]]
+    s = [p ** (4 * k >= p) * table[4 * k] * inv[k] ** 4 % p2
+         for k in range((p - 1) // 2 + 1)]
+    t = [p ** (4 * k // p - 2 * k // p) * table[4 * k] * inv[2 * k]
+         * inv[k] ** 2 % p2 for k in range((3 * p - 1) // 4 + 1)]
+    return tuple(s[::-1]), tuple(t[::-1])
+
+
+@pytest.mark.parametrize("block", [(100003, 100019), (99991,)])
+def test_large_p_sums_match_factorial_route(block):
+    """Two consecutive primes near 10**5 built as one block, and a
+    one-prime block: the prefixes, and S and T at seeded points by Horner
+    on the factorial route's coefficients."""
+    for p in block:
+        ctx = PrimeCtx(p, block)
+        for cached in (binom._series, binom.central_poly, binom.t_poly):
+            cached.cache_clear()
+        s, t = _factorial_route(ctx)
+        assert _prefixes(ctx) == (s, t)
+        rng = random.Random(p)
+        for _ in range(3):
+            m = rng.randrange(1, ctx.p2)
+            if m % p:
+                assert sum_S(m, ctx) == horner(s, inv_mod(m, ctx.p2), ctx.p2)
+            x = rng.randrange(ctx.p2)
+            assert sum_T(x, ctx) == horner(t, x, ctx.p2)
 
 
 def test_valuation_truncation():
@@ -250,7 +310,7 @@ def test_horner_matches_power_sum_loop():
     rng = random.Random(3)
     for p in primes_in(5, 299):
         ctx = PrimeCtx(p)
-        s_prefix, _, t_prefix, _, _ = _prefixes(ctx)
+        s_prefix, t_prefix = _prefixes(ctx)
         ys = (0, 1, p, ctx.p2 - 1, rng.randrange(ctx.p2),
               rng.randrange(ctx.p2))
         for mod in (p, ctx.p2):

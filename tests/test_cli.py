@@ -6,7 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+from supercong.arith import PrimeCtx
 from supercong.cli import RunConfig, cmd_sum, cmd_verify, main
+from supercong.curves import char_sum
 from supercong.theorems import REGISTRY, verify_range
 from test_theorems import from_record
 
@@ -39,6 +41,18 @@ def test_tools_charsum():
     code, _, err = run_cli("tools", "charsum", "--cubic", "2,21,112,0",
                            "--p", "11")
     assert code == 2 and "leading" in err
+
+
+def test_tools_charsum_negative_leading_coefficient():
+    """A value that starts with '-' reads as an option unless it is joined
+    to --cubic by '='."""
+    code, out, _ = run_cli("tools", "charsum", "--cubic=-3,5,-7",
+                           "--p", "101")
+    assert (code, out.strip()) == (0, str(char_sum(-3, 5, -7,
+                                                   PrimeCtx(101))))
+    code, _, _ = run_cli("tools", "charsum", "--cubic", "-3,5,-7",
+                         "--p", "101")
+    assert code == 2
 
 
 def test_sum_command():

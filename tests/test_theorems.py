@@ -23,6 +23,7 @@ from supercong.theorems import (
     verify,
     verify_range,
 )
+from test_binom import _tiles
 
 
 def from_record(rec: dict) -> VerdictReport:
@@ -285,7 +286,7 @@ def test_worker_count_is_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 64)
     two = list(verify_range(["RV256"], 5, 7, workers=64))
     assert two == list(verify_range(["RV256"], 5, 7, workers=1))
-    assert sizes == [2, 2]  # one process per prime, not 64
+    assert sizes == [2, 2]  # one process per block (5 and 7), not 64
     one = list(verify_range(ids, 11, 12, workers=64))
     assert one == list(verify_range(ids, 11, 12, workers=1))
     assert sizes == [2, 2]  # a one-prime range starts no pool
@@ -297,16 +298,41 @@ def test_conjectures_have_no_candidates_to_300():
 
 
 def test_conjecture_sweep_never_builds_t_tail(monkeypatch):
-    """The conjectures read only S, so t is never continued past the head
-    that S is built from."""
+    """The conjectures read only S, so no t block is ever built, nor any
+    prime's t prefix read from one."""
     expected = list(verify_range(CONJECTURE_IDS, 5, 300))
     binom.t_poly.cache_clear()
+    binom._t_block.cache_clear()
 
-    def tail(ctx):
-        raise AssertionError(f"t's tail built at p = {ctx.p}")
+    def tail(arg):
+        raise AssertionError(f"t built for {arg}")
 
     monkeypatch.setattr(binom, "_t_prefix", tail)
+    monkeypatch.setattr(binom, "_t_block", tail)
     assert list(verify_range(CONJECTURE_IDS, 5, 300)) == expected
+
+
+def test_blocks_cover_the_primes_in_valid_runs():
+    """Every prime once, in order, in runs PrimeCtx accepts; the fewest
+    runs for one worker, a multiple of the worker count for more, and
+    near-equal sizes where the bound allows."""
+    for lo, hi in ((5, 4000), (5, 80), (19900, 20100), (11, 12), (8, 10)):
+        primes = primes_in(lo, hi)
+        for parts in (1, 2, 3):
+            blocks = theorems._blocks(primes, parts)
+            assert [p for b in blocks for p in b] == primes
+            for block in blocks:
+                assert 1 <= len(block) <= 8
+                for p in block:
+                    PrimeCtx(p, block)
+            if parts == 1:  # greedy runs are the fewest
+                assert len(blocks) == len(_tiles(primes, 8))
+            elif len(primes) >= parts:
+                assert len(blocks) % parts == 0 or \
+                    len(blocks) == len(primes), (lo, hi, parts)
+    near = primes_in(19900, 20100)
+    assert [len(b) for b in theorems._blocks(near, 2)] == [6, 5, 5, 5]
+    assert [len(b) for b in theorems._blocks(near, 1)] == [7, 7, 7]
 
 
 def test_record_round_trip():
@@ -340,7 +366,8 @@ def _module_caches():
 
 def test_sweep_keeps_one_prime_of_tables():
     """After a whole-registry sweep and the consistency checks, each
-    per-prime cache holds one entry at most."""
+    per-prime cache holds one entry at most, and each block cache one
+    block."""
     list(verify_range(ALL_IDS, 5, 200))
     for p in (193, 197, 199):
         ctx = PrimeCtx(p)
@@ -353,7 +380,8 @@ def test_sweep_keeps_one_prime_of_tables():
                 ishii_char_sum(tid, root, ctx)
     caches = _module_caches()
     assert sorted(caches) == [
-        "binom._series", "binom.central_poly", "binom.t_poly",
+        "binom._s_block", "binom._series", "binom._t_block",
+        "binom.central_poly", "binom.t_poly",
         "curves._chi_table", "curves._euler_table",
         "legendre._legendre_poly", "theorems._t_roots"]
     for name, cached in caches.items():
