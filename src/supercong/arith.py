@@ -14,6 +14,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import add, lshift, mul
 
 __all__ = [
     "PackedPoly",
@@ -122,22 +123,40 @@ def inv_mod(a: int, m: int) -> int:
                          f"(gcd = {math.gcd(a, m)})") from None
 
 
-def _lane_width(b: int, mod: int) -> int:
-    """Bytes W per lane, with 8W > bitlen(b * (mod-1)**2)."""
-    return (b * (mod - 1) ** 2).bit_length() // 8 + 1
+_LIMB = 2**64 - 1
+
+
+def _layout(n: int, mod: int) -> tuple[int, int]:
+    """Columns b and lane width W in bytes for n coefficients mod `mod`.
+
+    A lane must hold b * (mod-1)**2.  Where a 64-bit limb holds it for a b
+    of at least isqrt(n)/4, b is capped there and W = 8: one limb a lane.
+    (Below that, the Horner steps a smaller b adds cost more than one-limb
+    lanes save: the measured break-even is near isqrt(n)/4.7.)  Otherwise
+    b = isqrt(n) and W is the fewest bytes with 8W > bitlen(b*(mod-1)**2).
+    """
+    b = max(1, math.isqrt(n))
+    cap = _LIMB // max(1, (mod - 1) ** 2)
+    if 4 * cap >= b:
+        return min(b, cap), 8
+    return b, (b * (mod - 1) ** 2).bit_length() // 8 + 1
 
 
 class PackedPoly:
     """A polynomial mod `mod` (coefficients highest degree first), packed
     for evaluation at many points by baby steps and giant steps.
 
-    With n coefficients a[j] (of y**j), b = isqrt(n) and g = ceil(n/b),
-    column i < b packs a[s*b+i] for s < g into one int, one W-byte lane per
-    s.  A call adds column i times y**i mod `mod` over all i, which puts
-    block s's sum over i of a[s*b+i] y**i in lane s, then runs g Horner
-    steps in y**b over the lanes: O(b + g) interpreter steps per point, the
-    n products run inside big-int multiplies.  A lane holds at most
-    b*(mod-1)**2 and 8W > bitlen(b*(mod-1)**2), so no lane carries.
+    With n coefficients a[j] (of y**j), b columns and W-byte lanes (see
+    _layout) and g = ceil(n/b), column i < b packs a[s*b+i] for s < g into
+    one int, block s in lane g-1-s, so the highest block is the lowest
+    lane.  A call adds column i times y**i mod `mod` over all i, which puts
+    block s's sum over i of a[s*b+i] y**i in its lane; one array('Q') call
+    then reads every lane, and g Horner steps in y**b run over them as
+    plain ints: O(b + g) interpreter steps per point, the n products run
+    inside big-int multiplies.  A lane holds at most b*(mod-1)**2 <
+    2**(8W), so no lane carries.  One-limb lanes (W = 8) are read as they
+    are; wider lanes are first spread to whole limbs by W strided slice
+    copies, and a lane's limbs joined by C-level maps.
     The columns are cut from one buffer of b*g W-byte lanes: limb j (64
     bits) of all coefficients is converted by one array('Q') call, and
     strided slices copy its low min(8, W-8j) bytes into every lane.
@@ -147,18 +166,17 @@ class PackedPoly:
 
     def __init__(self, coeffs: Sequence[int], mod: int) -> None:
         n = len(coeffs)
-        b = max(1, math.isqrt(n))
+        b, width = _layout(n, mod)
         g = -(-n // b)
-        width = _lane_width(b, mod)
-        asc = [c % mod for c in reversed(coeffs)] + [0] * (b * g - n)
+        desc = [0] * (b * g - n) + [c % mod for c in coeffs]
         cells = []
-        for i in range(b):
-            cells += asc[i::b]
+        for i in range(b - 1, -1, -1):
+            cells += desc[i::b]
         buf = bytearray(b * g * width)
         nlimbs = -(-(mod - 1).bit_length() // 64)
         for j in range(nlimbs):
             limbs = array("Q", cells if nlimbs == 1 else map(int.__and__, map(
-                int.__rshift__, cells, repeat(64 * j)), repeat(2**64 - 1)))
+                int.__rshift__, cells, repeat(64 * j)), repeat(_LIMB)))
             if sys.byteorder == "big":
                 limbs.byteswap()
             raw = limbs.tobytes()
@@ -176,12 +194,23 @@ class PackedPoly:
         for i in range(1, self.b):
             baby[i] = baby[i - 1] * y % mod
         big = baby[-1] * y % mod  # y**b
-        lanes = sum(map(int.__mul__, self.cols, baby)).to_bytes(
-            self.g * width, "big")  # highest block first
-        from_bytes = int.from_bytes
+        raw = sum(map(mul, self.cols, baby)).to_bytes(self.g * width,
+                                                      "little")
+        nl = -(-width // 8)  # limbs per lane
+        if width % 8:
+            buf = bytearray(8 * nl * self.g)
+            for r in range(width):
+                buf[r::8 * nl] = raw[r::width]
+            raw = buf
+        limbs = array("Q", raw)
+        if sys.byteorder == "big":
+            limbs.byteswap()
+        lanes = limbs[nl - 1::nl] if nl > 1 else limbs  # highest block first
+        for j in range(nl - 2, -1, -1):
+            lanes = map(add, map(lshift, lanes, repeat(64)), limbs[j::nl])
         acc = 0
-        for o in range(0, len(lanes), width):
-            acc = (acc * big + from_bytes(lanes[o:o + width], "big")) % mod
+        for v in lanes:
+            acc = (acc * big + v) % mod
         return acc
 
 

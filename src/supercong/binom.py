@@ -28,11 +28,11 @@ built once for a block of nearby primes (PrimeCtx.block), modulo the
 product M of their squares: the numerators run up in M, the factorials
 (k!)**e run down in M, and each prime reads its prefix with one C-level
 pass of % p**2 (none for a one-prime block, where M is p**2).  The
-block's bound on its largest prime keeps every k! a unit mod M.  _series builds the s block and _t_prefix the t block;
-_t_prefix runs only when T is evaluated, so a sweep that reads only S
-never builds t.  Each prefix is packed once per prime into an
-arith.PackedPoly, the baby-step/giant-step kernel that evaluates it at
-every point.
+block's bound on its largest prime keeps every k! a unit mod M.  _series
+builds the s block and _t_prefix the t block; _t_prefix runs only when T
+is evaluated, so a sweep that reads only S never builds t.  Each prefix
+is packed once per prime into an arith.PackedPoly, the
+baby-step/giant-step kernel that evaluates it at every point.
 """
 
 from __future__ import annotations

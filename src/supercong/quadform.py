@@ -43,14 +43,14 @@ def cornacchia(d: int, p: int) -> tuple[int, int] | None:
     """
     if d < 1:
         raise ValueError("d must be positive")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if d % p == 0:
-        raise ValueError("p must not divide d")
     if p <= 3 or d >= p:
         # Tiny p, or y forced to 0: settle directly.
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if d % p == 0:
+            raise ValueError("p must not divide d")
         return represent(d, p)
-    ctx = PrimeCtx(p)
+    ctx = PrimeCtx(p)  # validates p; 0 < d < p, so p does not divide d
     roots = sqrt_mod_p(-d % p, ctx)
     if not roots:
         return None

@@ -337,22 +337,24 @@ def test_packed_poly_edge_shapes(mod):
 
 def _to_bytes_cols(coeffs, mod):
     """PackedPoly's columns built with one to_bytes per coefficient: the
-    reference for its buffer packing."""
+    reference for its buffer packing.  Column i holds a[s*b+i] in lane
+    g-1-s, so the highest block is the lowest lane."""
     n = len(coeffs)
-    b = max(1, math.isqrt(n))
+    b, width = arith._layout(n, mod)
     g = -(-n // b)
-    width = arith._lane_width(b, mod)
     asc = [c % mod for c in reversed(coeffs)] + [0] * (b * g - n)
     return tuple(int.from_bytes(b"".join(c.to_bytes(width, "little")
-                                         for c in asc[i::b]), "little")
+                                         for c in reversed(asc[i::b])),
+                                "little")
                  for i in range(b))
 
 
 @pytest.mark.parametrize("mod", [7, 121, 65521, 2**61 - 1, (2**61 - 1) ** 2,
                                  10**40 + 1])
 def test_packed_columns_match_to_bytes_packer(mod):
-    """One limb (mod <= 2**64), two and three limbs; lanes narrower and
-    wider than a limb; coefficients outside 0..mod-1."""
+    """One limb (mod <= 2**64), two and three limbs; one-limb lanes, and
+    tight lanes of whole and of part limbs; coefficients outside
+    0..mod-1."""
     rng = random.Random(mod)
     edges = (-1, mod, 2 * mod - 1, 0, mod - 1)
     for b in (1, 2, 3, 7):
@@ -364,22 +366,79 @@ def test_packed_columns_match_to_bytes_packer(mod):
                 assert PackedPoly(desc, mod).cols == _to_bytes_cols(desc, mod)
 
 
-@pytest.mark.parametrize("mod,n", [(121, 401), (65521, 51), (121**2, 101),
-                                   (2**61 - 1, 401)])
-def test_packed_lane_width_is_needed(mod, n, monkeypatch):
-    """All coefficients mod-1 at y = mod-1 fill each lane to about half the
-    bound b * (mod-1)**2.  At these shapes that needs the lane's top byte:
-    one byte less gives a wrong value or no room for the packed sum."""
+def _limb_overflow_columns(mod):
+    """The fewest columns whose lanes pass a limb when every coefficient is
+    mod-1 and y = mod-1, whose powers alternate 1, mod-1: the lanes fill
+    to about half of b * (mod-1)**2, so this is about twice the cap."""
+    b = 1
+    while (mod - 1) * ((b + 1) // 2 + b // 2 * (mod - 1)) <= arith._LIMB:
+        b += 1
+    return b
+
+
+@pytest.mark.parametrize("case,mod,n", [
+    ("columns-past-limb", 19997**2, (3 * 19997 - 1) // 4 + 1),
+    ("byte-under-tight", 100003**2, 50002),
+    ("byte-under-tight", 2**61 - 1, 401),
+])
+def test_packed_lane_width_is_needed(case, mod, n, monkeypatch):
+    """All coefficients mod-1 at y = mod-1.  A one-limb layout caps b at
+    the largest b with b * (mod-1)**2 < 2**64 (at T's prefix for
+    p = 19997 the cap binds), and columns enough to pass a limb give a
+    wrong value; a tight lane one byte narrower gives a wrong value or no
+    room for the packed sum."""
     desc, y = [mod - 1] * n, mod - 1
     ref = horner(desc, y, mod)
     assert PackedPoly(desc, mod)(y) == ref
-    width = arith._lane_width
-    monkeypatch.setattr(arith, "_lane_width", lambda b, m: width(b, m) - 1)
+    b, width = arith._layout(n, mod)
+    if case == "columns-past-limb":
+        assert width == 8 and b < math.isqrt(n)
+        assert b * (mod - 1) ** 2 <= arith._LIMB < (b + 1) * (mod - 1) ** 2
+        mutant = (_limb_overflow_columns(mod), 8)
+    else:
+        assert width > 8 and b == math.isqrt(n)
+        mutant = (b, width - 1)
+    monkeypatch.setattr(arith, "_layout", lambda n, m: mutant)
     try:
         narrow = PackedPoly(desc, mod)(y)
     except OverflowError:
         narrow = None
     assert narrow != ref
+
+
+_PREFIX_LEN = {"S": lambda p: (p - 1) // 2 + 1,
+               "T": lambda p: (3 * p - 1) // 4 + 1}
+
+
+def _layout_switches(prefix_len):
+    """Consecutive primes either side of each change of layout for a
+    prefix of prefix_len(p) coefficients mod p**2: where the limb cap
+    starts to bind, and where one-limb lanes give way to tight ones."""
+    def kind(p):
+        n = prefix_len(p)
+        b, width = arith._layout(n, p * p)
+        if width > 8:
+            return "tight"
+        return "capped" if b < math.isqrt(n) else "whole"
+    primes = primes_in(10000, 40000)
+    return sorted({q for lo, hi in zip(primes, primes[1:])
+                   if kind(lo) != kind(hi) for q in (lo, hi)})
+
+
+@pytest.mark.parametrize("series", ["S", "T"])
+def test_packed_layout_boundaries(series):
+    """S's and T's prefixes against Horner at seeded points, at the primes
+    either side of each layout switch (found from _layout), and at 65521
+    and 65537, where (p**2 - 1)**2 passes 2**64."""
+    switches = _layout_switches(_PREFIX_LEN[series])
+    assert len(switches) == 4
+    for p in switches + [65521, 65537]:
+        ctx = PrimeCtx(p)
+        coeffs = _prefixes(ctx)["ST".index(series)]
+        assert len(coeffs) == _PREFIX_LEN[series](p)
+        rng = random.Random(p)
+        _assert_kernels_agree(coeffs, (ctx.p2 - 1, rng.randrange(ctx.p2),
+                                       rng.randrange(ctx.p2)), ctx.p2)
 
 
 def test_packed_lane_width_follows_the_modulus():

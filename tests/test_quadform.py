@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from supercong.arith import primes_in
+from supercong import arith, quadform
+from supercong.arith import is_prime, primes_in
 from supercong.quadform import cornacchia, normalize, represent
 
 THEOREM_D_SET = (2, 5, 6, 7, 9, 10, 13, 18, 22, 25, 29, 37, 58)
@@ -22,6 +23,22 @@ def test_cornacchia_validation():
         cornacchia(0, 11)
     with pytest.raises(ValueError):
         cornacchia(22, 11)  # p divides d
+
+
+def test_cornacchia_tests_primality_once(monkeypatch):
+    """p is tested once: PrimeCtx validates it on the Euclidean path."""
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(quadform, "is_prime", counted)
+    assert cornacchia(7, 10007) == represent(7, 10007)
+    assert calls == [10007]
+    with pytest.raises(ValueError):
+        cornacchia(7, 10)
 
 
 def test_cornacchia_soundness_random():
