@@ -26,13 +26,14 @@ factors stay in the running product, so later terms come out multiples
 of p.  The ratios are the same integers at every prime, so the series are
 built once for a block of nearby primes (PrimeCtx.block), modulo the
 product M of their squares: the numerators run up in M, the factorials
-(k!)**e run down in M, and each prime reads its prefix with one C-level
-pass of % p**2 (none for a one-prime block, where M is p**2).  The
-block's bound on its largest prime keeps every k! a unit mod M.  _series
-builds the s block and _t_prefix the t block; _t_prefix runs only when T
-is evaluated, so a sweep that reads only S never builds t.  Each prefix
-is packed once per prime into an arith.PackedPoly, the
-baby-step/giant-step kernel that evaluates it at every point.
+(k!)**e run down in M, and each prime reads its prefix as a slice of the
+block's values, still modulo M.  The block's bound on its largest prime
+keeps every k! a unit mod M.  _series reads the s block and _t_prefix
+the t block; _t_prefix runs only when T is evaluated, so a sweep that
+reads only S never builds t.  Each prefix is packed once per prime into
+an arith.PackedPoly, the baby-step/giant-step kernel that evaluates it
+at every point; packing reduces each value mod p**2 (or mod p, for
+C2.2's head: p divides M too), the one reduction a value takes.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import mod, mul
+from operator import mul
 
 from .arith import PackedPoly, PrimeCtx, inv_mod
 
@@ -90,27 +91,20 @@ def _t_block(block: tuple[int, ...]) -> list[int]:
     return _ratio_series(last, 2, numerators, math.prod(block) ** 2)
 
 
-def _prefix(values: list[int], n: int, ctx: PrimeCtx) -> tuple[int, ...]:
-    """The first n of a block's values, highest k first, mod p**2: a
-    one-prime block's values are already reduced."""
-    head = values[n - 1::-1]
-    if len(ctx.block) == 1:
-        return tuple(head)
-    return tuple(map(mod, head, repeat(ctx.p2)))
-
-
 @lru_cache(maxsize=1)
 def _series(ctx: PrimeCtx) -> tuple[int, ...]:
-    """s(k) mod p**2 for k = (p-1)/2 .. 0, highest k first (as PackedPoly
-    takes them), read from the s series of ctx's block."""
-    return _prefix(_s_block(ctx.block), ctx.half + 1, ctx)
+    """s(k) for k = (p-1)/2 .. 0, highest k first (as PackedPoly takes
+    them), modulo the block's modulus: read from the s series of ctx's
+    block."""
+    return tuple(_s_block(ctx.block)[ctx.half::-1])
 
 
 def _t_prefix(ctx: PrimeCtx) -> tuple[int, ...]:
-    """t(k) mod p**2 for k = (3p-1)//4 .. 0, read from the t series of
-    ctx's block.  Uncached, and called only by t_poly, so a sweep that
-    never evaluates T never builds a t block."""
-    return _prefix(_t_block(ctx.block), (3 * ctx.p - 1) // 4 + 1, ctx)
+    """t(k) for k = (3p-1)//4 .. 0, highest k first, modulo the block's
+    modulus: read from the t series of ctx's block.  Uncached, and called
+    only by t_poly, so a sweep that never evaluates T never builds a t
+    block."""
+    return tuple(_t_block(ctx.block)[(3 * ctx.p - 1) // 4::-1])
 
 
 @lru_cache(maxsize=1)

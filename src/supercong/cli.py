@@ -114,18 +114,14 @@ def cmd_verify(config: RunConfig, out=None) -> int:
         "primes": f"{config.pmin}..{config.pmax}",
         "format": config.fmt,
     }
-    writer = None
     if config.fmt == "jsonl":
         out.write(json.dumps(header, separators=(",", ":")) + "\n")
-    elif config.fmt == "csv":
+    else:  # csv and text open with the same comment line
         out.write(f"# seed={config.seed} theorems={','.join(config.theorems)} "
                   f"primes={config.pmin}..{config.pmax}\n")
+    if config.fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)
-    else:
-        out.write(f"# seed={config.seed} "
-                  f"theorems={','.join(config.theorems)} "
-                  f"primes={config.pmin}..{config.pmax}\n")
     checked = failures = candidates = 0
     error = False
     stream = verify_range(config.theorems, config.pmin, config.pmax,

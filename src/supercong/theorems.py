@@ -5,12 +5,18 @@ function that lists, at one prime, the congruences to check.  A Claim
 names its left side by a request -- S(m), the s series at a raw point,
 T(x) or P_[p/4](t) -- and carries the right side, the modulus p or p**2
 and the quadratic-form witnesses.  The default claims function reads the
-spec's ordered branch table (congruence-class predicate -> witnesses ->
-expected residue of S(m)); the sampled statements draw their claims from
-an rng seeded per statement and prime.  verify is the one interpreter of
-claims: it evaluates the requests and builds the VerdictReport records.
-verify_range sweeps a prime interval, optionally fanning out across
-worker processes with a deterministic ordered merge.
+spec's branch table (predicate on p -> witnesses -> expected residue of
+S(m)); most predicates are congruence classes of p, and _classes builds
+such a branch's label and predicate from one tuple.  Exactly one branch
+must hold at every applicable, non-excluded prime: a gap or an overlap in
+the table is an engine error (RuntimeError), never a record.  A witness
+builder returns None where its form does not represent p, and the claim
+then records a missing representation, a failure.  The sampled
+statements draw their claims from an rng seeded per statement and prime.
+verify is the one interpreter of claims: it evaluates the requests and
+builds the VerdictReport records.  verify_range sweeps a prime interval,
+optionally fanning out across worker processes with a deterministic
+ordered merge.
 
 Failures of proven statements are genuine failures; failures of
 conjecture-kind statements are downgraded to counterexample candidates by
@@ -55,7 +61,6 @@ __all__ = [
     "CONJECTURE_IDS",
     "ISHII_CURVES",
     "Claim",
-    "MissingRepresentationError",
     "PROVEN_IDS",
     "REGISTRY",
     "SUM_ARGUMENTS",
@@ -67,10 +72,6 @@ __all__ = [
     "verify",
     "verify_range",
 ]
-
-
-class MissingRepresentationError(RuntimeError):
-    """A branch demanded a quadratic-form witness that does not exist."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class Branch:
     label: str
     holds: Callable[[int], bool]
     mod_exp: int = 2
-    witnesses: Callable[[PrimeCtx], dict[str, int]] = lambda ctx: {}
+    witnesses: Callable[[PrimeCtx], dict[str, int] | None] = lambda ctx: {}
     rhs: Callable[[PrimeCtx, dict[str, int]], int] = lambda ctx, w: 0
 
 
@@ -131,36 +132,40 @@ class Claim(NamedTuple):
     applicable: bool = True
 
 
-def _match_branch(spec: "TheoremSpec", p: int) -> Branch | None:
+def _match_branch(spec: "TheoremSpec", p: int) -> Branch:
     hits = [b for b in spec.branches if b.holds(p)]
+    if not hits:
+        raise RuntimeError(
+            f"{spec.id}: branch predicates leave p = {p} uncovered")
     if len(hits) > 1:
         raise RuntimeError(
             f"{spec.id}: branch predicates overlap at p = {p}: "
             f"{[b.label for b in hits]}")
-    return hits[0] if hits else None
+    return hits[0]
 
 
 def _branch_claims(spec: "TheoremSpec", ctx: PrimeCtx, seed: int,
                    request: tuple | None = None) -> list[Claim]:
     """The default claims: the one branch that holds at p, as a claim on
-    S(m) unless another request is given; none when no branch holds."""
+    S(m) unless another request is given."""
     branch = _match_branch(spec, ctx.p)
-    if branch is None:
-        return []
-    try:
-        wit = branch.witnesses(ctx)
-    except MissingRepresentationError:
+    wit = branch.witnesses(ctx)
+    if wit is None:
         return [Claim(f"{branch.label}; missing representation")]
     return [Claim(branch.label, request or ("S", spec.m),
                   branch.rhs(ctx, wit),
                   ctx.p if branch.mod_exp == 1 else ctx.p2, wit)]
 
 
+def _always(p: int) -> bool:
+    return True
+
+
 @dataclass(frozen=True)
 class TheoremSpec:
     id: str
     kind: str  # "proven" | "conjecture"
-    applies: Callable[[int], bool]
+    applies: Callable[[int], bool] = _always
     m: int | None = None
     excluded: frozenset[int] = frozenset()
     branches: tuple[Branch, ...] = ()
@@ -169,15 +174,15 @@ class TheoremSpec:
 
 
 # ---------------------------------------------------------------------------
-# witness builders and right-hand sides
+# witness builders (None where the form does not represent p) and
+# right-hand sides
 
 def _form_wit(d: int, names: tuple[str, str] = ("x", "y"),
               convention: str | None = None):
-    def build(ctx: PrimeCtx) -> dict[str, int]:
+    def build(ctx: PrimeCtx) -> dict[str, int] | None:
         rep = cornacchia(d, ctx.p)
         if rep is None:
-            raise MissingRepresentationError(
-                f"p = {ctx.p} has no representation x^2 + {d} y^2")
+            return None
         if convention is not None:
             rep = normalize(rep, convention)
         return dict(zip(names, rep))
@@ -185,54 +190,40 @@ def _form_wit(d: int, names: tuple[str, str] = ("x", "y"),
     return build
 
 
-def _form2_wit(b: int):
-    def build(ctx: PrimeCtx) -> dict[str, int]:
-        xy = represent(b, ctx.p, a=2)
-        if xy is None:
-            raise MissingRepresentationError(
-                f"p = {ctx.p} has no representation 2 x^2 + {b} y^2")
-        return {"x": xy[0], "y": xy[1]}
+def _search_wit(d: int, a: int = 1, scale: int = 1):
+    """x, y with a x^2 + d y^2 = scale * p, by exhaustive search."""
+    def build(ctx: PrimeCtx) -> dict[str, int] | None:
+        xy = represent(d, scale * ctx.p, a=a)
+        return None if xy is None else {"x": xy[0], "y": xy[1]}
 
     return build
 
 
-def _twop_wit(d: int):
-    def build(ctx: PrimeCtx) -> dict[str, int]:
-        xy = represent(d, 2 * ctx.p)
-        if xy is None:
-            raise MissingRepresentationError(
-                f"2p = {2 * ctx.p} has no representation x^2 + {d} y^2")
-        return {"x": xy[0], "y": xy[1]}
-
-    return build
-
-
-def _gauss_wit(ctx: PrimeCtx) -> dict[str, int]:
+def _gauss_wit(ctx: PrimeCtx) -> dict[str, int] | None:
     """p = x^2 + y^2 with x the odd component, sign-pinned to x = 1 mod 4."""
     rep = cornacchia(1, ctx.p)
     if rep is None:
-        raise MissingRepresentationError(f"p = {ctx.p} is not x^2 + y^2")
+        return None
     x, y = rep if rep[0] % 2 else rep[::-1]
     if x % 4 != 1:
         x = -x
     return {"x": x, "y": y}
 
 
-def _gauss5_wit(ctx: PrimeCtx) -> dict[str, int]:
+def _gauss5_wit(ctx: PrimeCtx) -> dict[str, int] | None:
     """p = x^2 + y^2 with signs arranged so that 5 divides x - y.
 
     The product x*y is the same for every admissible arrangement.
     """
     rep = cornacchia(1, ctx.p)
     if rep is None:
-        raise MissingRepresentationError(f"p = {ctx.p} is not x^2 + y^2")
+        return None
     a, b = rep
     for x, y in ((a, b), (a, -b), (-a, b), (-a, -b),
                  (b, a), (b, -a), (-b, a), (-b, -a)):
         if (x - y) % 5 == 0:
             return {"x": x, "y": y}
-    raise MissingRepresentationError(
-        f"no sign arrangement of {ctx.p} = {a}^2 + {b}^2 has 5 | x - y")
+    return None
 
 
 def _rhs_4x2(ctx, w):
@@ -275,6 +266,15 @@ def _rhs_c23(ctx, w):
 def _mod_in(mod: int, classes: tuple[int, ...]):
     cs = frozenset(classes)
     return lambda p: p % mod in cs
+
+
+def _classes(mod: int, classes: tuple[int, ...], *rest) -> Branch:
+    """The branch that holds where p mod `mod` is one of `classes`,
+    labelled from them; `rest` are Branch's mod_exp, witnesses and rhs
+    (none for a zero branch)."""
+    label = (f"p mod {mod} = {classes[0]}" if len(classes) == 1 else
+             f"p mod {mod} in {{{','.join(map(str, classes))}}}")
+    return Branch(label, _mod_in(mod, classes), *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +353,9 @@ def _p_claims(radicand: int, coef: Fraction, char: tuple[int, int],
     """Claims function: the branch table's claim, then for each square
     root r of the radicand P_[p/4](coef*r) = ((c0 + c1*r)/p) * base mod p,
     where (c0, c1) = char and base reads the branch's own witnesses (the
-    zero branch has none, and base 0).  No claim at all when no branch
-    holds, as for a branch table alone."""
+    zero branch has none, and base 0)."""
     def claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
         out = _branch_claims(spec, ctx, seed)
-        if not out:
-            return out
         p = ctx.p
         roots = sqrt_mod_p(radicand % p, ctx)
         if not roots:
@@ -384,36 +381,6 @@ def _p_claims(radicand: int, coef: Fraction, char: tuple[int, int],
 _M_T34 = -(2 ** 10) * 21 ** 4
 _M_T310 = -(2 ** 14) * 3 ** 4 * 5
 
-#: (statement id, sum argument m) for every truncated central sum consumed
-#: by the registry; T3.11 contributes three arguments.
-SUM_ARGUMENTS: tuple[tuple[str, int], ...] = (
-    ("RV256", 256),
-    ("T3.1", 81),
-    ("T3.2", -12288),
-    ("T3.3", -82944),
-    ("T3.4", _M_T34),
-    ("T3.5", 48 ** 2),
-    ("T3.6", 12 ** 4),
-    ("T3.7", 1584 ** 2),
-    ("T3.8", 396 ** 4),
-    ("T3.9", 28 ** 4),
-    ("T3.10", _M_T310),
-    ("T3.11", 648),
-    ("T3.11", -144),
-    ("T3.11", -3969),
-)
-
-_C22_TEST_SET = tuple(sorted({m for _, m in SUM_ARGUMENTS}))
-
-
-def _always(p: int) -> bool:
-    return True
-
-
-def _zero_branch(label: str, holds) -> Branch:
-    return Branch(label=label, holds=holds, mod_exp=2)
-
-
 REGISTRY: dict[str, TheoremSpec] = {}
 
 
@@ -424,40 +391,35 @@ def _register(spec: TheoremSpec) -> None:
 
 
 _register(TheoremSpec(
-    id="RV256", kind="proven", applies=_always, m=256,
+    id="RV256", kind="proven", m=256,
     branches=(
-        Branch("p mod 8 in {1,3}", _mod_in(8, (1, 3)), 2,
-               _form_wit(2), _rhs_4x2_minus_2p),
-        _zero_branch("p mod 8 in {5,7}", _mod_in(8, (5, 7))),
+        _classes(8, (1, 3), 2, _form_wit(2), _rhs_4x2_minus_2p),
+        _classes(8, (5, 7)),
     ),
 ))
 
-_register(TheoremSpec(id="T2.1", kind="proven", applies=_always,
-                      claims=_t21_claims))
+_register(TheoremSpec(id="T2.1", kind="proven", claims=_t21_claims))
 
-_register(TheoremSpec(id="C2.1", kind="proven", applies=_always,
-                      claims=_c21_claims))
+_register(TheoremSpec(id="C2.1", kind="proven", claims=_c21_claims))
 
-_register(TheoremSpec(id="C2.2", kind="proven", applies=_always,
-                      claims=_c22_claims))
+_register(TheoremSpec(id="C2.2", kind="proven", claims=_c22_claims))
 
 _register(TheoremSpec(
     id="C2.3", kind="proven", applies=_mod_in(8, (1, 3)),
     branches=(
-        Branch("p mod 8 in {1,3}", _mod_in(8, (1, 3)), 2,
-               _form_wit(2, ("c", "d"), "one_mod_4"), _rhs_c23),
+        _classes(8, (1, 3), 2, _form_wit(2, ("c", "d"), "one_mod_4"),
+                 _rhs_c23),
     ),
     claims=lambda spec, ctx, seed: _branch_claims(
         spec, ctx, seed, ("T", inv_mod(128, ctx.p2))),
 ))
 
 _register(TheoremSpec(
-    id="T3.1", kind="proven", applies=_always, m=81,
-    excluded=frozenset({7}),
+    id="T3.1", kind="proven", m=81, excluded=frozenset({7}),
     branches=(
-        Branch("p mod 7 in {1,2,4}", _mod_in(7, (1, 2, 4)), 1,
-               _form_wit(7, ("C", "D")), lambda ctx, w: 4 * w["C"] ** 2),
-        _zero_branch("p mod 7 in {3,5,6}", _mod_in(7, (3, 5, 6))),
+        _classes(7, (1, 2, 4), 1, _form_wit(7, ("C", "D")),
+                 lambda ctx, w: 4 * w["C"] ** 2),
+        _classes(7, (3, 5, 6)),
     ),
     # sign fixed empirically; the stated character-sum form carries the
     # opposite sign (see eq31_sign_survey in tests/test_theorems.py)
@@ -468,9 +430,9 @@ _register(TheoremSpec(
 _register(TheoremSpec(
     id="T3.2", kind="proven", applies=_mod_in(12, (1, 11)), m=-12288,
     branches=(
-        Branch("p mod 12 = 1", _mod_in(12, (1,)), 1,
-               _form_wit(9, convention="one_mod_3"), _rhs_4x2),
-        _zero_branch("p mod 12 = 11", _mod_in(12, (11,))),
+        _classes(12, (1,), 1, _form_wit(9, convention="one_mod_3"),
+                 _rhs_4x2),
+        _classes(12, (11,)),
     ),
     claims=_p_claims(3, Fraction(7, 12), (2, 2), lambda ctx, w: 2 * w["x"]),
 ))
@@ -479,8 +441,8 @@ _register(TheoremSpec(
     id="T3.3", kind="proven", applies=lambda p: jacobi(13, p) == 1,
     m=-82944,
     branches=(
-        Branch("p mod 4 = 1", _mod_in(4, (1,)), 1, _form_wit(13), _rhs_4x2),
-        _zero_branch("p mod 4 = 3", _mod_in(4, (3,))),
+        _classes(4, (1,), 1, _form_wit(13), _rhs_4x2),
+        _classes(4, (3,)),
     ),
 ))
 
@@ -488,17 +450,16 @@ _register(TheoremSpec(
     id="T3.4", kind="proven", applies=lambda p: jacobi(37, p) == 1,
     m=_M_T34,
     branches=(
-        Branch("p mod 4 = 1", _mod_in(4, (1,)), 1, _form_wit(37), _rhs_4x2),
-        _zero_branch("p mod 4 = 3", _mod_in(4, (3,))),
+        _classes(4, (1,), 1, _form_wit(37), _rhs_4x2),
+        _classes(4, (3,)),
     ),
 ))
 
 _register(TheoremSpec(
     id="T3.5", kind="proven", applies=_mod_in(8, (1, 7)), m=48 ** 2,
     branches=(
-        Branch("p mod 24 in {1,7}", _mod_in(24, (1, 7)), 1,
-               _form_wit(6), _rhs_4x2),
-        _zero_branch("p mod 24 in {17,23}", _mod_in(24, (17, 23))),
+        _classes(24, (1, 7), 1, _form_wit(6), _rhs_4x2),
+        _classes(24, (17, 23)),
     ),
     claims=_p_claims(2, Fraction(2, 3), (0, 1),
                      lambda ctx, w: (-1) ** (ctx.half % 2)
@@ -508,10 +469,8 @@ _register(TheoremSpec(
 _register(TheoremSpec(
     id="T3.6", kind="proven", applies=_mod_in(5, (1, 4)), m=12 ** 4,
     branches=(
-        Branch("p mod 40 in {1,9,11,19}", _mod_in(40, (1, 9, 11, 19)), 1,
-               _form_wit(10), _rhs_4x2),
-        _zero_branch("p mod 40 in {21,29,31,39}",
-                     _mod_in(40, (21, 29, 31, 39))),
+        _classes(40, (1, 9, 11, 19), 1, _form_wit(10), _rhs_4x2),
+        _classes(40, (21, 29, 31, 39)),
     ),
 ))
 
@@ -520,7 +479,7 @@ _register(TheoremSpec(
     branches=(
         Branch("(p/11) = 1", lambda p: jacobi(p, 11) == 1, 1,
                _form_wit(22), _rhs_4x2),
-        _zero_branch("(p/11) = -1", lambda p: jacobi(p, 11) == -1),
+        Branch("(p/11) = -1", lambda p: jacobi(p, 11) == -1),
     ),
 ))
 
@@ -528,9 +487,8 @@ _register(TheoremSpec(
     id="T3.8", kind="proven", applies=lambda p: jacobi(29, p) == 1,
     m=396 ** 4,
     branches=(
-        Branch("p mod 8 in {1,3}", _mod_in(8, (1, 3)), 1,
-               _form_wit(58), _rhs_4x2),
-        _zero_branch("p mod 8 in {5,7}", _mod_in(8, (5, 7))),
+        _classes(8, (1, 3), 1, _form_wit(58), _rhs_4x2),
+        _classes(8, (5, 7)),
     ),
 ))
 
@@ -538,9 +496,8 @@ _register(TheoremSpec(
     id="T3.9", kind="proven", applies=_mod_in(24, (1, 5, 19, 23)),
     m=28 ** 4,
     branches=(
-        Branch("p mod 24 in {1,19}", _mod_in(24, (1, 19)), 1,
-               _form_wit(18), _rhs_4x2),
-        _zero_branch("p mod 24 in {5,23}", _mod_in(24, (5, 23))),
+        _classes(24, (1, 19), 1, _form_wit(18), _rhs_4x2),
+        _classes(24, (5, 23)),
     ),
 ))
 
@@ -553,20 +510,17 @@ _register(TheoremSpec(
         # one of them, b say, and p = a^2 + 25(b/5)^2.
         Branch("p = x^2+25y^2", _mod_in(4, (1,)), 1,
                _form_wit(25), _rhs_4x2),
-        _zero_branch("p mod 4 = 3", _mod_in(4, (3,))),
+        _classes(4, (3,)),
     ),
 ))
 
-_register(TheoremSpec(id="T3.11", kind="proven", applies=_always,
-                      claims=_t311_claims))
+_register(TheoremSpec(id="T3.11", kind="proven", claims=_t311_claims))
 
 _register(TheoremSpec(
-    id="Conj-A3", kind="conjecture", applies=_always, m=81,
-    excluded=frozenset({7}),
+    id="Conj-A3", kind="conjecture", m=81, excluded=frozenset({7}),
     branches=(
-        Branch("p mod 7 in {1,2,4}", _mod_in(7, (1, 2, 4)), 2,
-               _form_wit(7), _rhs_4x2_minus_2p),
-        _zero_branch("p mod 7 in {3,5,6}", _mod_in(7, (3, 5, 6))),
+        _classes(7, (1, 2, 4), 2, _form_wit(7), _rhs_4x2_minus_2p),
+        _classes(7, (3, 5, 6)),
     ),
 ))
 
@@ -578,17 +532,17 @@ def _register_eq35_conjecture(cid: str, b: int, f: int,
     # stated symbol pairs misplace p = 3 mod 4 for b in {5, 29}.
     d1 = 2 * b
     _register(TheoremSpec(
-        id=cid, kind="conjecture", applies=_always, m=f, excluded=excluded,
+        id=cid, kind="conjecture", m=f, excluded=excluded,
         branches=(
             Branch(f"p = x^2+{d1}y^2",
                    lambda p, d1=d1: represent(d1, p) is not None, 2,
                    _form_wit(d1), _rhs_4x2_minus_2p),
             Branch(f"p = 2x^2+{b}y^2",
                    lambda p, b=b: represent(b, p, a=2) is not None, 2,
-                   _form2_wit(b), _rhs_2p_minus_8x2),
-            _zero_branch("neither form",
-                         lambda p, b=b, d1=d1: represent(d1, p) is None
-                         and represent(b, p, a=2) is None),
+                   _search_wit(b, a=2), _rhs_2p_minus_8x2),
+            Branch("neither form",
+                   lambda p, b=b, d1=d1: represent(d1, p) is None
+                   and represent(b, p, a=2) is None),
         ),
     ))
 
@@ -602,17 +556,16 @@ _register_eq35_conjecture("Conj-A21", 29, 396 ** 4, frozenset({29}))
 def _register_twisted_conjecture(cid: str, d: int, m: int,
                                  excluded: frozenset[int]) -> None:
     _register(TheoremSpec(
-        id=cid, kind="conjecture", applies=_always, m=m, excluded=excluded,
+        id=cid, kind="conjecture", m=m, excluded=excluded,
         branches=(
             Branch(f"({d}/p) = (-1/p) = 1",
                    lambda p, d=d: jacobi(d, p) == 1 and p % 4 == 1, 2,
                    _form_wit(d), _rhs_4x2_minus_2p),
             Branch(f"({d}/p) = (-1/p) = -1",
                    lambda p, d=d: jacobi(d, p) == -1 and p % 4 == 3, 2,
-                   _twop_wit(d), _rhs_2p_minus_2x2),
-            _zero_branch(f"({d}/p) = -(-1/p)",
-                         lambda p, d=d:
-                         jacobi(d, p) != (1 if p % 4 == 1 else -1)),
+                   _search_wit(d, scale=2), _rhs_2p_minus_2x2),
+            Branch(f"({d}/p) = -(-1/p)",
+                   lambda p, d=d: jacobi(d, p) != (1 if p % 4 == 1 else -1)),
         ),
     ))
 
@@ -621,19 +574,16 @@ _register_twisted_conjecture("Conj-A17", 13, -82944, frozenset({13}))
 _register_twisted_conjecture("Conj-A19", 37, _M_T34, frozenset({37}))
 
 _register(TheoremSpec(
-    id="Conj-A24", kind="conjecture", applies=_always, m=-12288,
+    id="Conj-A24", kind="conjecture", m=-12288,
     branches=(
-        Branch("p mod 12 = 1", _mod_in(12, (1,)), 1,
-               lambda ctx: _gauss_wit(ctx), _rhs_signed_4x2_minus_2p),
-        Branch("p mod 12 = 5", _mod_in(12, (5,)), 2,
-               lambda ctx: _gauss_wit(ctx), _rhs_minus_4xy_char3),
-        _zero_branch("p mod 4 = 3", _mod_in(4, (3,))),
+        _classes(12, (1,), 1, _gauss_wit, _rhs_signed_4x2_minus_2p),
+        _classes(12, (5,), 2, _gauss_wit, _rhs_minus_4xy_char3),
+        _classes(4, (3,)),
     ),
 ))
 
 _register(TheoremSpec(
-    id="Conj-A25", kind="conjecture", applies=_always, m=_M_T310,
-    excluded=frozenset({7}),
+    id="Conj-A25", kind="conjecture", m=_M_T310, excluded=frozenset({7}),
     branches=(
         Branch("p = x^2+25y^2",
                lambda p: p % 4 == 1 and p % 5 in (1, 4), 1,
@@ -641,17 +591,15 @@ _register(TheoremSpec(
         Branch("p = x^2+y^2 with 5 | x-y",
                lambda p: p % 4 == 1 and p % 5 in (2, 3), 2,
                _gauss5_wit, _rhs_minus_4xy),
-        _zero_branch("p mod 4 = 3", _mod_in(4, (3,))),
+        _classes(4, (3,)),
     ),
 ))
 
 _register(TheoremSpec(
-    id="Conj-A28", kind="conjecture", applies=_always, m=28 ** 4,
-    excluded=frozenset({5}),
+    id="Conj-A28", kind="conjecture", m=28 ** 4, excluded=frozenset({5}),
     branches=(
-        Branch("p mod 8 in {1,3}", _mod_in(8, (1, 3)), 1,
-               _form_wit(2), _rhs_4x2_minus_2p),
-        _zero_branch("p mod 8 in {5,7}", _mod_in(8, (5, 7))),
+        _classes(8, (1, 3), 1, _form_wit(2), _rhs_4x2_minus_2p),
+        _classes(8, (5, 7)),
     ),
 ))
 
@@ -660,6 +608,15 @@ PROVEN_IDS: tuple[str, ...] = tuple(
 CONJECTURE_IDS: tuple[str, ...] = tuple(
     tid for tid, s in REGISTRY.items() if s.kind == "conjecture")
 ALL_IDS: tuple[str, ...] = tuple(REGISTRY)
+
+#: (statement id, sum argument m) for every truncated central sum a proven
+#: statement checks, in registry order; T3.11 contributes three arguments.
+SUM_ARGUMENTS: tuple[tuple[str, int], ...] = tuple(
+    (tid, s.m) for tid, s in REGISTRY.items()
+    if s.kind == "proven" and s.m is not None) + tuple(
+    ("T3.11", m) for m, _, _ in _T311_PARTS)
+
+_C22_TEST_SET = tuple(sorted({m for _, m in SUM_ARGUMENTS}))
 
 
 # ---------------------------------------------------------------------------

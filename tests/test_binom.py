@@ -96,25 +96,32 @@ def test_central_term_examples():
         central_term(5, ctx)
 
 
+def _residues(prefix, ctx):
+    """A stored prefix, which keeps its block's modulus, reduced mod p**2
+    as PackedPoly reduces it."""
+    return tuple(c % ctx.p2 for c in prefix)
+
+
 def central_series(ctx):
     """Residues mod p**2 of (4k)!/k!**4 for k = 0..p-1, from the stored
     prefix padded with the zeros past k = (p-1)/2."""
-    prefix = binom._series(ctx)
+    prefix = _residues(binom._series(ctx), ctx)
     return prefix[::-1] + (0,) * (ctx.p - len(prefix))
 
 
 def t_series(ctx):
     """Residues mod p**2 of (4k)!/((2k)! k!**2) for k = 0..p-1, from the
     stored prefix padded with the zeros past k = (3p-1)/4."""
-    prefix = binom._t_prefix(ctx)
+    prefix = _residues(binom._t_prefix(ctx), ctx)
     return prefix[::-1] + (0,) * (ctx.p - len(prefix))
 
 
 def _prefixes(ctx):
-    """The s and t prefixes of ctx's block build, highest k first.  The
-    per-prime cache of _series keys on p alone, so it is bypassed: a ctx
-    with another block must run its own build."""
-    return binom._series.__wrapped__(ctx), binom._t_prefix(ctx)
+    """The s and t prefixes of ctx's block build, highest k first, mod
+    p**2.  The per-prime cache of _series keys on p alone, so it is
+    bypassed: a ctx with another block must run its own build."""
+    return (_residues(binom._series.__wrapped__(ctx), ctx),
+            _residues(binom._t_prefix(ctx), ctx))
 
 
 def test_series_agree_with_factorial_route():

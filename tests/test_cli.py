@@ -189,7 +189,7 @@ def _faulty_rhs(ctx, w):
     return 4 * w["C"] ** 2
 
 
-@pytest.mark.parametrize("fault", ["overlap", "rhs"])
+@pytest.mark.parametrize("fault", ["overlap", "gap", "rhs"])
 def test_engine_error_exits_three(fault, monkeypatch, capsys):
     """An exception inside the engine is neither a failed statement (1) nor
     a bad argument (2): exit 3, with the records already written and their
@@ -198,6 +198,10 @@ def test_engine_error_exits_three(fault, monkeypatch, capsys):
         holds = REGISTRY["T3.1"].branches[0].holds
         _break_first_branch(monkeypatch, holds=lambda p: p >= 11 or holds(p))
         message = "RuntimeError: T3.1: branch predicates overlap at p = 13"
+    elif fault == "gap":  # no branch holds at p = 11 (4 mod 7)
+        _break_first_branch(monkeypatch, holds=lambda p: False)
+        message = ("RuntimeError: T3.1: branch predicates leave p = 11 "
+                   "uncovered")
     else:  # the first branch applies at p = 11 (4 mod 7)
         _break_first_branch(monkeypatch, rhs=_faulty_rhs)
         message = "ValueError: rhs broke at p = 11"

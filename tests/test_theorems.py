@@ -78,6 +78,63 @@ def test_registry_contents():
     assert len(ALL_IDS) == 26
 
 
+def test_sum_arguments_are_pinned():
+    """SUM_ARGUMENTS, derived from the registry, is the consistency
+    workload's input list: these (id, m) pairs in this order."""
+    assert SUM_ARGUMENTS == (
+        ("RV256", 256),
+        ("T3.1", 81),
+        ("T3.2", -12288),
+        ("T3.3", -82944),
+        ("T3.4", -(2 ** 10) * 21 ** 4),
+        ("T3.5", 48 ** 2),
+        ("T3.6", 12 ** 4),
+        ("T3.7", 1584 ** 2),
+        ("T3.8", 396 ** 4),
+        ("T3.9", 28 ** 4),
+        ("T3.10", -(2 ** 14) * 3 ** 4 * 5),
+        ("T3.11", 648),
+        ("T3.11", -144),
+        ("T3.11", -3969),
+    )
+
+
+def test_branch_labels_are_pinned():
+    """Every statement's branch labels, in table order: the labels are
+    record fields, so their format may not drift."""
+    expected = {
+        "RV256": ["p mod 8 in {1,3}", "p mod 8 in {5,7}"],
+        "T2.1": [], "C2.1": [], "C2.2": [],
+        "C2.3": ["p mod 8 in {1,3}"],
+        "T3.1": ["p mod 7 in {1,2,4}", "p mod 7 in {3,5,6}"],
+        "T3.2": ["p mod 12 = 1", "p mod 12 = 11"],
+        "T3.3": ["p mod 4 = 1", "p mod 4 = 3"],
+        "T3.4": ["p mod 4 = 1", "p mod 4 = 3"],
+        "T3.5": ["p mod 24 in {1,7}", "p mod 24 in {17,23}"],
+        "T3.6": ["p mod 40 in {1,9,11,19}", "p mod 40 in {21,29,31,39}"],
+        "T3.7": ["(p/11) = 1", "(p/11) = -1"],
+        "T3.8": ["p mod 8 in {1,3}", "p mod 8 in {5,7}"],
+        "T3.9": ["p mod 24 in {1,19}", "p mod 24 in {5,23}"],
+        "T3.10": ["p = x^2+25y^2", "p mod 4 = 3"],
+        "T3.11": [],
+        "Conj-A3": ["p mod 7 in {1,2,4}", "p mod 7 in {3,5,6}"],
+        "Conj-A14": ["p = x^2+6y^2", "p = 2x^2+3y^2", "neither form"],
+        "Conj-A16": ["p = x^2+10y^2", "p = 2x^2+5y^2", "neither form"],
+        "Conj-A18": ["p = x^2+22y^2", "p = 2x^2+11y^2", "neither form"],
+        "Conj-A21": ["p = x^2+58y^2", "p = 2x^2+29y^2", "neither form"],
+        "Conj-A17": ["(13/p) = (-1/p) = 1", "(13/p) = (-1/p) = -1",
+                     "(13/p) = -(-1/p)"],
+        "Conj-A19": ["(37/p) = (-1/p) = 1", "(37/p) = (-1/p) = -1",
+                     "(37/p) = -(-1/p)"],
+        "Conj-A24": ["p mod 12 = 1", "p mod 12 = 5", "p mod 4 = 3"],
+        "Conj-A25": ["p = x^2+25y^2", "p = x^2+y^2 with 5 | x-y",
+                     "p mod 4 = 3"],
+        "Conj-A28": ["p mod 8 in {1,3}", "p mod 8 in {5,7}"],
+    }
+    assert {tid: [b.label for b in spec.branches]
+            for tid, spec in REGISTRY.items()} == expected
+
+
 def test_branch_records_examples():
     """The branch label and witnesses of the first record, and the skip
     records of an excluded and of an inapplicable prime."""
@@ -145,15 +202,18 @@ def test_branch_tables_partition_every_prime():
             assert len(hits) == 1, (tid, p, hits)
 
 
-@pytest.mark.parametrize("tid,p", [("T3.2", 11), ("T3.1", 13), ("T3.5", 17)])
-def test_p_claims_without_a_branch_give_one_na_record(tid, p):
-    """With its zero branch dropped, a statement whose Legendre-polynomial
-    claims follow the branch table has no branch at p, and so only the
-    n/a record there, as a branch table alone would."""
+@pytest.mark.parametrize("tid,p", [("T3.2", 11), ("T3.1", 13), ("T3.5", 17),
+                                   ("RV256", 5)])
+def test_a_branch_table_gap_is_an_engine_error(tid, p):
+    """With its zero branch dropped, a statement has no branch at p, an
+    applicable prime: an engine error, never a record, whether its
+    Legendre-polynomial claims follow the branch table or not."""
     spec = REGISTRY[tid]
     gapped = replace(spec, branches=spec.branches[:1])
-    (rec,) = verify(gapped, p)
-    assert (rec.applicable, rec.branch, rec.passed) == (False, "n/a", True)
+    with pytest.raises(RuntimeError,
+                       match=rf"{tid}: branch predicates leave p = {p} "
+                             "uncovered"):
+        verify(gapped, p)
 
 
 def test_missing_representation_is_a_failure_not_a_skip():
