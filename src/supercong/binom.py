@@ -32,8 +32,8 @@ keeps every k! a unit mod M.  _series reads the s block and _t_prefix
 the t block; _t_prefix runs only when T is evaluated, so a sweep that
 reads only S never builds t.  Each prefix is packed once per prime into
 an arith.PackedPoly, the baby-step/giant-step kernel that evaluates it
-at every point; packing reduces each value mod p**2 (or mod p, for
-C2.2's head: p divides M too), the one reduction a value takes.
+at every point; packing reduces each value mod p**2, the one reduction
+a value takes.
 """
 
 from __future__ import annotations

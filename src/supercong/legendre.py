@@ -5,7 +5,8 @@ P_n is evaluated through its explicit finite sum
     P_n(t) = 2**(-n) * sum_{k=0}^{[n/2]} C(n,k) (-1)**k C(2n-2k, n) t**(n-2k)
 
 with all arithmetic mod p, as a polynomial in t**2 packed once per (n, p)
-into an arith.PackedPoly.  The derivative (Rodrigues) form is not used.
+into an arith.PackedPoly.  The engine reads P_[p/4] from binom's t series;
+this independent route serves the consistency checks and `supercong sum`.
 """
 
 from __future__ import annotations

@@ -2,21 +2,21 @@
 
 Every statement is a TheoremSpec: an applicability predicate plus a claims
 function that lists, at one prime, the congruences to check.  A Claim
-names its left side by a request -- S(m), the s series at a raw point,
-T(x) or P_[p/4](t) -- and carries the right side, the modulus p or p**2
-and the quadratic-form witnesses.  The default claims function reads the
-spec's branch table (predicate on p -> witnesses -> expected residue of
-S(m)); most predicates are congruence classes of p, and _classes builds
-such a branch's label and predicate from one tuple.  Exactly one branch
-must hold at every applicable, non-excluded prime: a gap or an overlap in
-the table is an engine error (RuntimeError), never a record.  A witness
-builder returns None where its form does not represent p, and the claim
-then records a missing representation, a failure.  The sampled
-statements draw their claims from an rng seeded per statement and prime.
-verify is the one interpreter of claims: it evaluates the requests and
-builds the VerdictReport records.  verify_range sweeps a prime interval,
-optionally fanning out across worker processes with a deterministic
-ordered merge.
+names its left side by a request -- S(m), the s series at a raw point, or
+T(x), which also gives P_[p/4](t) (see _p_claims) -- and carries the right
+side, the modulus p or p**2 and the quadratic-form witnesses.  The default
+claims function reads the spec's branch table (predicate on p -> witnesses
+-> expected residue of S(m)); most predicates are congruence classes of p,
+and _classes builds such a branch's label and predicate from one tuple.
+Exactly one branch must hold at every applicable, non-excluded prime: a
+gap or an overlap in the table is an engine error (RuntimeError), never a
+record.  A witness builder returns None where its form does not represent
+p, and the claim then records a missing representation, a failure.  The
+sampled statements draw their claims from an rng seeded per statement and
+prime.  verify is the one interpreter of claims: it evaluates the requests
+and builds the VerdictReport records.  verify_range sweeps a prime
+interval, optionally fanning out across worker processes with a
+deterministic ordered merge.
 
 Failures of proven statements are genuine failures; failures of
 conjecture-kind statements are downgraded to counterexample candidates by
@@ -37,9 +37,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import binom
 from .arith import (
     PackedPoly,
     PrimeCtx,
@@ -119,10 +119,9 @@ class Claim(NamedTuple):
     `rhs` modulo `modulus`.
 
     A request is ("S", m) for S(m), ("Sy", y) for sum_k s(k) y**k at the
-    raw point y, ("T", x) for T(x), or ("P", t) for P_[p/4](t) mod p.  A
-    claim with no request is a record as it stands: a skip when it is not
-    `applicable`, and a missing quadratic-form representation (a failure)
-    when it is."""
+    raw point y, or ("T", x) for T(x).  A claim with no request is a
+    record as it stands: a skip when it is not `applicable`, and a missing
+    quadratic-form representation (a failure) when it is."""
 
     label: str
     request: tuple[str, int | Fraction] | None = None
@@ -263,7 +262,7 @@ def _rhs_c23(ctx, w):
     return sgn * (2 * c - ctx.p * inv_mod(2 * c, ctx.p2))
 
 
-def _mod_in(mod: int, classes: tuple[int, ...]):
+def _mod_in(mod: int, classes: Iterable[int]):
     cs = frozenset(classes)
     return lambda p: p % mod in cs
 
@@ -319,12 +318,11 @@ def _c21_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
 
 
 def _c22_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
+    # S(m) = sum_{k <= [p/4]} s(k) m**(-k) mod p: p | s(k) for k > [p/4]
     p = ctx.p
-    # sum_{k <= [p/4]} s(k) y**k mod p
-    head = PackedPoly(binom._series(ctx)[-(ctx.qcap + 1):], p)
     return [Claim(f"implication m={m}", ("S", m), 0, ctx.p2, {"m": m})
             for m in _C22_TEST_SET
-            if m % p and (m - 256) % p and head(inv_mod(m, p)) == 0]
+            if m % p and (m - 256) % p and sum_S(m, ctx) % p == 0]
 
 
 _T311_PARTS = (
@@ -353,7 +351,8 @@ def _p_claims(radicand: int, coef: Fraction, char: tuple[int, int],
     """Claims function: the branch table's claim, then for each square
     root r of the radicand P_[p/4](coef*r) = ((c0 + c1*r)/p) * base mod p,
     where (c0, c1) = char and base reads the branch's own witnesses (the
-    zero branch has none, and base 0)."""
+    zero branch has none, and base 0).  P_[p/4](t) is read as T((1-t)/128)
+    mod p, by Murphy's formula (see tests/test_legendre.py)."""
     def claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
         out = _branch_claims(spec, ctx, seed)
         p = ctx.p
@@ -368,7 +367,8 @@ def _p_claims(radicand: int, coef: Fraction, char: tuple[int, int],
         for tag, r in zip(("min", "max"), roots):
             t = c * r % p
             rhs = b and quad_char((char[0] + char[1] * r) % p, ctx) * b
-            out.append(Claim(f"P; root={tag}", ("P", t), rhs, p,
+            x = (1 - t) * inv_mod(128, ctx.p2) % ctx.p2
+            out.append(Claim(f"P; root={tag}", ("T", x), rhs, p,
                              {"root": r, "t": t, **wit}))
         return out
 
@@ -529,20 +529,21 @@ def _register_eq35_conjecture(cid: str, b: int, f: int,
                               excluded: frozenset[int]) -> None:
     # Branching is by representability of the two genus forms of
     # discriminant -8b, which is what the "and so" clauses assert; the
-    # stated symbol pairs misplace p = 3 mod 4 for b in {5, 29}.
-    d1 = 2 * b
+    # stated symbol pairs misplace p = 3 mod 4 for b in {5, 29}.  2b is
+    # idoneal (one form per genus), so p prime to 8b is a value of a form
+    # iff p mod 8b is a unit value of it (Cox, Primes of the form x^2+ny^2).
+    d1, n = 2 * b, 8 * b
+    squares = {x * x % n for x in range(n)}
+    one, two = ({(a * u + c * v) % n for u in squares for v in squares
+                 if gcd(a * u + c * v, n) == 1} for a, c in ((1, d1), (2, b)))
     _register(TheoremSpec(
         id=cid, kind="conjecture", m=f, excluded=excluded,
         branches=(
-            Branch(f"p = x^2+{d1}y^2",
-                   lambda p, d1=d1: represent(d1, p) is not None, 2,
+            Branch(f"p = x^2+{d1}y^2", _mod_in(n, one), 2,
                    _form_wit(d1), _rhs_4x2_minus_2p),
-            Branch(f"p = 2x^2+{b}y^2",
-                   lambda p, b=b: represent(b, p, a=2) is not None, 2,
+            Branch(f"p = 2x^2+{b}y^2", _mod_in(n, two), 2,
                    _search_wit(b, a=2), _rhs_2p_minus_8x2),
-            Branch("neither form",
-                   lambda p, b=b, d1=d1: represent(d1, p) is None
-                   and represent(b, p, a=2) is None),
+            Branch("neither form", lambda p, u=one | two: p % n not in u),
         ),
     ))
 
@@ -652,8 +653,6 @@ def verify(spec: TheoremSpec | str, p: PrimeCtx | int,
                 lhs = _poly_sum(central_poly(ctx), arg)
             elif what == "T":
                 lhs = sum_T(arg, ctx)
-            elif what == "P":
-                lhs = legendre_eval(ctx.qcap, arg, ctx)
             else:
                 raise ValueError(f"{spec.id}: unknown lhs request {request}")
             lhs, rhs = lhs % mod, rhs % mod

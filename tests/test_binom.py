@@ -29,6 +29,7 @@ from padic import central_term, t_term
 from supercong import arith, binom
 from supercong.arith import PackedPoly, PrimeCtx, inv_mod, primes_in
 from supercong.binom import central_poly, sum_S, sum_T
+from supercong.legendre import legendre_eval
 from supercong.theorems import REGISTRY
 
 
@@ -188,8 +189,9 @@ def _factorial_route(ctx):
 @pytest.mark.parametrize("block", [(100003, 100019), (99991,)])
 def test_large_p_sums_match_factorial_route(block):
     """Two consecutive primes near 10**5 built as one block, and a
-    one-prime block: the prefixes, and S and T at seeded points by Horner
-    on the factorial route's coefficients."""
+    one-prime block: the prefixes, S and T at seeded points by Horner on
+    the factorial route's coefficients, and T((1-t)/128) mod p against
+    P_[p/4](t) by legendre_eval's explicit sum at three seeded t."""
     for p in block:
         ctx = PrimeCtx(p, block)
         for cached in (binom._series, binom.central_poly, binom.t_poly):
@@ -203,6 +205,10 @@ def test_large_p_sums_match_factorial_route(block):
                 assert sum_S(m, ctx) == horner(s, inv_mod(m, ctx.p2), ctx.p2)
             x = rng.randrange(ctx.p2)
             assert sum_T(x, ctx) == horner(t, x, ctx.p2)
+        inv128 = inv_mod(128, ctx.p2)
+        for u in rng.sample(range(p), 3):
+            assert sum_T((1 - u) * inv128 % ctx.p2, ctx) % p == \
+                legendre_eval(ctx.qcap, u, ctx), (p, u)
 
 
 def test_valuation_truncation():

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from supercong import legendre
+from supercong import binom, legendre
 from supercong.arith import PrimeCtx, inv_mod, jacobi, primes_in
+from supercong.binom import sum_T
 from supercong.curves import power_sum
 from supercong.legendre import legendre_eval
 
@@ -104,6 +105,41 @@ def test_truncated_sum_equals_p_quarter_eval():
             t = rng.randrange(p)
             assert _truncated_128_sum(t, ctx) == legendre_eval(
                 ctx.qcap, t, ctx), (p, t)
+
+
+def test_p_quarter_is_t_at_every_point():
+    """P_[p/4](t) = T((1-t)/128) mod p as polynomials in t, for every
+    prime p < 2000: the identity by which the engine reads P_[p/4] claims
+    from the t series.
+
+    The mathematics.  Murphy's formula reads
+    P_n(t) = sum_k C(n,k) C(n+k,k) ((t-1)/2)**k, and
+    C(n,k) C(n+k,k) = prod_{j<k} (n-j)(n+1+j) / k!**2
+                    = prod_{j<k} (n(n+1) - j(j+1)) / k!**2
+    depends on n only through n(n+1).  For n = [p/4], n = -1/4 mod p when
+    p = 1 mod 4 and n = -3/4 when p = 3 mod 4; either way
+    n(n+1) = -3/16, and n(n+1) - j(j+1) = -(4j+1)(4j+3)/16.  Since
+    prod_{j<k} (4j+1)(4j+3) = 4**(-k) k!**2 t(k), the coefficient is
+    t(k)/(-64)**k mod p for k <= n (k!**2 is a unit), so
+    P_n(t) = sum_{k<=n} t(k) ((1-t)/128)**k mod p.  The terms with
+    n < k < p vanish mod p, since v_p(t(k)) = [4k/p] - [2k/p] >= 1 there.
+
+    The certificate.  For each p the test checks (1) every t(k) with
+    k > [p/4] that binom stores is 0 mod p, so sum_T((1-t)/128) mod p is
+    the t-head polynomial of degree <= [p/4] in t; and (2) it equals
+    legendre_eval([p/4], t) at the [p/4] + 1 points t = 0..[p/4].  Two
+    polynomials of degree <= [p/4] over F_p that agree at [p/4] + 1
+    points are equal, so this proves the code's two routes agree at every
+    t for that p, not at a sample."""
+    for p in primes_in(5, 1999):
+        ctx = PrimeCtx(p)
+        n, p2 = ctx.qcap, ctx.p2
+        tail = binom._t_prefix(ctx)[:-(n + 1)]  # k > [p/4], highest first
+        assert all(c % p == 0 for c in tail), p
+        inv128 = inv_mod(128, p2)
+        for t in range(n + 1):
+            assert sum_T((1 - t) * inv128 % p2, ctx) % p == legendre_eval(
+                n, t, ctx), (p, t)
 
 
 def test_three_term_recurrence_chain():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import supercong
-from supercong import binom, curves, theorems
+from supercong import binom, curves, legendre, theorems
 from supercong.arith import PrimeCtx, jacobi, primes_in, quad_char, sqrt_mod_p
 from supercong.curves import char_sum
 from supercong.quadform import cornacchia, normalize
@@ -187,17 +187,20 @@ def test_verify_range_ordering():
     assert keys == sorted(keys)
 
 
+def _checked(spec, pmax):
+    """The primes 5..pmax at which spec applies and is not excluded."""
+    return [p for p in primes_in(5, pmax)
+            if p not in spec.excluded and spec.applies(p)
+            and (spec.m is None or spec.m % p)]
+
+
 def test_branch_tables_partition_every_prime():
     """Exactly one branch holds wherever a branch-table statement applies."""
     for tid in ALL_IDS:
         spec = REGISTRY[tid]
         if not spec.branches:
             continue
-        for p in primes_in(5, 800):
-            if p in spec.excluded or (spec.m is not None and spec.m % p == 0):
-                continue
-            if not spec.applies(p):
-                continue
+        for p in _checked(spec, 800):
             hits = [b.label for b in spec.branches if b.holds(p)]
             assert len(hits) == 1, (tid, p, hits)
 
@@ -230,7 +233,9 @@ def test_missing_representation_is_a_failure_not_a_skip():
 
 
 def test_witness_existence_matches_branch_predicates():
-    """Quadratic-form witnesses exist exactly where the branches say so."""
+    """Quadratic-form witnesses exist exactly where the branches say so.
+    The eq35 conjectures branch by classes mod 8b, held here against the
+    exhaustive search for x^2 + 2b y^2 = p and 2x^2 + b y^2 = p."""
     from supercong.quadform import represent
 
     cases = {
@@ -239,13 +244,20 @@ def test_witness_existence_matches_branch_predicates():
         "T3.9": (18, (1, 19), 24),
     }
     for tid, (d, classes, mod) in cases.items():
-        spec = REGISTRY[tid]
-        for p in primes_in(5, 500):
-            if p in spec.excluded or not spec.applies(p) \
-                    or (spec.m is not None and spec.m % p == 0):
-                continue
+        for p in _checked(REGISTRY[tid], 500):
             assert (represent(d, p) is not None) == (p % mod in classes), \
                 (tid, p)
+    eq35 = {"Conj-A14": 3, "Conj-A16": 5, "Conj-A18": 11, "Conj-A21": 29}
+    for tid, b in eq35.items():
+        spec = REGISTRY[tid]
+        one, two, neither = spec.branches
+        assert (one.label, two.label) == (f"p = x^2+{2 * b}y^2",
+                                          f"p = 2x^2+{b}y^2")
+        for p in _checked(spec, 1999):
+            in_one = represent(2 * b, p) is not None
+            in_two = represent(b, p, a=2) is not None
+            assert (one.holds(p), two.holds(p), neither.holds(p)) == (
+                in_one, in_two, not (in_one or in_two)), (tid, p)
 
 
 def test_p_claim_robust_under_root_choice():
@@ -370,6 +382,19 @@ def test_conjecture_sweep_never_builds_t_tail(monkeypatch):
     monkeypatch.setattr(binom, "_t_prefix", tail)
     monkeypatch.setattr(binom, "_t_block", tail)
     assert list(verify_range(CONJECTURE_IDS, 5, 300)) == expected
+
+
+def test_proven_sweep_builds_no_legendre_polynomial(monkeypatch):
+    """The engine reads every P_[p/4] claim from the t series, so a proven
+    sweep packs no Legendre polynomial."""
+    expected = list(verify_range(PROVEN_IDS, 5, 300))
+    legendre._legendre_poly.cache_clear()
+
+    def build(n, ctx):
+        raise AssertionError(f"P_{n} built at p = {ctx.p}")
+
+    monkeypatch.setattr(legendre, "_legendre_poly", build)
+    assert list(verify_range(PROVEN_IDS, 5, 300)) == expected
 
 
 def test_blocks_cover_the_primes_in_valid_runs():
