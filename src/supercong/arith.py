@@ -160,9 +160,13 @@ class PackedPoly:
     The columns are cut from one buffer of b*g W-byte lanes: limb j (64
     bits) of all coefficients is converted by one array('Q') call, and
     strided slices copy its low min(8, W-8j) bytes into every lane.
+
+    `memo` maps y % mod to the value there, so a point is evaluated once;
+    it lives as long as the polynomial, and binom and legendre keep one
+    prime's polynomials at a time.
     """
 
-    __slots__ = ("mod", "b", "g", "width", "cols")
+    __slots__ = ("mod", "b", "g", "width", "cols", "memo")
 
     def __init__(self, coeffs: Sequence[int], mod: int) -> None:
         n = len(coeffs)
@@ -184,12 +188,15 @@ class PackedPoly:
                 buf[8 * j + r::width] = raw[r::8]
         step = g * width
         self.mod, self.b, self.g, self.width = mod, b, g, width
+        self.memo: dict[int, int] = {}
         self.cols = tuple(int.from_bytes(buf[i * step:(i + 1) * step],
                                          "little") for i in range(b))
 
     def __call__(self, y: int) -> int:
         mod, width = self.mod, self.width
         y %= mod
+        if y in self.memo:
+            return self.memo[y]
         baby = [1] * self.b
         for i in range(1, self.b):
             baby[i] = baby[i - 1] * y % mod
@@ -211,6 +218,7 @@ class PackedPoly:
         acc = 0
         for v in lanes:
             acc = (acc * big + v) % mod
+        self.memo[y] = acc
         return acc
 
 

@@ -26,6 +26,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .arith import PrimeCtx, inv_mod, jacobi, sqrt_mod_p
 from .binom import sum_S
@@ -80,6 +81,8 @@ def _resolve_theorems(text: str) -> tuple[str, ...]:
         else:
             raise ValueError(f"unknown theorem id {part!r} "
                              f"(known: {', '.join(ALL_IDS)})")
+    if not ids:
+        raise ValueError(f"no theorem ids in {text!r}")
     return tuple(sorted(set(ids)))
 
 
@@ -99,6 +102,22 @@ def _render_text(rec, out) -> None:
     out.write(f'{rec.theorem} p={rec.p} {status} branch="{rec.branch}" '
               f"lhs={lhs} rhs={rhs} modulus={mod} "
               f"witnesses[{_wit_str(rec.witnesses)}]\n")
+
+
+def _json_res(value) -> str:
+    return "null" if value is None else f'"{value}"'
+
+
+def _render_jsonl(rec, out) -> None:
+    """json.dumps(rec.to_record(), separators=(",", ":")), written directly."""
+    wit = ",".join([f"{_json_str(k)}:{v}" for k, v in rec.witnesses.items()])
+    out.write(f'{{"theorem":{_json_str(rec.theorem)},"p":{rec.p},'
+              f'"applicable":{"true" if rec.applicable else "false"},'
+              f'"branch":{_json_str(rec.branch)},"lhs":{_json_res(rec.lhs)},'
+              f'"rhs":{_json_res(rec.rhs)},"modulus":{_json_res(rec.modulus)},'
+              f'"witnesses":{{{wit}}},'
+              f'"pass":{"true" if rec.passed else "false"},'
+              f'"kind":{_json_str(rec.kind)}}}\n')
 
 
 _CSV_FIELDS = ("theorem", "p", "applicable", "branch", "lhs", "rhs",
@@ -135,8 +154,7 @@ def cmd_verify(config: RunConfig, out=None) -> int:
                 else:
                     candidates += 1
             if config.fmt == "jsonl":
-                out.write(json.dumps(rec.to_record(), separators=(",", ":"))
-                          + "\n")
+                _render_jsonl(rec, out)
             elif config.fmt == "csv":
                 r = rec.to_record()
                 writer.writerow([

@@ -74,9 +74,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerdictReport:
-    """Outcome of one congruence claim at one prime."""
+class VerdictReport(NamedTuple):
+    """Outcome of one congruence claim at one prime.  A NamedTuple, as
+    Claim is, so it also compares equal to the plain tuple of its fields."""
 
     theorem: str
     p: int

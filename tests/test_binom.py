@@ -335,6 +335,34 @@ def test_horner_matches_power_sum_loop():
         _assert_kernels_agree(head, ys, p)
 
 
+def count_column_sums(monkeypatch) -> list[int]:
+    """Count the PackedPoly calls that reach the column sum, the kernel's
+    one builtins.sum: a one-element list that each such call bumps."""
+    count = [0]
+
+    def counting_sum(values, start=0):
+        count[0] += 1
+        return sum(values, start)
+
+    monkeypatch.setattr(arith, "sum", counting_sum, raising=False)
+    return count
+
+
+def test_packed_poly_evaluates_each_point_once(monkeypatch):
+    """A point and its shifts by the modulus share one evaluation and one
+    memo entry, keyed on the point mod the modulus; a new point is
+    evaluated."""
+    count = count_column_sums(monkeypatch)
+    mod = 101**2
+    desc = [random.Random(1).randrange(mod) for _ in range(76)]
+    poly = PackedPoly(desc, mod)
+    ref = horner(desc, 1234, mod)
+    assert [poly(y) for y in (1234, 1234 + mod, 1234 - 3 * mod, 1234)] \
+        == [ref] * 4
+    assert count[0] == 1 and poly.memo == {1234: ref}
+    assert poly(1235) == horner(desc, 1235, mod) and count[0] == 2
+
+
 @pytest.mark.parametrize("mod", [7, 121, 65521, 2**61 - 1])
 def test_packed_poly_edge_shapes(mod):
     rng = random.Random(mod)

@@ -7,9 +7,9 @@ from dataclasses import replace
 import pytest
 
 from supercong.arith import PrimeCtx
-from supercong.cli import RunConfig, cmd_sum, cmd_verify, main
+from supercong.cli import RunConfig, _render_jsonl, cmd_sum, cmd_verify, main
 from supercong.curves import char_sum
-from supercong.theorems import REGISTRY, verify_range
+from supercong.theorems import ALL_IDS, REGISTRY, VerdictReport, verify_range
 from test_theorems import from_record
 
 
@@ -92,6 +92,15 @@ def test_verify_rejects_bad_arguments():
     assert code == 2
 
 
+@pytest.mark.parametrize("ids", [",", " ", ", ,"])
+def test_verify_rejects_an_empty_selection(ids, capsys):
+    """A --theorems value that names no statement checks nothing, so it is
+    a usage error, not an empty sweep."""
+    assert main(["verify", "--theorems", ids, "--primes", "5..50"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "no theorem ids" in err
+
+
 def test_verify_group_aliases():
     code, out, _ = run_cli("verify", "--theorems", "all-conjectures",
                            "--primes", "5..20", "--format", "jsonl")
@@ -112,6 +121,36 @@ def test_jsonl_round_trip():
     parsed = [from_record(json.loads(ln)) for ln in lines[1:]]
     direct = list(verify_range(("T3.1", "RV256", "Conj-A25"), 5, 60, seed=9))
     assert parsed == direct
+
+
+def test_jsonl_lines_equal_json_dumps():
+    """Each JSONL line, written from the record's fields, is the line
+    json.dumps(to_record()) gives: for every kind of record a sweep makes,
+    and for hand-built ones with None residues, empty and negative
+    witnesses, and a label that JSON must escape (a quote, a backslash, a
+    tab and non-ASCII characters, which json.dumps writes as \\u
+    escapes)."""
+    records = list(verify_range(ALL_IDS, 5, 600))
+    labels = {r.branch for r in records}
+    assert {"n/a", "excluded", "P; t not in F_p"} <= labels
+    assert any(b.startswith("m=") and b.endswith(": excluded")
+               for b in labels)
+    assert any(r.passed and r.modulus for r in records)
+    records += [
+        VerdictReport("T3.1", 11, True, "p mod 7 = 4; missing "
+                      "representation", None, None, None, {}, False,
+                      "proven"),
+        VerdictReport("Conj-A25", 101, True, "p mod 20 = 1", 5, 7, 10201,
+                      {"x": -3, "y": 0, "C": -10**30}, False, "conjecture"),
+        VerdictReport("X-\u00e9", 5, False, 'say "\u2261" \\ \t'
+                      '\u00e9\U0001d4ae', None, None, None, {"\u00fc": -1},
+                      True, "proven"),
+    ]
+    for rec in records:
+        buf = io.StringIO()
+        _render_jsonl(rec, buf)
+        assert buf.getvalue() == json.dumps(rec.to_record(),
+                                            separators=(",", ":")) + "\n"
 
 
 def test_csv_format_shape():

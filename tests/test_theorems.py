@@ -1,13 +1,22 @@
 import importlib
+import math
 import pkgutil
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 import supercong
 from supercong import binom, curves, legendre, theorems
-from supercong.arith import PrimeCtx, jacobi, primes_in, quad_char, sqrt_mod_p
+from supercong.arith import (
+    PrimeCtx,
+    inv_mod,
+    jacobi,
+    primes_in,
+    quad_char,
+    sqrt_mod_p,
+)
 from supercong.curves import char_sum
 from supercong.quadform import cornacchia, normalize
 from supercong.theorems import (
@@ -23,7 +32,7 @@ from supercong.theorems import (
     verify,
     verify_range,
 )
-from test_binom import _tiles
+from test_binom import _tiles, count_column_sums
 
 
 def from_record(rec: dict) -> VerdictReport:
@@ -451,8 +460,8 @@ def _module_caches():
 
 def test_sweep_keeps_one_prime_of_tables():
     """After a whole-registry sweep and the consistency checks, each
-    per-prime cache holds one entry at most, and each block cache one
-    block."""
+    per-prime cache holds one entry at most, each block cache one block,
+    and the memos of the live packed polynomials one prime's points."""
     list(verify_range(ALL_IDS, 5, 200))
     for p in (193, 197, 199):
         ctx = PrimeCtx(p)
@@ -471,6 +480,52 @@ def test_sweep_keeps_one_prime_of_tables():
         "legendre._legendre_poly", "theorems._t_roots"]
     for name, cached in caches.items():
         assert cached.cache_info().currsize <= 1, name
+    # The live S and T polynomials are 199's, and their memos hold only
+    # points that the consistency checks at 199 asked for: S(m) at 1/m,
+    # and T at (1 - t)/128 with t**2 = 1 - 256/m.
+    ctx = PrimeCtx(199)
+    p2 = ctx.p2
+    ms = [Fraction(m) for _, m in SUM_ARGUMENTS if m % 199]
+    s_memo, t_memo = binom.central_poly(ctx).memo, binom.t_poly(ctx).memo
+    assert 0 < len(s_memo) <= len(ms) and 0 < len(t_memo) <= 2 * len(ms)
+    assert set(s_memo) <= {m.denominator * inv_mod(m.numerator, p2) % p2
+                           for m in ms}
+    assert {(1 - 128 * x) ** 2 % p2 for x in t_memo} <= {
+        (m.numerator - 256 * m.denominator) * inv_mod(m.numerator, p2) % p2
+        for m in ms}
+
+
+def test_sweep_evaluates_each_point_once_per_prime(monkeypatch):
+    """Over a proven sweep, the kernel evaluates exactly the distinct
+    (prime, series, point mod p**2) requests: C2.2's filter, the branch
+    statements, T2.1 and C2.1 share their points' values."""
+    requests = set()
+    sum_s, sum_t, poly_sum = theorems.sum_S, theorems.sum_T, \
+        theorems._poly_sum
+
+    def asked_s(m, ctx):
+        f = Fraction(m)
+        requests.add((ctx.p, "s", f.denominator
+                      * inv_mod(f.numerator, ctx.p2) % ctx.p2))
+        return sum_s(m, ctx)
+
+    def asked_t(x, ctx):
+        requests.add((ctx.p, "t", x % ctx.p2))
+        return sum_t(x, ctx)
+
+    def asked_raw(poly, y):
+        requests.add((math.isqrt(poly.mod), "s", y % poly.mod))
+        return poly_sum(poly, y)
+
+    monkeypatch.setattr(theorems, "sum_S", asked_s)
+    monkeypatch.setattr(theorems, "sum_T", asked_t)
+    monkeypatch.setattr(theorems, "_poly_sum", asked_raw)
+    binom.central_poly.cache_clear()  # no memo left by an earlier test
+    binom.t_poly.cache_clear()
+    count = count_column_sums(monkeypatch)
+    list(verify_range(PROVEN_IDS, 5, 300))
+    assert count[0] == len(requests) > 0
+    assert {kind for _, kind, _ in requests} == {"s", "t"}
 
 
 def test_every_claim_can_fail(monkeypatch):
