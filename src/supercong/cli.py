@@ -124,6 +124,18 @@ _CSV_FIELDS = ("theorem", "p", "applicable", "branch", "lhs", "rhs",
                "modulus", "witnesses", "pass", "kind")
 
 
+def _render_csv(rec, writer) -> None:
+    """The to_record() values in _CSV_FIELDS order, None as an empty cell,
+    witnesses joined by _wit_str; written from the fields directly."""
+    writer.writerow([
+        rec.theorem, rec.p, rec.applicable, rec.branch,
+        "" if rec.lhs is None else rec.lhs,
+        "" if rec.rhs is None else rec.rhs,
+        "" if rec.modulus is None else rec.modulus,
+        _wit_str(rec.witnesses), rec.passed, rec.kind,
+    ])
+
+
 def cmd_verify(config: RunConfig, out=None) -> int:
     out = out or sys.stdout
     header = {
@@ -156,12 +168,7 @@ def cmd_verify(config: RunConfig, out=None) -> int:
             if config.fmt == "jsonl":
                 _render_jsonl(rec, out)
             elif config.fmt == "csv":
-                r = rec.to_record()
-                writer.writerow([
-                    r["theorem"], r["p"], r["applicable"], r["branch"],
-                    r["lhs"] or "", r["rhs"] or "", r["modulus"] or "",
-                    _wit_str(rec.witnesses), r["pass"], r["kind"],
-                ])
+                _render_csv(rec, writer)
             else:
                 _render_text(rec, out)
             if config.fail_fast and failures:

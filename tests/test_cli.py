@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import subprocess
@@ -7,7 +8,8 @@ from dataclasses import replace
 import pytest
 
 from supercong.arith import PrimeCtx
-from supercong.cli import RunConfig, _render_jsonl, cmd_sum, cmd_verify, main
+from supercong.cli import (RunConfig, _render_csv, _render_jsonl, _wit_str,
+                           cmd_sum, cmd_verify, main)
 from supercong.curves import char_sum
 from supercong.theorems import ALL_IDS, REGISTRY, VerdictReport, verify_range
 from test_theorems import from_record
@@ -123,13 +125,12 @@ def test_jsonl_round_trip():
     assert parsed == direct
 
 
-def test_jsonl_lines_equal_json_dumps():
-    """Each JSONL line, written from the record's fields, is the line
-    json.dumps(to_record()) gives: for every kind of record a sweep makes,
-    and for hand-built ones with None residues, empty and negative
-    witnesses, and a label that JSON must escape (a quote, a backslash, a
-    tab and non-ASCII characters, which json.dumps writes as \\u
-    escapes)."""
+@pytest.fixture(scope="module")
+def every_record_kind():
+    """Every kind of record a sweep makes, and hand-built ones with None
+    residues, empty and negative witnesses, and a label that JSON must
+    escape (a quote, a backslash, a tab and non-ASCII characters, which
+    json.dumps writes as \\u escapes)."""
     records = list(verify_range(ALL_IDS, 5, 600))
     labels = {r.branch for r in records}
     assert {"n/a", "excluded", "P; t not in F_p"} <= labels
@@ -146,11 +147,32 @@ def test_jsonl_lines_equal_json_dumps():
                       '\u00e9\U0001d4ae', None, None, None, {"\u00fc": -1},
                       True, "proven"),
     ]
-    for rec in records:
+    return records
+
+
+def test_jsonl_lines_equal_json_dumps(every_record_kind):
+    """Each JSONL line, written from the record's fields, is the line
+    json.dumps(to_record()) gives."""
+    for rec in every_record_kind:
         buf = io.StringIO()
         _render_jsonl(rec, buf)
         assert buf.getvalue() == json.dumps(rec.to_record(),
                                             separators=(",", ":")) + "\n"
+
+
+def test_csv_rows_equal_to_record_rows(every_record_kind):
+    """Each csv row, written from the record's fields, is the row built
+    from to_record(), None residues as empty cells."""
+    for rec in every_record_kind:
+        got, want = io.StringIO(), io.StringIO()
+        _render_csv(rec, csv.writer(got, lineterminator="\n"))
+        r = rec.to_record()
+        csv.writer(want, lineterminator="\n").writerow([
+            r["theorem"], r["p"], r["applicable"], r["branch"],
+            r["lhs"] or "", r["rhs"] or "", r["modulus"] or "",
+            _wit_str(r["witnesses"]), r["pass"], r["kind"],
+        ])
+        assert got.getvalue() == want.getvalue(), rec
 
 
 def test_csv_format_shape():

@@ -1,5 +1,9 @@
+import itertools
 import math
 import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from supercong import curves
 from supercong.arith import PrimeCtx, jacobi, primes_in, quad_char
@@ -33,8 +37,9 @@ def scale_check(a, m, n, ctx):
 
 
 def _power_sum_loop(a, b, c, ctx):
-    """sum_x f(x)**((p-1)/2) mod p with one pow per x: the reference for
-    power_sum's per-prime Euler table."""
+    """sum_x f(x)**((p-1)/2) mod p with one pow per x over all of F_p: the
+    reference for power_sum, which reads the same sum from the coefficient
+    of x**(p-1) in f**((p-1)/2)."""
     p = ctx.p
     a, b, c = a % p, b % p, c % p
     total = 0
@@ -76,12 +81,12 @@ def test_power_sum_examples():
 
 def test_power_sum_matches_pow_loop():
     """Every prime < 300, visited in shuffled order with one prime visited
-    twice, so the one-prime Euler table is hit, missed and replaced."""
+    twice, so the one-prime factorial table is hit, missed and replaced."""
     rng = random.Random(25)
     primes = primes_in(5, 299)
     rng.shuffle(primes)
     primes.insert(len(primes) // 2, primes[0])
-    curves._euler_table.cache_clear()
+    curves._half_factorials.cache_clear()
     for p in primes:
         ctx = PrimeCtx(p)
         r, u, v = (rng.randrange(p) for _ in range(3))
@@ -93,10 +98,52 @@ def test_power_sum_matches_pow_loop():
                    for _ in range(4)]
         for cu in cubics:
             assert power_sum(*cu, ctx) == _power_sum_loop(*cu, ctx), (p, cu)
-    info = curves._euler_table.cache_info()
+    info = curves._half_factorials.cache_info()
     assert info.misses == len(primes)
     assert info.hits == 7 * len(primes)
     assert info.currsize == 1
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_power_sum_matches_pow_loop_on_every_cubic(p):
+    """Every (a, b, c) in F_p**3; at p = 5 and 7 the coefficient of
+    x**(p-1) has a single term."""
+    ctx = PrimeCtx(p)
+    for a, b, c in itertools.product(range(p), repeat=3):
+        assert power_sum(a, b, c, ctx) == _power_sum_loop(a, b, c, ctx), \
+            (p, a, b, c)
+
+
+def _from_depressed(r, big_b, big_c, p):
+    """(a, b, c) of (x + r)**3 + B (x + r) + C: the depressed cubic
+    x**3 + B x + C shifted by r, with a = 3r."""
+    return (3 * r % p, (3 * r * r + big_b) % p,
+            (r ** 3 + big_b * r + big_c) % p)
+
+
+def test_power_sum_degenerate_depressed_cubics():
+    """B = 0, C = 0 and (x + r)**3 (B = C = 0) after the shift, at every
+    prime below 120, for every shift r and a spread of the other
+    coefficient."""
+    for p in primes_in(5, 120):
+        ctx = PrimeCtx(p)
+        for r in range(p):
+            cubics = [_from_depressed(r, 0, 0, p)]
+            for v in {1, 2, p - 1, r, r * r + 3}:
+                cubics += [_from_depressed(r, 0, v % p, p),
+                           _from_depressed(r, v % p, 0, p)]
+            for cu in cubics:
+                assert power_sum(*cu, ctx) == _power_sum_loop(*cu, ctx), \
+                    (p, r, cu)
+        assert power_sum(-3, 3, -1, ctx) == 0  # (x - 1)**3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(primes_in(5, 1500)), st.integers(), st.integers(),
+       st.integers())
+def test_power_sum_is_char_sum_mod_p(p, a, b, c):
+    ctx = PrimeCtx(p)
+    assert power_sum(a, b, c, ctx) == char_sum(a, b, c, ctx) % p
 
 
 def test_euler_consistency_sweep():

@@ -334,7 +334,7 @@ def test_shifted_cubic_leg_mini_sweep():
             if m % p == 0:
                 continue
             assert shifted_cubic_leg(m, ctx) in (True, None), (p, m)
-    assert curves._euler_table.cache_info().currsize <= 1
+    assert curves._half_factorials.cache_info().currsize <= 1
     assert theorems._t_roots.cache_info().currsize <= 1
 
 
@@ -476,7 +476,7 @@ def test_sweep_keeps_one_prime_of_tables():
     assert sorted(caches) == [
         "binom._s_block", "binom._series", "binom._t_block",
         "binom.central_poly", "binom.t_poly",
-        "curves._chi_table", "curves._euler_table",
+        "curves._chi_table", "curves._half_factorials",
         "legendre._legendre_poly", "theorems._t_roots"]
     for name, cached in caches.items():
         assert cached.cache_info().currsize <= 1, name
