@@ -25,7 +25,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .arith import PrimeCtx, inv_mod, jacobi, sqrt_mod_p
@@ -41,18 +40,7 @@ from .theorems import (
     verify_range,
 )
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    theorems: tuple[str, ...]
-    pmin: int
-    pmax: int
-    fmt: str = "text"
-    workers: int = 1
-    seed: int = 0
-    fail_fast: bool = False
+__all__ = ["main"]
 
 
 def _parse_primes(text: str) -> tuple[int, int]:
@@ -109,7 +97,9 @@ def _json_res(value) -> str:
 
 
 def _render_jsonl(rec, out) -> None:
-    """json.dumps(rec.to_record(), separators=(",", ":")), written directly."""
+    """One JSON object per line, written from the record's fields: the
+    fields under their names (passed as "pass"), residues as decimal
+    strings, in json.dumps's compact form."""
     wit = ",".join([f"{_json_str(k)}:{v}" for k, v in rec.witnesses.items()])
     out.write(f'{{"theorem":{_json_str(rec.theorem)},"p":{rec.p},'
               f'"applicable":{"true" if rec.applicable else "false"},'
@@ -125,8 +115,8 @@ _CSV_FIELDS = ("theorem", "p", "applicable", "branch", "lhs", "rhs",
 
 
 def _render_csv(rec, writer) -> None:
-    """The to_record() values in _CSV_FIELDS order, None as an empty cell,
-    witnesses joined by _wit_str; written from the fields directly."""
+    """The record's fields in _CSV_FIELDS order, None as an empty cell,
+    witnesses joined by _wit_str."""
     writer.writerow([
         rec.theorem, rec.p, rec.applicable, rec.branch,
         "" if rec.lhs is None else rec.lhs,
@@ -136,27 +126,28 @@ def _render_csv(rec, writer) -> None:
     ])
 
 
-def cmd_verify(config: RunConfig, out=None) -> int:
+def cmd_verify(theorems: tuple[str, ...], pmin: int, pmax: int,
+               fmt: str = "text", workers: int = 1, seed: int = 0,
+               fail_fast: bool = False, out=None) -> int:
     out = out or sys.stdout
     header = {
         "record": "header",
-        "seed": config.seed,
-        "theorems": list(config.theorems),
-        "primes": f"{config.pmin}..{config.pmax}",
-        "format": config.fmt,
+        "seed": seed,
+        "theorems": list(theorems),
+        "primes": f"{pmin}..{pmax}",
+        "format": fmt,
     }
-    if config.fmt == "jsonl":
+    if fmt == "jsonl":
         out.write(json.dumps(header, separators=(",", ":")) + "\n")
     else:  # csv and text open with the same comment line
-        out.write(f"# seed={config.seed} theorems={','.join(config.theorems)} "
-                  f"primes={config.pmin}..{config.pmax}\n")
-    if config.fmt == "csv":
+        out.write(f"# seed={seed} theorems={','.join(theorems)} "
+                  f"primes={pmin}..{pmax}\n")
+    if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)
     checked = failures = candidates = 0
     error = False
-    stream = verify_range(config.theorems, config.pmin, config.pmax,
-                          seed=config.seed, workers=config.workers)
+    stream = verify_range(theorems, pmin, pmax, seed=seed, workers=workers)
     try:
         for rec in stream:
             checked += 1
@@ -165,13 +156,13 @@ def cmd_verify(config: RunConfig, out=None) -> int:
                     failures += 1
                 else:
                     candidates += 1
-            if config.fmt == "jsonl":
+            if fmt == "jsonl":
                 _render_jsonl(rec, out)
-            elif config.fmt == "csv":
+            elif fmt == "csv":
                 _render_csv(rec, writer)
             else:
                 _render_text(rec, out)
-            if config.fail_fast and failures:
+            if fail_fast and failures:
                 break
     except Exception as exc:  # an engine fault, never a verdict
         import traceback  # imported on this path only: keeps start-up lean
@@ -272,10 +263,9 @@ def main(argv: list[str] | None = None) -> int:
             ids = _resolve_theorems(args.theorems)
             if args.workers < 1:
                 raise ValueError("workers must be >= 1")
-            config = RunConfig(theorems=ids, pmin=pmin, pmax=pmax,
-                               fmt=args.format, workers=args.workers,
-                               seed=args.seed, fail_fast=args.fail_fast)
-            return cmd_verify(config)
+            return cmd_verify(ids, pmin, pmax, fmt=args.format,
+                              workers=args.workers, seed=args.seed,
+                              fail_fast=args.fail_fast)
         if args.command == "sum":
             return cmd_sum(args.m, args.p)
         return cmd_tools(args)

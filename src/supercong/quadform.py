@@ -76,7 +76,7 @@ def cornacchia(d: int, p: int) -> tuple[int, int] | None:
 
 def normalize(rep: tuple[int, int],
               convention: str = "nonneg") -> tuple[int, int]:
-    """Sign-adjust x of a representation (x, y) to the requested convention;
+    """Sign-adjust x of a representation (x, y) to the named convention;
     y comes back nonnegative.
 
     Conventions: "nonneg" (x >= 0), "one_mod_4" (x = 1 mod 4, requires x

@@ -2,21 +2,21 @@
 
 Every statement is a TheoremSpec: an applicability predicate plus a claims
 function that lists, at one prime, the congruences to check.  A Claim
-names its left side by a request -- S(m), the s series at a raw point, or
-T(x), which also gives P_[p/4](t) (see _p_claims) -- and carries the right
-side, the modulus p or p**2 and the quadratic-form witnesses.  The default
-claims function reads the spec's branch table (predicate on p -> witnesses
--> expected residue of S(m)); most predicates are congruence classes of p,
-and _classes builds such a branch's label and predicate from one tuple.
-Exactly one branch must hold at every applicable, non-excluded prime: a
-gap or an overlap in the table is an engine error (RuntimeError), never a
-record.  A witness builder returns None where its form does not represent
-p, and the claim then records a missing representation, a failure.  The
-sampled statements draw their claims from an rng seeded per statement and
-prime.  verify is the one interpreter of claims: it evaluates the requests
-and builds the VerdictReport records.  verify_range sweeps a prime
-interval, optionally fanning out across worker processes with a
-deterministic ordered merge.
+carries both sides of one congruence: the left side, already evaluated by
+the claims function -- S(m), the s series at a raw point, or T(x), which
+also gives P_[p/4](t) (see _p_claims) -- the right side, the modulus p or
+p**2 and the quadratic-form witnesses.  The default claims function reads
+the spec's branch table (predicate on p -> witnesses -> expected residue of
+S(m)); most predicates are congruence classes of p, and _classes builds
+such a branch's label and predicate from one tuple.  Exactly one branch
+must hold at every applicable, non-excluded prime: a gap or an overlap in
+the table is an engine error (RuntimeError), never a record.  A witness
+builder returns None where its form does not represent p, and the claim
+then records a missing representation, a failure.  The sampled statements
+draw their claims from an rng seeded per statement and prime.  verify turns
+claims into VerdictReport records: it reduces both sides by the modulus and
+compares them.  verify_range sweeps a prime interval, optionally fanning
+out across worker processes with a deterministic ordered merge.
 
 Failures of proven statements are genuine failures; failures of
 conjecture-kind statements are downgraded to counterexample candidates by
@@ -89,21 +89,6 @@ class VerdictReport(NamedTuple):
     passed: bool
     kind: str
 
-    def to_record(self) -> dict:
-        """JSON-ready dict; residues as decimal strings."""
-        return {
-            "theorem": self.theorem,
-            "p": self.p,
-            "applicable": self.applicable,
-            "branch": self.branch,
-            "lhs": None if self.lhs is None else str(self.lhs),
-            "rhs": None if self.rhs is None else str(self.rhs),
-            "modulus": None if self.modulus is None else str(self.modulus),
-            "witnesses": dict(self.witnesses),
-            "pass": self.passed,
-            "kind": self.kind,
-        }
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -115,16 +100,14 @@ class Branch:
 
 
 class Claim(NamedTuple):
-    """One congruence at one prime: the left side that `request` names is
-    `rhs` modulo `modulus`.
+    """One congruence at one prime: `lhs` is `rhs` modulo `modulus`.
 
-    A request is ("S", m) for S(m), ("Sy", y) for sum_k s(k) y**k at the
-    raw point y, or ("T", x) for T(x).  A claim with no request is a
-    record as it stands: a skip when it is not `applicable`, and a missing
-    quadratic-form representation (a failure) when it is."""
+    A claim with no `lhs` is a record as it stands: a skip when it is not
+    `applicable`, and a missing quadratic-form representation (a failure)
+    when it is."""
 
     label: str
-    request: tuple[str, int | Fraction] | None = None
+    lhs: int | None = None
     rhs: int = 0
     modulus: int | None = None
     witnesses: dict[str, int] | None = None
@@ -144,14 +127,14 @@ def _match_branch(spec: "TheoremSpec", p: int) -> Branch:
 
 
 def _branch_claims(spec: "TheoremSpec", ctx: PrimeCtx, seed: int,
-                   request: tuple | None = None) -> list[Claim]:
+                   lhs: int | None = None) -> list[Claim]:
     """The default claims: the one branch that holds at p, as a claim on
-    S(m) unless another request is given."""
+    S(m) unless another left side is given."""
     branch = _match_branch(spec, ctx.p)
     wit = branch.witnesses(ctx)
     if wit is None:
         return [Claim(f"{branch.label}; missing representation")]
-    return [Claim(branch.label, request or ("S", spec.m),
+    return [Claim(branch.label, sum_S(spec.m, ctx) if lhs is None else lhs,
                   branch.rhs(ctx, wit),
                   ctx.p if branch.mod_exp == 1 else ctx.p2, wit)]
 
@@ -291,7 +274,8 @@ def _t21_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
     out = []
     for i in range(20):
         x = rng.randrange(p2)
-        out.append(Claim(f"x-sample-{i:02d}", ("Sy", x * (1 - 64 * x)),
+        out.append(Claim(f"x-sample-{i:02d}",
+                         _poly_sum(central_poly(ctx), x * (1 - 64 * x)),
                          sum_T(x, ctx) ** 2, p2, {"x": x}))
     return out
 
@@ -311,7 +295,7 @@ def _c21_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
         if not roots:
             continue
         t = roots[0]
-        out.append(Claim(f"m-sample-{len(out):02d}", ("S", m),
+        out.append(Claim(f"m-sample-{len(out):02d}", sum_S(m, ctx),
                          sum_T((1 - t) * inv128 % p2, ctx) ** 2, p2,
                          {"m": m, "t": t}))
     return out
@@ -320,9 +304,9 @@ def _c21_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
 def _c22_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
     # S(m) = sum_{k <= [p/4]} s(k) m**(-k) mod p: p | s(k) for k > [p/4]
     p = ctx.p
-    return [Claim(f"implication m={m}", ("S", m), 0, ctx.p2, {"m": m})
+    return [Claim(f"implication m={m}", s, 0, ctx.p2, {"m": m})
             for m in _C22_TEST_SET
-            if m % p and (m - 256) % p and sum_S(m, ctx) % p == 0]
+            if m % p and (m - 256) % p and (s := sum_S(m, ctx)) % p == 0]
 
 
 _T311_PARTS = (
@@ -338,7 +322,7 @@ def _t311_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
         if m % ctx.p == 0:
             out.append(Claim(f"m={m}: excluded", applicable=False))
         elif holds(ctx.p):
-            out.append(Claim(label, ("S", m), 0, ctx.p2, {"m": m}))
+            out.append(Claim(label, sum_S(m, ctx), 0, ctx.p2, {"m": m}))
     return out
 
 
@@ -359,7 +343,7 @@ def _p_claims(radicand: int, coef: Fraction, char: tuple[int, int],
         roots = sqrt_mod_p(radicand % p, ctx)
         if not roots:
             return out + [Claim("P; t not in F_p", applicable=False)]
-        if out[0].request is None:
+        if out[0].lhs is None:
             return out + [Claim("P; missing representation")]
         wit = out[0].witnesses
         b = base(ctx, wit) if wit else 0
@@ -368,7 +352,7 @@ def _p_claims(radicand: int, coef: Fraction, char: tuple[int, int],
             t = c * r % p
             rhs = b and quad_char((char[0] + char[1] * r) % p, ctx) * b
             x = (1 - t) * inv_mod(128, ctx.p2) % ctx.p2
-            out.append(Claim(f"P; root={tag}", ("T", x), rhs, p,
+            out.append(Claim(f"P; root={tag}", sum_T(x, ctx), rhs, p,
                              {"root": r, "t": t, **wit}))
         return out
 
@@ -411,7 +395,7 @@ _register(TheoremSpec(
                  _rhs_c23),
     ),
     claims=lambda spec, ctx, seed: _branch_claims(
-        spec, ctx, seed, ("T", inv_mod(128, ctx.p2))),
+        spec, ctx, seed, sum_T(inv_mod(128, ctx.p2), ctx)),
 ))
 
 _register(TheoremSpec(
@@ -640,21 +624,11 @@ def verify(spec: TheoremSpec | str, p: PrimeCtx | int,
     else:
         claims = list(spec.claims(spec, ctx, seed)) if spec.applies(p) else []
     reports = []
-    for label, request, rhs, mod, wit, applicable in (
+    for label, lhs, rhs, mod, wit, applicable in (
             claims or [Claim("n/a", applicable=False)]):
-        lhs = None
-        if request is None:  # a skip, or a missing representation
+        if lhs is None:  # a skip, or a missing representation
             rhs = mod = None
         else:
-            what, arg = request
-            if what == "S":
-                lhs = sum_S(arg, ctx)
-            elif what == "Sy":
-                lhs = _poly_sum(central_poly(ctx), arg)
-            elif what == "T":
-                lhs = sum_T(arg, ctx)
-            else:
-                raise ValueError(f"{spec.id}: unknown lhs request {request}")
             lhs, rhs = lhs % mod, rhs % mod
         reports.append(VerdictReport(
             spec.id, p, applicable, label, lhs, rhs, mod, wit or {},
@@ -711,7 +685,7 @@ def _blocks(primes: list[int], parts: int) -> list[tuple[int, ...]]:
 
 def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
                  workers: int = 1) -> Iterator[VerdictReport]:
-    """Verdicts for every requested statement and every prime in
+    """Verdicts for every statement in `ids` and every prime in
     [pmin, pmax], in ascending (p, id) order regardless of worker count.
 
     The primes are cut into blocks that share their series builds, one

@@ -8,11 +8,11 @@ from dataclasses import replace
 import pytest
 
 from supercong.arith import PrimeCtx
-from supercong.cli import (RunConfig, _render_csv, _render_jsonl, _wit_str,
-                           cmd_sum, cmd_verify, main)
+from supercong.cli import (_render_csv, _render_jsonl, _wit_str, cmd_sum,
+                           cmd_verify, main)
 from supercong.curves import char_sum
 from supercong.theorems import ALL_IDS, REGISTRY, VerdictReport, verify_range
-from test_theorems import from_record
+from test_theorems import from_record, to_record
 
 
 def run_cli(*args):
@@ -114,9 +114,8 @@ def test_verify_group_aliases():
 
 def test_jsonl_round_trip():
     buf = io.StringIO()
-    config = RunConfig(theorems=("T3.1", "RV256", "Conj-A25"), pmin=5,
-                       pmax=60, fmt="jsonl", seed=9)
-    assert cmd_verify(config, out=buf) == 0
+    assert cmd_verify(("T3.1", "RV256", "Conj-A25"), 5, 60, fmt="jsonl",
+                      seed=9, out=buf) == 0
     lines = buf.getvalue().splitlines()
     header = json.loads(lines[0])
     assert header["seed"] == 9
@@ -152,21 +151,21 @@ def every_record_kind():
 
 def test_jsonl_lines_equal_json_dumps(every_record_kind):
     """Each JSONL line, written from the record's fields, is the line
-    json.dumps(to_record()) gives."""
+    json.dumps(to_record(rec)) gives."""
     for rec in every_record_kind:
         buf = io.StringIO()
         _render_jsonl(rec, buf)
-        assert buf.getvalue() == json.dumps(rec.to_record(),
+        assert buf.getvalue() == json.dumps(to_record(rec),
                                             separators=(",", ":")) + "\n"
 
 
 def test_csv_rows_equal_to_record_rows(every_record_kind):
     """Each csv row, written from the record's fields, is the row built
-    from to_record(), None residues as empty cells."""
+    from to_record(rec), None residues as empty cells."""
     for rec in every_record_kind:
         got, want = io.StringIO(), io.StringIO()
         _render_csv(rec, csv.writer(got, lineterminator="\n"))
-        r = rec.to_record()
+        r = to_record(rec)
         csv.writer(want, lineterminator="\n").writerow([
             r["theorem"], r["p"], r["applicable"], r["branch"],
             r["lhs"] or "", r["rhs"] or "", r["modulus"] or "",
@@ -177,8 +176,7 @@ def test_csv_rows_equal_to_record_rows(every_record_kind):
 
 def test_csv_format_shape():
     buf = io.StringIO()
-    config = RunConfig(theorems=("T3.1",), pmin=5, pmax=30, fmt="csv")
-    cmd_verify(config, out=buf)
+    cmd_verify(("T3.1",), 5, 30, fmt="csv", out=buf)
     lines = buf.getvalue().splitlines()
     assert lines[0].startswith("# seed=0")
     assert lines[1].split(",")[:4] == ["theorem", "p", "applicable",
@@ -216,9 +214,8 @@ def test_proven_failure_exits_one():
     REGISTRY["X-false"] = false_claim
     try:
         buf = io.StringIO()
-        config = RunConfig(theorems=("X-false",), pmin=5, pmax=30,
-                           fmt="text", fail_fast=True)
-        assert cmd_verify(config, out=buf) == 1
+        assert cmd_verify(("X-false",), 5, 30, fmt="text", fail_fast=True,
+                          out=buf) == 1
         body = buf.getvalue()
         assert "FAIL" in body
         # fail-fast stopped the sweep after the first failing record
@@ -229,8 +226,8 @@ def test_proven_failure_exits_one():
             branches=false_claim.branches)
         REGISTRY["X-false"] = false_claim
         buf = io.StringIO()
-        config = RunConfig(theorems=("X-false",), pmin=5, pmax=30)
-        assert cmd_verify(config, out=buf) == 0  # candidates are not failures
+        # candidates are not failures
+        assert cmd_verify(("X-false",), 5, 30, out=buf) == 0
         assert "CANDIDATE" in buf.getvalue()
     finally:
         del REGISTRY["X-false"]

@@ -35,8 +35,28 @@ from supercong.theorems import (
 from test_binom import _tiles, count_column_sums
 
 
+def to_record(rec: VerdictReport) -> dict:
+    """The JSON-ready dict of a record, residues as decimal strings: the
+    object that each JSONL line of the CLI encodes."""
+    def _str(v):
+        return None if v is None else str(v)
+
+    return {
+        "theorem": rec.theorem,
+        "p": rec.p,
+        "applicable": rec.applicable,
+        "branch": rec.branch,
+        "lhs": _str(rec.lhs),
+        "rhs": _str(rec.rhs),
+        "modulus": _str(rec.modulus),
+        "witnesses": dict(rec.witnesses),
+        "pass": rec.passed,
+        "kind": rec.kind,
+    }
+
+
 def from_record(rec: dict) -> VerdictReport:
-    """The VerdictReport that VerdictReport.to_record turned into `rec`."""
+    """The VerdictReport that to_record turned into `rec`."""
     def _int(v):
         return None if v is None else int(v)
 
@@ -214,6 +234,80 @@ def test_branch_tables_partition_every_prime():
             assert len(hits) == 1, (tid, p, hits)
 
 
+#: The period N of each branch table: whether a statement applies at a
+#: prime p prime to N, and which branch holds there, depend on p mod N only.
+#: Each predicate is periodic for one of three reasons:
+#: - it tests the class of p mod a divisor of N;
+#: - it is a Jacobi symbol (d/p) with d = 1 mod 4 (13, 29, 37), which by
+#:   quadratic reciprocity equals (p/d), a function of p mod d; T3.7's
+#:   (p/11) is one already;
+#: - it tests representation by x^2 + 2b y^2 or 2x^2 + b y^2 (the eq35
+#:   conjectures, b = 3, 5, 11, 29): 2b is idoneal, so each genus of
+#:   discriminant -8b holds one form, and a prime is a value of a form iff
+#:   its class mod 8b is a unit value of it (Cox, *Primes of the form
+#:   x^2 + ny^2*, §3).
+BRANCH_PERIODS = {
+    "RV256": 8, "C2.3": 8, "T3.1": 7, "T3.2": 12, "T3.3": 52, "T3.4": 148,
+    "T3.5": 24, "T3.6": 40, "T3.7": 88, "T3.8": 232, "T3.9": 24,
+    "T3.10": 20, "Conj-A3": 7, "Conj-A14": 24, "Conj-A16": 40,
+    "Conj-A17": 52, "Conj-A18": 88, "Conj-A19": 148, "Conj-A21": 232,
+    "Conj-A24": 12, "Conj-A25": 20, "Conj-A28": 8,
+}
+
+
+def _class_primes(spec, n):
+    """One prime for each class of primes > 3 mod n: every unit class r,
+    and r itself for each prime r > 3 dividing n (the class's one prime).
+    Each is the least prime of its class that the statement does not
+    exclude and that does not divide m; a class with none is left out."""
+    units = {r for r in range(n) if math.gcd(r, n) == 1}
+    wanted = units | {q % n for q in primes_in(5, n) if n % q == 0}
+    found = {}
+    for p in primes_in(5, 50 * n):
+        r = p % n
+        if r in wanted and r not in found and p not in spec.excluded \
+                and (spec.m is None or spec.m % p):
+            found[r] = p
+    assert units <= set(found), (spec.id, sorted(units - set(found)))
+    return found
+
+
+def _uncovered_classes(spec, reps):
+    """The classes of `reps` (class -> prime) at whose prime the statement
+    applies without exactly one branch holding, with the branches that
+    hold."""
+    return {r: [b.label for b in spec.branches if b.holds(p)]
+            for r, p in reps.items()
+            if spec.applies(p)
+            and sum(b.holds(p) for b in spec.branches) != 1}
+
+
+def test_branch_tables_partition_every_residue_class():
+    """Exactly one branch holds at every prime > 3 where a branch-table
+    statement applies, certified class by class.  With the period N of
+    BRANCH_PERIODS, every prime > 3 is either in a unit class mod N, which
+    by Dirichlet holds infinitely many primes that all behave alike, or is
+    a prime dividing N, checked by itself; so one prime per class covers
+    them all.  Dropping any branch of any table leaves a class uncovered,
+    and the predicates agree between each prime below 3000 and its class's
+    prime, as the periods say they must."""
+    assert set(BRANCH_PERIODS) == {tid for tid, spec in REGISTRY.items()
+                                   if spec.branches}
+    for tid, n in BRANCH_PERIODS.items():
+        spec = REGISTRY[tid]
+        reps = _class_primes(spec, n)
+        assert _uncovered_classes(spec, reps) == {}, tid
+        for i in range(len(spec.branches)):
+            dropped = replace(spec, branches=spec.branches[:i]
+                              + spec.branches[i + 1:])
+            assert _uncovered_classes(dropped, reps), (tid, i)
+        for p in primes_in(5, 3000):
+            q = reps.get(p % n, p)
+            assert spec.applies(p) == spec.applies(q), (tid, p, q)
+            assert [b.holds(p) for b in spec.branches] == \
+                [b.holds(q) for b in spec.branches], (tid, p, q)
+
+
 @pytest.mark.parametrize("tid,p", [("T3.2", 11), ("T3.1", 13), ("T3.5", 17),
                                    ("RV256", 5)])
 def test_a_branch_table_gap_is_an_engine_error(tid, p):
@@ -239,6 +333,30 @@ def test_missing_representation_is_a_failure_not_a_skip():
     (rec,) = verify(broken, 13)  # 13 = 6 mod 7 has no x^2+7y^2
     assert rec.applicable and not rec.passed
     assert "missing representation" in rec.branch
+
+
+def test_a_claim_carries_any_left_side():
+    """verify reduces a claim's own left side and compares: 5 = 12 mod 7
+    passes.  A claim without a left side is a record as it stands, a
+    failure when applicable (a missing representation), else a skip."""
+    from supercong.theorems import Claim, TheoremSpec
+
+    def spec(*claims):
+        return TheoremSpec(id="X-lhs", kind="proven",
+                           claims=lambda spec, ctx, seed: list(claims))
+
+    got, missing = verify(spec(Claim("x", lhs=5, rhs=12, modulus=7),
+                               Claim("y; missing representation", rhs=12,
+                                     modulus=7, witnesses={"x": 1})), 11)
+    assert got == VerdictReport("X-lhs", 11, True, "x", 5, 5, 7, {}, True,
+                                "proven")
+    assert missing == VerdictReport(
+        "X-lhs", 11, True, "y; missing representation", None, None, None,
+        {"x": 1}, False, "proven")
+    (skip,) = verify(spec(Claim("z", rhs=12, modulus=7, applicable=False)),
+                     11)
+    assert skip == VerdictReport("X-lhs", 11, False, "z", None, None, None,
+                                 {}, True, "proven")
 
 
 def test_witness_existence_matches_branch_predicates():
@@ -433,7 +551,7 @@ def test_record_round_trip():
     for p in (7, 11, 23):
         for tid in ("T3.1", "RV256", "T2.1", "Conj-A25"):
             for rec in verify(tid, p, seed=3):
-                assert from_record(rec.to_record()) == rec
+                assert from_record(to_record(rec)) == rec
 
 
 def test_seed_changes_samples_but_not_verdicts():
