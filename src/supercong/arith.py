@@ -12,7 +12,6 @@ import math
 import sys
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, lshift, mul
 
@@ -80,9 +79,9 @@ def shares_block(lo: int, hi: int) -> bool:
     return (3 * hi - 1) // 4 < lo
 
 
-@dataclass(frozen=True)
 class PrimeCtx:
-    """A validated odd prime p > 3 with cached derived constants.
+    """A validated odd prime p > 3 with cached derived constants: p2 = p**2,
+    half = (p-1)/2 and qcap = [p/4].
 
     `block` names the ascending run of primes, p among them, whose s and
     t series are built together, modulo the product of their squares
@@ -90,17 +89,12 @@ class PrimeCtx:
     It defaults to (p,) and takes no part in equality or hashing: it
     changes how the series are built, not what they are.
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction (assigning an attribute raises
+    AttributeError); safe to share across workers.
     """
 
-    p: int
-    block: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    p2: int = field(init=False)
-    half: int = field(init=False)
-    qcap: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        p, block = self.p, tuple(self.block) or (self.p,)
+    def __init__(self, p: int, block: Sequence[int] = ()) -> None:
+        block = tuple(block) or (p,)
         if not isinstance(p, int) or p <= 3 or not is_prime(p):
             raise ValueError(f"p must be a prime greater than 3, got {p!r}")
         if block != (p,) and (p not in block
@@ -108,10 +102,23 @@ class PrimeCtx:
                               or not shares_block(block[0], block[-1])):
             raise ValueError(f"{block!r} is not a strictly ascending block "
                              f"holding p = {p} whose ends pass shares_block")
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "p2", p * p)
-        object.__setattr__(self, "half", (p - 1) // 2)
-        object.__setattr__(self, "qcap", p // 4)
+        self.__dict__.update(p=p, block=block, p2=p * p, half=(p - 1) // 2,
+                             qcap=p // 4)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to PrimeCtx field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash(self.p)
+
+    def __repr__(self) -> str:
+        return (f"PrimeCtx(p={self.p}, p2={self.p2}, half={self.half}, "
+                f"qcap={self.qcap})")
 
 
 def inv_mod(a: int, m: int) -> int:

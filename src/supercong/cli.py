@@ -10,20 +10,22 @@ and small number-theory utilities.
 verify exits 0 unless a proven statement fails (exit 1); bad arguments exit
 2; an internal error (an exception raised inside the engine during the
 sweep) exits 3, after the traceback and the summary line for the records
-already written go to stderr.  Conjecture failures are flagged as
-counterexample candidates but do not change the exit status.  For a fixed
-seed the report stream is byte-identical regardless of --workers, which is
-capped at the machine's CPU count (os.cpu_count()) and at the number of
-blocks of primes that verify_range hands out: asking for more starts no
-more processes.  A negative leading coefficient is written
---cubic=-3,5,-7, since argparse reads a separate "-3,5,-7" as an option.
+already written go to stderr; a stdout closed early (`| head`) exits 141,
+as a shell reports SIGPIPE, with the summary and no traceback.  Conjecture
+failures are flagged as counterexample candidates but do not change the
+exit status.  For a fixed seed the report stream is byte-identical
+regardless of --workers, which is capped at the machine's CPU count
+(os.cpu_count()) and at the number of blocks of primes that verify_range
+hands out: asking for more starts no more processes.  A negative leading
+coefficient is written --cubic=-3,5,-7, since argparse reads a separate
+"-3,5,-7" as an option.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -137,42 +139,50 @@ def cmd_verify(theorems: tuple[str, ...], pmin: int, pmax: int,
         "primes": f"{pmin}..{pmax}",
         "format": fmt,
     }
-    if fmt == "jsonl":
-        out.write(json.dumps(header, separators=(",", ":")) + "\n")
-    else:  # csv and text open with the same comment line
-        out.write(f"# seed={seed} theorems={','.join(theorems)} "
-                  f"primes={pmin}..{pmax}\n")
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_CSV_FIELDS)
+    render, sink = (_render_jsonl if fmt == "jsonl" else _render_text), out
     checked = failures = candidates = 0
-    error = False
+    error = closed = False
     stream = verify_range(theorems, pmin, pmax, seed=seed, workers=workers)
     try:
-        for rec in stream:
+        if fmt == "jsonl":
+            out.write(json.dumps(header, separators=(",", ":")) + "\n")
+        else:  # csv and text open with the same comment line
+            out.write(f"# seed={seed} theorems={','.join(theorems)} "
+                      f"primes={pmin}..{pmax}\n")
+        if fmt == "csv":
+            import csv  # imported for this format only: keeps start-up lean
+
+            render, sink = _render_csv, csv.writer(out, lineterminator="\n")
+            sink.writerow(_CSV_FIELDS)
+        while not (fail_fast and failures):
+            try:
+                rec = next(stream, None)
+            except Exception as exc:  # an engine fault, never a verdict
+                import traceback  # imported on this path only
+
+                traceback.print_exc()
+                error = True
+                print(f"internal error: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
+                break
+            if rec is None:
+                break
             checked += 1
             if not rec.passed:
                 if rec.kind == "proven":
                     failures += 1
                 else:
                     candidates += 1
-            if fmt == "jsonl":
-                _render_jsonl(rec, out)
-            elif fmt == "csv":
-                _render_csv(rec, writer)
-            else:
-                _render_text(rec, out)
-            if fail_fast and failures:
-                break
-    except Exception as exc:  # an engine fault, never a verdict
-        import traceback  # imported on this path only: keeps start-up lean
-
-        traceback.print_exc()
-        error = True
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            render(rec, sink)
+    except BrokenPipeError:  # the reader has gone: stop, but not as a fault
+        closed = True
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())  # so the last flush does not raise
+        os.close(devnull)
+    stream.close()  # stops a pool's workers
     print(f"checked {checked} records: {failures} failures, "
           f"{candidates} counterexample-candidates", file=sys.stderr)
-    return 3 if error else 1 if failures else 0
+    return 3 if error else 141 if closed else 1 if failures else 0
 
 
 def cmd_sum(m: int, p: int, out=None) -> int:

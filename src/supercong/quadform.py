@@ -34,13 +34,16 @@ def represent(d: int, n: int, a: int = 1) -> tuple[int, int] | None:
     return None
 
 
-def cornacchia(d: int, p: int) -> tuple[int, int] | None:
-    """Representation (x, y) of p = x^2 + d y^2 for prime p, or None.
+def cornacchia(d: int, p: PrimeCtx | int) -> tuple[int, int] | None:
+    """Representation (x, y) of p = x^2 + d y^2 for prime p (an int or a
+    PrimeCtx, which spares the primality test), or None.
 
     Classic algorithm: seed with the square root of -d mod p lying in
     (p/2, p), run the Euclidean remainder chain down to sqrt(p), and test
     the leftover.  Deterministic; returns the smallest-y representation.
     """
+    ctx = p if isinstance(p, PrimeCtx) else None
+    p = ctx.p if ctx else p
     if d < 1:
         raise ValueError("d must be positive")
     if p <= 3 or d >= p:
@@ -50,7 +53,7 @@ def cornacchia(d: int, p: int) -> tuple[int, int] | None:
         if d % p == 0:
             raise ValueError("p must not divide d")
         return represent(d, p)
-    ctx = PrimeCtx(p)  # validates p; 0 < d < p, so p does not divide d
+    ctx = ctx or PrimeCtx(p)  # validates p; 0 < d < p: p does not divide d
     roots = sqrt_mod_p(-d % p, ctx)
     if not roots:
         return None

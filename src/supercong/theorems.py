@@ -31,14 +31,13 @@ from.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .arith import (
     PackedPoly,
@@ -90,8 +89,7 @@ class VerdictReport(NamedTuple):
     kind: str
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     label: str
     holds: Callable[[int], bool]
     mod_exp: int = 2
@@ -143,8 +141,7 @@ def _always(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TheoremSpec:
+class TheoremSpec(NamedTuple):
     id: str
     kind: str  # "proven" | "conjecture"
     applies: Callable[[int], bool] = _always
@@ -162,7 +159,7 @@ class TheoremSpec:
 def _form_wit(d: int, names: tuple[str, str] = ("x", "y"),
               convention: str | None = None):
     def build(ctx: PrimeCtx) -> dict[str, int] | None:
-        rep = cornacchia(d, ctx.p)
+        rep = cornacchia(d, ctx)
         if rep is None:
             return None
         if convention is not None:
@@ -183,7 +180,7 @@ def _search_wit(d: int, a: int = 1, scale: int = 1):
 
 def _gauss_wit(ctx: PrimeCtx) -> dict[str, int] | None:
     """p = x^2 + y^2 with x the odd component, sign-pinned to x = 1 mod 4."""
-    rep = cornacchia(1, ctx.p)
+    rep = cornacchia(1, ctx)
     if rep is None:
         return None
     x, y = rep if rep[0] % 2 else rep[::-1]
@@ -197,7 +194,7 @@ def _gauss5_wit(ctx: PrimeCtx) -> dict[str, int] | None:
 
     The product x*y is the same for every admissible arrangement.
     """
-    rep = cornacchia(1, ctx.p)
+    rep = cornacchia(1, ctx)
     if rep is None:
         return None
     a, b = rep
@@ -710,6 +707,8 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
             for p in block:
                 yield from _eval_prime(id_list, PrimeCtx(p, block), seed)
         return
+    import multiprocessing  # only a pool needs it: keeps start-up lean
+
     tasks = [(id_list, block, seed) for block in blocks]
     with multiprocessing.Pool(workers) as pool:
         for reports in pool.imap(_eval_block, tasks, chunksize=1):

@@ -19,6 +19,16 @@ from supercong.arith import (
 def test_prime_ctx_fields():
     ctx = PrimeCtx(11)
     assert (ctx.p, ctx.p2, ctx.half, ctx.qcap) == (11, 121, 5, 2)
+    assert repr(ctx) == "PrimeCtx(p=11, p2=121, half=5, qcap=2)"
+
+
+@pytest.mark.parametrize("name", ["p", "block", "p2", "half", "qcap", "new"])
+def test_prime_ctx_is_immutable(name):
+    ctx = PrimeCtx(11)
+    with pytest.raises(AttributeError):
+        setattr(ctx, name, 13)
+    assert (ctx.p, ctx.block, ctx.p2) == (11, (11,), 121)
+    assert ctx != 11 and ctx != PrimeCtx(13)
 
 
 @pytest.mark.parametrize("bad", [-7, 0, 1, 2, 3, 4, 9, 15, 2**31 + 1])

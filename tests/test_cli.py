@@ -3,7 +3,6 @@ import io
 import json
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -236,9 +235,9 @@ def test_proven_failure_exits_one():
 def _break_first_branch(monkeypatch, **changes):
     """Swap T3.1's first branch for a copy with `changes` applied."""
     spec = REGISTRY["T3.1"]
-    branch = replace(spec.branches[0], **changes)
+    branch = spec.branches[0]._replace(**changes)
     monkeypatch.setitem(REGISTRY, "T3.1",
-                        replace(spec, branches=(branch,) + spec.branches[1:]))
+                        spec._replace(branches=(branch,) + spec.branches[1:]))
 
 
 def _faulty_rhs(ctx, w):
@@ -274,3 +273,48 @@ def test_engine_error_exits_three(fault, monkeypatch, capsys):
     assert err.rstrip().endswith(
         f"checked {len(records)} records: 0 failures, "
         "0 counterexample-candidates")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_closed_stdout_is_not_an_engine_error(workers):
+    """A reader that stops early (`verify ... | head -2`) ends the sweep
+    with exit 141, as a shell reports SIGPIPE: the summary still goes to
+    stderr, and there is no traceback and no internal error (exit 3)."""
+    cmd = [sys.executable, "-m", "supercong", "verify", "--theorems",
+           "all-proven", "--primes", "5..3000", "--format", "jsonl",
+           "--workers", workers]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b'{"record":"header"')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert code == 141, err
+    assert "Traceback" not in err and "internal error" not in err
+    assert err.rstrip().endswith(" records: 0 failures, "
+                                 "0 counterexample-candidates")
+
+
+def _imported(*args: str) -> set[str]:
+    """The modules that `python -X importtime *args` imports."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rpartition("|")[2].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_a_verify_run_imports_only_what_it_uses():
+    """Start-up budget: beyond what a bare interpreter imports, a
+    one-worker jsonl run imports no dataclass machinery (dataclasses,
+    inspect), no pool (multiprocessing) and no csv writer; a csv run, as
+    a positive control, does import csv."""
+    bare = _imported("-c", "pass")
+    run = ("-m", "supercong", "verify", "--theorems", "all", "--primes",
+           "5..5")
+    jsonl = _imported(*run, "--format", "jsonl") - bare
+    assert {"supercong.cli", "supercong.theorems"} <= jsonl
+    lazy = {"dataclasses", "inspect", "multiprocessing", "csv"}
+    assert not jsonl & lazy
+    assert (_imported(*run, "--format", "csv") - bare) & lazy == {"csv"}

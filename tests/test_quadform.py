@@ -41,6 +41,26 @@ def test_cornacchia_tests_primality_once(monkeypatch):
         cornacchia(7, 10)
 
 
+def test_cornacchia_takes_the_callers_ctx(monkeypatch):
+    """Given a PrimeCtx, cornacchia tests no primality and answers as it
+    does for the int, on the Euclidean path and where d >= p alike."""
+    calls = []
+    ctxs = {p: arith.PrimeCtx(p) for p in (5, 7, 10007)}
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(quadform, "is_prime", counted)
+    assert cornacchia(7, ctxs[10007]) == represent(7, 10007)
+    assert calls == []
+    for d in (1, 2, 5, 6, 7, 9):
+        for p, ctx in ctxs.items():
+            if d % p:
+                assert cornacchia(d, ctx) == cornacchia(d, p), (d, p)
+
+
 def test_cornacchia_soundness_random():
     rng = random.Random(31)
     ps = primes_in(5, 3000)

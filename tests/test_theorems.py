@@ -1,8 +1,8 @@
 import importlib
 import math
+import multiprocessing
 import pkgutil
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -298,8 +298,8 @@ def test_branch_tables_partition_every_residue_class():
         reps = _class_primes(spec, n)
         assert _uncovered_classes(spec, reps) == {}, tid
         for i in range(len(spec.branches)):
-            dropped = replace(spec, branches=spec.branches[:i]
-                              + spec.branches[i + 1:])
+            dropped = spec._replace(branches=spec.branches[:i]
+                                    + spec.branches[i + 1:])
             assert _uncovered_classes(dropped, reps), (tid, i)
         for p in primes_in(5, 3000):
             q = reps.get(p % n, p)
@@ -315,7 +315,7 @@ def test_a_branch_table_gap_is_an_engine_error(tid, p):
     applicable prime: an engine error, never a record, whether its
     Legendre-polynomial claims follow the branch table or not."""
     spec = REGISTRY[tid]
-    gapped = replace(spec, branches=spec.branches[:1])
+    gapped = spec._replace(branches=spec.branches[:1])
     with pytest.raises(RuntimeError,
                        match=rf"{tid}: branch predicates leave p = {p} "
                              "uncovered"):
@@ -473,7 +473,7 @@ def test_worker_count_is_capped_at_cpu_count(monkeypatch):
         def imap(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(theorems.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     ids = ("RV256", "T3.1", "Conj-A25")
     serial = list(verify_range(ids, 5, 80, workers=1))
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
@@ -662,7 +662,7 @@ def test_every_claim_can_fail(monkeypatch):
 
     for tid, spec in list(REGISTRY.items()):
         monkeypatch.setitem(REGISTRY, tid,
-                            replace(spec, claims=off_by_one(spec.claims)))
+                            spec._replace(claims=off_by_one(spec.claims)))
     failing = set()
     for r in verify_range(ALL_IDS, 5, 300):
         if r.modulus is not None:
