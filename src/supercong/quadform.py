@@ -48,7 +48,7 @@ def cornacchia(d: int, p: PrimeCtx | int) -> tuple[int, int] | None:
         raise ValueError("d must be positive")
     if p <= 3 or d >= p:
         # Tiny p, or y forced to 0: settle directly.
-        if not is_prime(p):
+        if ctx is None and not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if d % p == 0:
             raise ValueError("p must not divide d")
