@@ -40,12 +40,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .arith import PackedPoly, PrimeCtx, inv_mod
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "central_poly",
@@ -123,8 +126,11 @@ def sum_S(m: int | Fraction, ctx: PrimeCtx) -> int:
     """sum_{k=0}^{p-1} (4k)!/k!**4 * m**(-k) reduced mod p**2, for m an
     integer or a Fraction whose numerator and denominator p does not
     divide."""
-    if not isinstance(m, (int, Fraction)):
-        raise TypeError(f"m must be an int or a Fraction, got {m!r}")
+    if not isinstance(m, int):
+        from fractions import Fraction  # only a Fraction argument needs it
+
+        if not isinstance(m, Fraction):
+            raise TypeError(f"m must be an int or a Fraction, got {m!r}")
     num, den, p = m.numerator, m.denominator, ctx.p
     if num == 0:
         raise ValueError("m must be nonzero")

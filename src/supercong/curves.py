@@ -9,18 +9,33 @@ of f**h (Deuring; Silverman, The Arithmetic of Elliptic Curves, V.4):
 
 Proof: sum_x x**k is -1 mod p when k > 0 and (p-1) | k, and 0 otherwise
 (for k = 0 it is p); deg f**h = 3h < 2(p-1), so of the monomials of f**h
-only x**(p-1) survives the sum.  The two routes share no table, so tests
-comparing them compare two computations.  These sums are the bridge between
-Legendre-polynomial values and point counts on y^2 = f(x): the count is
-p + 1 + char_sum.  Both take the coefficients a, b, c as plain integers and
-reduce them mod p.
+only x**(p-1) survives the sum.
+
+The shift x -> x - a/3 (p > 3), which permutes F_p, depresses f to
+x^3 + B x + C.  A monomial of (x^3 + B x + C)**h takes x^3 i times, B x j
+times and C k times; x**(2h) needs j = 2h - 3i and k = 2i - h, so i runs
+over [lo, hi] = [ceil(h/2), floor(2h/3)], about p/12 terms, and for B != 0
+
+    [x**(2h)] (x^3 + B x + C)**h  =  B**(2h-3lo) C**(2lo-h) W(C**2/B**3),
+
+    W(z)  =  sum_{i=lo}^{hi} w_i z**(i-lo),   w_i = h!/(i! (2h-3i)! (2i-h)!).
+
+W depends on p alone, so it is built once per prime mod p and packed as an
+arith.PackedPoly, the kernel that also evaluates S, T and P_[p/4].  The
+degenerate cubics keep one term each: C = 0 is the point z = 0, where
+W(0) = w_lo (term i = lo, nonzero only when 2lo = h), and B = 0 keeps the
+term j = 0, w_hi C**(2hi-h) (nonzero only when 3hi = 2h).  The two routes
+share no table, so tests comparing them compare two computations.  These
+sums are the bridge between Legendre-polynomial values and point counts on
+y^2 = f(x): the count is p + 1 + char_sum.  Both take the coefficients a,
+b, c as plain integers and reduce them mod p.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import PrimeCtx, inv_mod
+from .arith import PackedPoly, PrimeCtx, inv_mod
 
 __all__ = [
     "char_sum",
@@ -51,42 +66,40 @@ def char_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
 
 
 @lru_cache(maxsize=1)
-def _half_factorials(ctx: PrimeCtx) -> tuple[int, tuple[int, ...]]:
-    """h! and (1/i! for i = 0..h) mod p, where h = (p-1)/2."""
+def _deuring_poly(ctx: PrimeCtx) -> tuple[PackedPoly, int]:
+    """W(z) mod p packed, highest degree first, and its leading
+    coefficient w_hi (see the module docstring)."""
     p, h = ctx.p, ctx.half
+    lo, hi = (h + 1) // 2, 2 * h // 3
+    # i, 2h - 3i and 2i - h are all at most hi: 1/n! for n <= hi, then h!
     fac = 1
-    for i in range(2, h + 1):
-        fac = fac * i % p
-    inv = [1] * (h + 1)
-    inv[h] = inv_mod(fac, p)
-    for i in range(h, 1, -1):
-        inv[i - 1] = inv[i] * i % p
-    return fac, tuple(inv)
+    for n in range(2, hi + 1):
+        fac = fac * n % p
+    inv = [1] * (hi + 1)
+    inv[hi] = inv_mod(fac, p)
+    for n in range(hi, 1, -1):
+        inv[n - 1] = inv[n] * n % p
+    for n in range(hi + 1, h + 1):
+        fac = fac * n % p
+    w = [fac * inv[i] % p * inv[2 * h - 3 * i] % p * inv[2 * i - h] % p
+         for i in range(hi, lo - 1, -1)]
+    return PackedPoly(w, p), w[0]
 
 
 def power_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
     """sum_x (x^3 + a x^2 + b x + c)**h mod p, h = (p-1)/2, as minus the
-    coefficient of x**(p-1) in f**h (see the module docstring).
-
-    The shift x -> x - a/3 (p > 3), which permutes F_p, depresses f to
-    x^3 + B x + C.  A monomial of (x^3 + B x + C)**h takes x^3 i times,
-    B x j times and C k times; x**(2h) needs j = 2h - 3i and k = 2i - h,
-    so i runs over [ceil(h/2), floor(2h/3)], about p/12 terms of
-    h!/(i! j! k!) B**j C**k, summed by Horner in B**3 with a running
-    power of C**2.
-    """
+    coefficient of x**(p-1) in f**h, read from W (see the module
+    docstring)."""
     p, h = ctx.p, ctx.half
     s = a * inv_mod(3, p) % p
     big_b = (b - 3 * s * s) % p
     big_c = (c - b * s + 2 * s * s * s) % p
-    fac, inv = _half_factorials(ctx)
+    w, w_hi = _deuring_poly(ctx)
     lo, hi = (h + 1) // 2, 2 * h // 3
-    b3, c2 = pow(big_b, 3, p), big_c * big_c % p
-    acc, c_pow = 0, 1
-    for i in range(lo, hi + 1):
-        acc = (acc * b3 + inv[i] * inv[2 * h - 3 * i] % p
-               * inv[2 * i - h] * c_pow) % p
-        c_pow = c_pow * c2 % p
-    coeff = (acc * fac % p * pow(big_b, 2 * h - 3 * hi, p)
-             * pow(big_c, 2 * lo - h, p))
+    if big_b == 0:
+        coeff = w_hi * pow(big_c, 2 * hi - h, p) if 3 * hi == 2 * h else 0
+    else:
+        z = big_c * big_c * pow(big_b, -3, p)
+        coeff = (w(z) * pow(big_b, 2 * h - 3 * lo, p)
+                 * pow(big_c, 2 * lo - h, p))
     return -coeff % p

@@ -34,10 +34,9 @@ from __future__ import annotations
 import os
 import random
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import (
     PackedPoly,
@@ -54,6 +53,9 @@ from .binom import central_poly, sum_S, sum_T
 from .curves import char_sum, power_sum
 from .legendre import legendre_eval
 from .quadform import cornacchia, normalize, represent
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ALL_IDS",
@@ -327,13 +329,14 @@ def _t311_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
 # Legendre-polynomial side claims (both square-root branches, with the
 # character factor computed from the same root)
 
-def _p_claims(radicand: int, coef: Fraction, char: tuple[int, int],
+def _p_claims(radicand: int, coef: tuple[int, int], char: tuple[int, int],
               base: Callable[[PrimeCtx, dict[str, int]], int]):
     """Claims function: the branch table's claim, then for each square
-    root r of the radicand P_[p/4](coef*r) = ((c0 + c1*r)/p) * base mod p,
-    where (c0, c1) = char and base reads the branch's own witnesses (the
-    zero branch has none, and base 0).  P_[p/4](t) is read as T((1-t)/128)
-    mod p, by Murphy's formula (see tests/test_legendre.py)."""
+    root r of the radicand P_[p/4](u*r/v) = ((c0 + c1*r)/p) * base mod p,
+    where (u, v) = coef, (c0, c1) = char and base reads the branch's own
+    witnesses (the zero branch has none, and base 0).  P_[p/4](t) is read
+    as T((1-t)/128) mod p, by Murphy's formula (see tests/test_legendre.py).
+    """
     def claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
         out = _branch_claims(spec, ctx, seed)
         p = ctx.p
@@ -344,7 +347,7 @@ def _p_claims(radicand: int, coef: Fraction, char: tuple[int, int],
             return out + [Claim("P; missing representation")]
         wit = out[0].witnesses
         b = base(ctx, wit) if wit else 0
-        c = coef.numerator * inv_mod(coef.denominator, p)
+        c = coef[0] * inv_mod(coef[1], p)
         for tag, r in zip(("min", "max"), roots):
             t = c * r % p
             rhs = b and quad_char((char[0] + char[1] * r) % p, ctx) * b
@@ -404,7 +407,7 @@ _register(TheoremSpec(
     ),
     # sign fixed empirically; the stated character-sum form carries the
     # opposite sign (see eq31_sign_survey in tests/test_theorems.py)
-    claims=_p_claims(-7, Fraction(5, 9), (21, 3),
+    claims=_p_claims(-7, (5, 9), (21, 3),
                      lambda ctx, w: jacobi(w["C"], 7) * 2 * w["C"]),
 ))
 
@@ -415,7 +418,7 @@ _register(TheoremSpec(
                  _rhs_4x2),
         _classes(12, (11,)),
     ),
-    claims=_p_claims(3, Fraction(7, 12), (2, 2), lambda ctx, w: 2 * w["x"]),
+    claims=_p_claims(3, (7, 12), (2, 2), lambda ctx, w: 2 * w["x"]),
 ))
 
 _register(TheoremSpec(
@@ -442,7 +445,7 @@ _register(TheoremSpec(
         _classes(24, (1, 7), 1, _form_wit(6), _rhs_4x2),
         _classes(24, (17, 23)),
     ),
-    claims=_p_claims(2, Fraction(2, 3), (0, 1),
+    claims=_p_claims(2, (2, 3), (0, 1),
                      lambda ctx, w: (-1) ** (ctx.half % 2)
                      * jacobi(w["x"], 3) * 2 * w["x"]),
 ))
@@ -515,8 +518,9 @@ def _register_eq35_conjecture(cid: str, b: int, f: int,
     # iff p mod 8b is a unit value of it (Cox, Primes of the form x^2+ny^2).
     d1, n = 2 * b, 8 * b
     squares = {x * x % n for x in range(n)}
-    one, two = ({(a * u + c * v) % n for u in squares for v in squares
-                 if gcd(a * u + c * v, n) == 1} for a, c in ((1, d1), (2, b)))
+    one, two = ({r for r in {(a * u + c * v) % n for u in squares
+                             for v in squares} if gcd(r, n) == 1}
+                for a, c in ((1, d1), (2, b)))
     _register(TheoremSpec(
         id=cid, kind="conjecture", m=f, excluded=excluded,
         branches=(
@@ -720,13 +724,26 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
 
 @lru_cache(maxsize=1)
 def _t_roots(m: int | Fraction, ctx: PrimeCtx):
-    """a = 1 - 256/m, a mod p, the square roots t of a mod p, and S(m) when
-    there are any (else None): the start of both consistency checks, which
-    a sweep asks for twice in a row for each (m, p)."""
-    a = 1 - Fraction(256) / Fraction(m)
-    a_p = a.numerator * inv_mod(a.denominator, ctx.p) % ctx.p
-    roots = sqrt_mod_p(a_p, ctx)
-    return a, a_p, roots, sum_S(m, ctx) if roots else None
+    """The square roots t of a = 1 - 256/m mod p, their lifts mod p**2 and
+    S(m) when there are any roots (else None): the start of both
+    consistency checks, which a sweep asks for twice in a row for each
+    (m, p).  Where a is a unit mod p, one Hensel lift gives both: the
+    roots are the lifts' residues.  Where a = 0 mod p, the root is 0,
+    lifted to 0 when a = 0 and to nothing otherwise."""
+    if isinstance(m, int):
+        num, den = m - 256, m
+    else:
+        from fractions import Fraction
+
+        a = 1 - Fraction(256) / Fraction(m)
+        num, den = a.numerator, a.denominator
+    p, p2 = ctx.p, ctx.p2
+    if num % p:
+        lifts = sqrt_mod_p2(num * inv_mod(den, p2), ctx)
+        roots = tuple(sorted(t % p for t in lifts))
+    else:
+        roots, lifts = (0,), ((0,) if num == 0 else ())
+    return roots, lifts, sum_S(m, ctx) if roots else None
 
 
 def consistency_triangle(m: int | Fraction, ctx: PrimeCtx) -> dict:
@@ -739,18 +756,11 @@ def consistency_triangle(m: int | Fraction, ctx: PrimeCtx) -> dict:
     square root exists mod p**2 to feed the 128-denominator sum).
     """
     p, p2 = ctx.p, ctx.p2
-    a, a_p, roots, s_val = _t_roots(m, ctx)
+    roots, lifts, s_val = _t_roots(m, ctx)
     if not roots:
         return {"skipped": "t not in F_p"}
     ok_p = all(legendre_eval(ctx.qcap, r, ctx) ** 2 % p == s_val % p
                for r in roots)
-    if a == 0:
-        lifts: tuple[int, ...] = (0,)
-    elif a_p == 0:
-        lifts = ()
-    else:
-        lifts = sqrt_mod_p2(a.numerator * inv_mod(a.denominator, p2) % p2,
-                            ctx)
     ok_p2: bool | None = None
     if lifts:
         inv128 = inv_mod(128, p2)
@@ -763,7 +773,7 @@ def shifted_cubic_leg(m: int | Fraction, ctx: PrimeCtx) -> bool | None:
     """Does the squared power sum of x^3+4x^2+(2-2t)x match S(m) mod p
     for both roots t = sqrt(1 - 256/m)?  None when t is not in F_p."""
     p = ctx.p
-    _, _, roots, s_val = _t_roots(m, ctx)
+    roots, _, s_val = _t_roots(m, ctx)
     if not roots:
         return None
     return all(power_sum(4, 2 - 2 * t, 0, ctx) ** 2 % p == s_val % p

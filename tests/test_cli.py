@@ -308,13 +308,14 @@ def _imported(*args: str) -> set[str]:
 def test_a_verify_run_imports_only_what_it_uses():
     """Start-up budget: beyond what a bare interpreter imports, a
     one-worker jsonl run imports no dataclass machinery (dataclasses,
-    inspect), no pool (multiprocessing) and no csv writer; a csv run, as
-    a positive control, does import csv."""
+    inspect), no pool (multiprocessing), no csv writer and no fractions
+    (only a Fraction argument to sum_S needs it); a csv run, as a
+    positive control, does import csv."""
     bare = _imported("-c", "pass")
     run = ("-m", "supercong", "verify", "--theorems", "all", "--primes",
            "5..5")
     jsonl = _imported(*run, "--format", "jsonl") - bare
     assert {"supercong.cli", "supercong.theorems"} <= jsonl
-    lazy = {"dataclasses", "inspect", "multiprocessing", "csv"}
+    lazy = {"dataclasses", "inspect", "multiprocessing", "csv", "fractions"}
     assert not jsonl & lazy
     assert (_imported(*run, "--format", "csv") - bare) & lazy == {"csv"}

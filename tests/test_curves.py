@@ -81,12 +81,12 @@ def test_power_sum_examples():
 
 def test_power_sum_matches_pow_loop():
     """Every prime < 300, visited in shuffled order with one prime visited
-    twice, so the one-prime factorial table is hit, missed and replaced."""
+    twice, so the one-prime packed W is hit, missed and replaced."""
     rng = random.Random(25)
     primes = primes_in(5, 299)
     rng.shuffle(primes)
     primes.insert(len(primes) // 2, primes[0])
-    curves._half_factorials.cache_clear()
+    curves._deuring_poly.cache_clear()
     for p in primes:
         ctx = PrimeCtx(p)
         r, u, v = (rng.randrange(p) for _ in range(3))
@@ -98,7 +98,7 @@ def test_power_sum_matches_pow_loop():
                    for _ in range(4)]
         for cu in cubics:
             assert power_sum(*cu, ctx) == _power_sum_loop(*cu, ctx), (p, cu)
-    info = curves._half_factorials.cache_info()
+    info = curves._deuring_poly.cache_info()
     assert info.misses == len(primes)
     assert info.hits == 7 * len(primes)
     assert info.currsize == 1
@@ -136,6 +136,21 @@ def test_power_sum_degenerate_depressed_cubics():
                 assert power_sum(*cu, ctx) == _power_sum_loop(*cu, ctx), \
                     (p, r, cu)
         assert power_sum(-3, 3, -1, ctx) == 0  # (x - 1)**3
+
+
+@pytest.mark.parametrize("p", [1009, 4999, 19997])
+def test_power_sum_matches_pow_loop_at_larger_primes(p):
+    """Random cubics, and shifts of depressed cubics with B = 0 and with
+    C = 0, where W has 85, 417 and 1667 coefficients: a packed W
+    of many columns against one pow per x."""
+    ctx = PrimeCtx(p)
+    assert curves._deuring_poly(ctx)[0].b > 1
+    rng = random.Random(p)
+    cubics = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(3)]
+    cubics += [_from_depressed(rng.randrange(p), 0, rng.randrange(1, p), p),
+               _from_depressed(rng.randrange(p), rng.randrange(1, p), 0, p)]
+    for cu in cubics:
+        assert power_sum(*cu, ctx) == _power_sum_loop(*cu, ctx), (p, cu)
 
 
 @settings(max_examples=60, deadline=None)

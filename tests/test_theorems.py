@@ -452,7 +452,7 @@ def test_shifted_cubic_leg_mini_sweep():
             if m % p == 0:
                 continue
             assert shifted_cubic_leg(m, ctx) in (True, None), (p, m)
-    assert curves._half_factorials.cache_info().currsize <= 1
+    assert curves._deuring_poly.cache_info().currsize <= 1
     assert theorems._t_roots.cache_info().currsize <= 1
 
 
@@ -594,7 +594,7 @@ def test_sweep_keeps_one_prime_of_tables():
     assert sorted(caches) == [
         "binom._s_block", "binom._series", "binom._t_block",
         "binom.central_poly", "binom.t_poly",
-        "curves._chi_table", "curves._half_factorials",
+        "curves._chi_table", "curves._deuring_poly",
         "legendre._legendre_poly", "theorems._t_roots"]
     for name, cached in caches.items():
         assert cached.cache_info().currsize <= 1, name
@@ -644,6 +644,75 @@ def test_sweep_evaluates_each_point_once_per_prime(monkeypatch):
     list(verify_range(PROVEN_IDS, 5, 300))
     assert count[0] == len(requests) > 0
     assert {kind for _, kind, _ in requests} == {"s", "t"}
+
+
+def _consistency_legs(seen: list) -> dict:
+    """(p, m) -> the mod-p, mod-p**2 and cubic legs of the consistency
+    checks, for every prime p < 300 and sum argument m, with the values
+    that a perturbed route put into `seen` at that (p, m)."""
+    theorems._t_roots.cache_clear()
+    out = {}
+    for p in primes_in(5, 299):
+        ctx = PrimeCtx(p)
+        for m in sorted({m for _, m in SUM_ARGUMENTS}):
+            if m % p:
+                seen.clear()
+                tri = consistency_triangle(m, ctx)
+                legs = (tri.get("mod_p"), tri.get("mod_p2"),
+                        shifted_cubic_leg(m, ctx))
+                out[p, m] = legs, tuple(seen)
+    return out
+
+
+def test_consistency_checks_can_fail(monkeypatch):
+    """Non-vacuity of the consistency checks on p < 300.  With 1 added to
+    S(m) where _t_roots reads it, every leg that is not skipped fails.
+    With 1 added to one route alone -- legendre_eval (the mod-p leg),
+    sum_T (the mod-p**2 leg) or power_sum (the cubic leg) -- that route's
+    legs fail and the others are unchanged, except where every value v
+    the route gave has (v + 1)**2 = v**2, i.e. v = -1/2 mod the leg's
+    modulus."""
+    seen: list = []
+
+    def plus_one(fn):
+        def perturbed(*args):
+            value = fn(*args)
+            seen.append(value)
+            return value + 1
+
+        return perturbed
+
+    plain = _consistency_legs(seen)
+    for i in range(3):
+        assert {legs[i] for legs, _ in plain.values()} <= {True, None}
+        assert any(legs[i] for legs, _ in plain.values()), i
+
+    with monkeypatch.context() as mp:
+        mp.setattr(theorems, "sum_S", plus_one(theorems.sum_S))
+        shifted = _consistency_legs(seen)
+    for key, (legs, _) in plain.items():
+        assert shifted[key][0] == tuple(
+            None if leg is None else False for leg in legs), key
+
+    for i, name, square in ((0, "legendre_eval", False),
+                            (1, "sum_T", True), (2, "power_sum", False)):
+        with monkeypatch.context() as mp:
+            mp.setattr(theorems, name, plus_one(getattr(theorems, name)))
+            shifted = _consistency_legs(seen)
+        failed = 0
+        for key, (legs, _) in plain.items():
+            got, values = shifted[key]
+            assert got[:i] + got[i + 1:] == legs[:i] + legs[i + 1:], \
+                (name, key)
+            if legs[i] is None:
+                assert got[i] is None, (name, key)
+            elif got[i] is False:
+                failed += 1
+            else:
+                mod = key[0] ** 2 if square else key[0]
+                assert values and all((2 * v + 1) % mod == 0
+                                      for v in values), (name, key)
+        assert failed > 0, name
 
 
 def test_every_claim_can_fail(monkeypatch):
