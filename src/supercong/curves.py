@@ -66,9 +66,12 @@ def char_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
 
 
 @lru_cache(maxsize=1)
-def _deuring_poly(ctx: PrimeCtx) -> tuple[PackedPoly, int]:
-    """W(z) mod p packed, highest degree first, and its leading
-    coefficient w_hi (see the module docstring)."""
+def _deuring_poly(
+    ctx: PrimeCtx,
+) -> tuple[PackedPoly, int, int, tuple[int, int] | None]:
+    """W(z) mod p packed, highest degree first, with the exponents of B
+    and C in front of it and the B = 0 term (w_hi, 2hi - h), or None
+    when that term is absent (see the module docstring)."""
     p, h = ctx.p, ctx.half
     lo, hi = (h + 1) // 2, 2 * h // 3
     # i, 2h - 3i and 2i - h are all at most hi: 1/n! for n <= hi, then h!
@@ -83,23 +86,25 @@ def _deuring_poly(ctx: PrimeCtx) -> tuple[PackedPoly, int]:
         fac = fac * n % p
     w = [fac * inv[i] % p * inv[2 * h - 3 * i] % p * inv[2 * i - h] % p
          for i in range(hi, lo - 1, -1)]
-    return PackedPoly(w, p), w[0]
+    b_zero = (w[0], 2 * hi - h) if 3 * hi == 2 * h else None
+    return PackedPoly(w, p), 2 * h - 3 * lo, 2 * lo - h, b_zero
 
 
 def power_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
     """sum_x (x^3 + a x^2 + b x + c)**h mod p, h = (p-1)/2, as minus the
     coefficient of x**(p-1) in f**h, read from W (see the module
     docstring)."""
-    p, h = ctx.p, ctx.half
+    p = ctx.p
     s = a * inv_mod(3, p) % p
     big_b = (b - 3 * s * s) % p
     big_c = (c - b * s + 2 * s * s * s) % p
-    w, w_hi = _deuring_poly(ctx)
-    lo, hi = (h + 1) // 2, 2 * h // 3
-    if big_b == 0:
-        coeff = w_hi * pow(big_c, 2 * hi - h, p) if 3 * hi == 2 * h else 0
-    else:
+    w, e_b, e_c, b_zero = _deuring_poly(ctx)
+    if big_b:
         z = big_c * big_c * pow(big_b, -3, p)
-        coeff = (w(z) * pow(big_b, 2 * h - 3 * lo, p)
-                 * pow(big_c, 2 * lo - h, p))
+        coeff = w(z) * pow(big_b, e_b, p) * pow(big_c, e_c, p)
+    elif b_zero:
+        w_hi, e = b_zero
+        coeff = w_hi * pow(big_c, e, p)
+    else:
+        coeff = 0
     return -coeff % p

@@ -730,13 +730,8 @@ def _t_roots(m: int | Fraction, ctx: PrimeCtx):
     (m, p).  Where a is a unit mod p, one Hensel lift gives both: the
     roots are the lifts' residues.  Where a = 0 mod p, the root is 0,
     lifted to 0 when a = 0 and to nothing otherwise."""
-    if isinstance(m, int):
-        num, den = m - 256, m
-    else:
-        from fractions import Fraction
-
-        a = 1 - Fraction(256) / Fraction(m)
-        num, den = a.numerator, a.denominator
+    # a = num/den, in lowest terms up to a factor of 256, a unit mod p
+    num, den = m.numerator - 256 * m.denominator, m.numerator
     p, p2 = ctx.p, ctx.p2
     if num % p:
         lifts = sqrt_mod_p2(num * inv_mod(den, p2), ctx)

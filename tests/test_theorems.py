@@ -456,6 +456,32 @@ def test_shifted_cubic_leg_mini_sweep():
     assert theorems._t_roots.cache_info().currsize <= 1
 
 
+def test_t_roots_of_a_fraction_are_square_roots_of_a():
+    """_t_roots reads a = 1 - 256/m from m's numerator and denominator,
+    which share up to a factor of 256 that the checks must not depend on."""
+    ms = [Fraction(512, 3), Fraction(-64, 5), Fraction(1024, 7),
+          Fraction(256, 9), Fraction(128, 11), Fraction(256), Fraction(-3)]
+    for p in primes_in(5, 200):
+        ctx = PrimeCtx(p)
+        p2 = ctx.p2
+        for m in ms:
+            if m.numerator % p == 0 or m.denominator % p == 0:
+                continue
+            a = 1 - 256 / m
+            a_p2 = a.numerator * inv_mod(a.denominator, p2) % p2
+            roots, lifts, s_val = theorems._t_roots(m, ctx)
+            assert roots == tuple(r for r in range(p)
+                                  if (r * r - a_p2) % p == 0), (p, m)
+            assert all(t * t % p2 == a_p2 and t % p in roots
+                       for t in lifts), (p, m)
+            if a_p2 % p or a == 0:
+                assert len(lifts) == len(roots), (p, m)
+            assert s_val == (binom.sum_S(m, ctx) if roots else None), (p, m)
+            if m.denominator == 1:
+                assert theorems._t_roots(m.numerator, ctx) == (
+                    roots, lifts, s_val), (p, m)
+
+
 def test_worker_count_is_capped_at_cpu_count(monkeypatch):
     """A stub pool records its size and maps serially: no process starts."""
     sizes = []
