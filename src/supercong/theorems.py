@@ -1,22 +1,28 @@
 """Verdict engine: a declarative registry of congruence statements.
 
-Every statement is a TheoremSpec: an applicability predicate plus a claims
-function that lists, at one prime, the congruences to check.  A Claim
+Every statement is a TheoremSpec: the classes of p where it applies plus
+a claims function that lists, at one prime, the congruences to check.  A Claim
 carries both sides of one congruence: the left side, already evaluated by
 the claims function -- S(m), the s series at a raw point, or T(x), which
 also gives P_[p/4](t) (see _p_claims) -- the right side, the modulus p or
 p**2 and the quadratic-form witnesses.  The default claims function reads
-the spec's branch table (predicate on p -> witnesses -> expected residue of
-S(m)); most predicates are congruence classes of p, and _classes builds
-such a branch's label and predicate from one tuple.  Exactly one branch
-must hold at every applicable, non-excluded prime: a gap or an overlap in
-the table is an engine error (RuntimeError), never a record.  A witness
-builder returns None where its form does not represent p, and the claim
-then records a missing representation, a failure.  The sampled statements
-draw their claims from an rng seeded per statement and prime.  verify turns
-claims into VerdictReport records: it reduces both sides by the modulus and
-compares them.  verify_range sweeps a prime interval, optionally fanning
-out across worker processes with a deterministic ordered merge.
+the spec's branch table (classes of p -> witnesses -> expected residue of
+S(m)).  Every condition of a statement, its applicability and each branch,
+is a set of residues of p mod the statement's period N: congruences of p,
+the characters (13/p), (37/p), (29/p) and (p/11), which reciprocity makes
+classes of p mod 13, 37, 29 and 11, and representability by the two genus
+forms of discriminant -8b, classes mod 8b (Cox, Primes of the form
+x^2+ny^2, section 3).  _register lifts each to residues mod N, the lcm of
+their moduli, once at import, so verify reads p mod N against sets.
+Exactly one branch must hold at every applicable, non-excluded prime: a
+gap or an overlap in the table is an engine error (RuntimeError), never a
+record.  A witness builder returns None where its form does not represent
+p, and the claim then records a missing representation, a failure.  The
+sampled statements draw their claims from an rng seeded per statement and
+prime.  verify turns claims into VerdictReport records: it reduces both
+sides by the modulus and compares them.  verify_range sweeps a prime
+interval, optionally fanning out across worker processes with a
+deterministic ordered merge.
 
 Failures of proven statements are genuine failures; failures of
 conjecture-kind statements are downgraded to counterexample candidates by
@@ -35,7 +41,7 @@ import os
 import random
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import (
@@ -92,8 +98,11 @@ class VerdictReport(NamedTuple):
 
 
 class Branch(NamedTuple):
+    """One row of a branch table: it holds where p mod the statement's
+    period is one of `classes`."""
+
     label: str
-    holds: Callable[[int], bool]
+    classes: frozenset[int]
     mod_exp: int = 2
     witnesses: Callable[[PrimeCtx], dict[str, int] | None] = lambda ctx: {}
     rhs: Callable[[PrimeCtx, dict[str, int]], int] = lambda ctx, w: 0
@@ -115,7 +124,8 @@ class Claim(NamedTuple):
 
 
 def _match_branch(spec: "TheoremSpec", p: int) -> Branch:
-    hits = [b for b in spec.branches if b.holds(p)]
+    r = p % spec.period
+    hits = [b for b in spec.branches if r in b.classes]
     if not hits:
         raise RuntimeError(
             f"{spec.id}: branch predicates leave p = {p} uncovered")
@@ -139,14 +149,11 @@ def _branch_claims(spec: "TheoremSpec", ctx: PrimeCtx, seed: int,
                   ctx.p if branch.mod_exp == 1 else ctx.p2, wit)]
 
 
-def _always(p: int) -> bool:
-    return True
-
-
 class TheoremSpec(NamedTuple):
     id: str
     kind: str  # "proven" | "conjecture"
-    applies: Callable[[int], bool] = _always
+    period: int = 1
+    applies: frozenset[int] = frozenset({0})  # residues of p mod period
     m: int | None = None
     excluded: frozenset[int] = frozenset()
     branches: tuple[Branch, ...] = ()
@@ -244,18 +251,30 @@ def _rhs_c23(ctx, w):
     return sgn * (2 * c - ctx.p * inv_mod(2 * c, ctx.p2))
 
 
-def _mod_in(mod: int, classes: Iterable[int]):
-    cs = frozenset(classes)
-    return lambda p: p % mod in cs
-
-
-def _classes(mod: int, classes: tuple[int, ...], *rest) -> Branch:
-    """The branch that holds where p mod `mod` is one of `classes`,
+def _classes(mod: int, classes: tuple[int, ...], *rest) -> tuple:
+    """The branch row that holds where p mod `mod` is one of `classes`,
     labelled from them; `rest` are Branch's mod_exp, witnesses and rhs
     (none for a zero branch)."""
     label = (f"p mod {mod} = {classes[0]}" if len(classes) == 1 else
              f"p mod {mod} in {{{','.join(map(str, classes))}}}")
-    return Branch(label, _mod_in(mod, classes), *rest)
+    return label, mod, classes, *rest
+
+
+def _lift(n: int, mod: int, classes: Iterable[int]) -> frozenset[int]:
+    """The residues mod n, a multiple of mod, of the classes mod mod."""
+    if mod == n:
+        return frozenset(classes)
+    return frozenset().union(*[range(c, n, mod) for c in classes])
+
+
+def _squares(n: int) -> set[int]:
+    return {x * x % n for x in range(n)}
+
+
+def _char_classes(q: int, value: int) -> set[int]:
+    """The classes r mod the odd prime q where (r/q) = value (1 or -1)."""
+    residues = _squares(q) - {0}
+    return residues if value == 1 else set(range(1, q)) - residues
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +327,22 @@ def _c22_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
             if m % p and (m - 256) % p and (s := sum_S(m, ctx)) % p == 0]
 
 
-_T311_PARTS = (
-    (648, "m=648: p mod 4 = 3", lambda p: p % 4 == 3),
-    (-144, "m=-144: p mod 3 = 2", lambda p: p % 3 == 2),
-    (-3969, "m=-3969: p mod 7 in {3,5,6}", lambda p: p % 7 in (3, 5, 6)),
-)
+#: T3.11's sum arguments, each with its label and its classes of p mod 84,
+#: the statement's period
+_T311_PARTS = tuple(
+    (m, f"m={m}: {label}", _lift(84, mod, classes))
+    for m, (label, mod, classes) in ((648, _classes(4, (3,))),
+                                     (-144, _classes(3, (2,))),
+                                     (-3969, _classes(7, (3, 5, 6)))))
 
 
 def _t311_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
     out = []
-    for m, label, holds in _T311_PARTS:
+    r = ctx.p % spec.period
+    for m, label, classes in _T311_PARTS:
         if m % ctx.p == 0:
             out.append(Claim(f"m={m}: excluded", applicable=False))
-        elif holds(ctx.p):
+        elif r in classes:
             out.append(Claim(label, sum_S(m, ctx), 0, ctx.p2, {"m": m}))
     return out
 
@@ -368,39 +390,48 @@ _M_T310 = -(2 ** 14) * 3 ** 4 * 5
 REGISTRY: dict[str, TheoremSpec] = {}
 
 
-def _register(spec: TheoremSpec) -> None:
-    if spec.id in REGISTRY:
-        raise ValueError(f"duplicate id {spec.id}")
-    REGISTRY[spec.id] = spec
+def _register(tid: str, kind: str,
+              applies: tuple[int, Iterable[int]] = (1, (0,)),
+              rows: tuple[tuple, ...] = (), period: int = 1,
+              **fields) -> None:
+    """Enter a statement into REGISTRY.  Its applicability (every prime
+    by default) and the condition of each branch row are classes
+    (mod, residues) of p; its period is the lcm of their moduli (and of
+    `period`), and each is stored as residues mod the period.  A row is
+    (label, mod, residues, *rest), rest being Branch's mod_exp, witnesses
+    and rhs."""
+    if tid in REGISTRY:
+        raise ValueError(f"duplicate id {tid}")
+    n = lcm(period, applies[0], *(row[1] for row in rows))
+    REGISTRY[tid] = TheoremSpec(
+        tid, kind, n, _lift(n, *applies),
+        branches=tuple(Branch(label, _lift(n, mod, classes), *rest)
+                       for label, mod, classes, *rest in rows),
+        **fields)
 
 
-_register(TheoremSpec(
-    id="RV256", kind="proven", m=256,
-    branches=(
-        _classes(8, (1, 3), 2, _form_wit(2), _rhs_4x2_minus_2p),
-        _classes(8, (5, 7)),
-    ),
+_register("RV256", "proven", m=256, rows=(
+    _classes(8, (1, 3), 2, _form_wit(2), _rhs_4x2_minus_2p),
+    _classes(8, (5, 7)),
 ))
 
-_register(TheoremSpec(id="T2.1", kind="proven", claims=_t21_claims))
+_register("T2.1", "proven", claims=_t21_claims)
 
-_register(TheoremSpec(id="C2.1", kind="proven", claims=_c21_claims))
+_register("C2.1", "proven", claims=_c21_claims)
 
-_register(TheoremSpec(id="C2.2", kind="proven", claims=_c22_claims))
+_register("C2.2", "proven", claims=_c22_claims)
 
-_register(TheoremSpec(
-    id="C2.3", kind="proven", applies=_mod_in(8, (1, 3)),
-    branches=(
-        _classes(8, (1, 3), 2, _form_wit(2, ("c", "d"), "one_mod_4"),
-                 _rhs_c23),
-    ),
+_register(
+    "C2.3", "proven", (8, (1, 3)),
+    rows=(_classes(8, (1, 3), 2, _form_wit(2, ("c", "d"), "one_mod_4"),
+                   _rhs_c23),),
     claims=lambda spec, ctx, seed: _branch_claims(
         spec, ctx, seed, sum_T(inv_mod(128, ctx.p2), ctx)),
-))
+)
 
-_register(TheoremSpec(
-    id="T3.1", kind="proven", m=81, excluded=frozenset({7}),
-    branches=(
+_register(
+    "T3.1", "proven", m=81, excluded=frozenset({7}),
+    rows=(
         _classes(7, (1, 2, 4), 1, _form_wit(7, ("C", "D")),
                  lambda ctx, w: 4 * w["C"] ** 2),
         _classes(7, (3, 5, 6)),
@@ -409,103 +440,74 @@ _register(TheoremSpec(
     # opposite sign (see eq31_sign_survey in tests/test_theorems.py)
     claims=_p_claims(-7, (5, 9), (21, 3),
                      lambda ctx, w: jacobi(w["C"], 7) * 2 * w["C"]),
-))
+)
 
-_register(TheoremSpec(
-    id="T3.2", kind="proven", applies=_mod_in(12, (1, 11)), m=-12288,
-    branches=(
+_register(
+    "T3.2", "proven", (12, (1, 11)), m=-12288,
+    rows=(
         _classes(12, (1,), 1, _form_wit(9, convention="one_mod_3"),
                  _rhs_4x2),
         _classes(12, (11,)),
     ),
     claims=_p_claims(3, (7, 12), (2, 2), lambda ctx, w: 2 * w["x"]),
+)
+
+# (d/p) = (p/d) for d = 13, 37, 29 (d = 1 mod 4), a class of p mod d
+_register("T3.3", "proven", (13, _char_classes(13, 1)), m=-82944, rows=(
+    _classes(4, (1,), 1, _form_wit(13), _rhs_4x2),
+    _classes(4, (3,)),
 ))
 
-_register(TheoremSpec(
-    id="T3.3", kind="proven", applies=lambda p: jacobi(13, p) == 1,
-    m=-82944,
-    branches=(
-        _classes(4, (1,), 1, _form_wit(13), _rhs_4x2),
-        _classes(4, (3,)),
-    ),
+_register("T3.4", "proven", (37, _char_classes(37, 1)), m=_M_T34, rows=(
+    _classes(4, (1,), 1, _form_wit(37), _rhs_4x2),
+    _classes(4, (3,)),
 ))
 
-_register(TheoremSpec(
-    id="T3.4", kind="proven", applies=lambda p: jacobi(37, p) == 1,
-    m=_M_T34,
-    branches=(
-        _classes(4, (1,), 1, _form_wit(37), _rhs_4x2),
-        _classes(4, (3,)),
-    ),
-))
-
-_register(TheoremSpec(
-    id="T3.5", kind="proven", applies=_mod_in(8, (1, 7)), m=48 ** 2,
-    branches=(
+_register(
+    "T3.5", "proven", (8, (1, 7)), m=48 ** 2,
+    rows=(
         _classes(24, (1, 7), 1, _form_wit(6), _rhs_4x2),
         _classes(24, (17, 23)),
     ),
     claims=_p_claims(2, (2, 3), (0, 1),
                      lambda ctx, w: (-1) ** (ctx.half % 2)
                      * jacobi(w["x"], 3) * 2 * w["x"]),
+)
+
+_register("T3.6", "proven", (5, (1, 4)), m=12 ** 4, rows=(
+    _classes(40, (1, 9, 11, 19), 1, _form_wit(10), _rhs_4x2),
+    _classes(40, (21, 29, 31, 39)),
 ))
 
-_register(TheoremSpec(
-    id="T3.6", kind="proven", applies=_mod_in(5, (1, 4)), m=12 ** 4,
-    branches=(
-        _classes(40, (1, 9, 11, 19), 1, _form_wit(10), _rhs_4x2),
-        _classes(40, (21, 29, 31, 39)),
-    ),
+_register("T3.7", "proven", (8, (1, 7)), m=1584 ** 2, rows=(
+    ("(p/11) = 1", 11, _char_classes(11, 1), 1, _form_wit(22), _rhs_4x2),
+    ("(p/11) = -1", 11, _char_classes(11, -1)),
 ))
 
-_register(TheoremSpec(
-    id="T3.7", kind="proven", applies=_mod_in(8, (1, 7)), m=1584 ** 2,
-    branches=(
-        Branch("(p/11) = 1", lambda p: jacobi(p, 11) == 1, 1,
-               _form_wit(22), _rhs_4x2),
-        Branch("(p/11) = -1", lambda p: jacobi(p, 11) == -1),
-    ),
+_register("T3.8", "proven", (29, _char_classes(29, 1)), m=396 ** 4, rows=(
+    _classes(8, (1, 3), 1, _form_wit(58), _rhs_4x2),
+    _classes(8, (5, 7)),
 ))
 
-_register(TheoremSpec(
-    id="T3.8", kind="proven", applies=lambda p: jacobi(29, p) == 1,
-    m=396 ** 4,
-    branches=(
-        _classes(8, (1, 3), 1, _form_wit(58), _rhs_4x2),
-        _classes(8, (5, 7)),
-    ),
+_register("T3.9", "proven", (24, (1, 5, 19, 23)), m=28 ** 4, rows=(
+    _classes(24, (1, 19), 1, _form_wit(18), _rhs_4x2),
+    _classes(24, (5, 23)),
 ))
 
-_register(TheoremSpec(
-    id="T3.9", kind="proven", applies=_mod_in(24, (1, 5, 19, 23)),
-    m=28 ** 4,
-    branches=(
-        _classes(24, (1, 19), 1, _form_wit(18), _rhs_4x2),
-        _classes(24, (5, 23)),
-    ),
+_register("T3.10", "proven", (5, (1, 4)), m=_M_T310, rows=(
+    # Every applicable p = 1 mod 4 is x^2 + 25y^2: p = a^2 + b^2, and
+    # were 5 to divide neither, a^2 + b^2 would be 2, 0 or 3 mod 5
+    # (squares of units are 1 or 4), not p = +-1 mod 5.  So 5 divides
+    # one of them, b say, and p = a^2 + 25(b/5)^2.
+    ("p = x^2+25y^2", 4, (1,), 1, _form_wit(25), _rhs_4x2),
+    _classes(4, (3,)),
 ))
 
-_register(TheoremSpec(
-    id="T3.10", kind="proven", applies=_mod_in(5, (1, 4)), m=_M_T310,
-    branches=(
-        # Every applicable p = 1 mod 4 is x^2 + 25y^2: p = a^2 + b^2, and
-        # were 5 to divide neither, a^2 + b^2 would be 2, 0 or 3 mod 5
-        # (squares of units are 1 or 4), not p = +-1 mod 5.  So 5 divides
-        # one of them, b say, and p = a^2 + 25(b/5)^2.
-        Branch("p = x^2+25y^2", _mod_in(4, (1,)), 1,
-               _form_wit(25), _rhs_4x2),
-        _classes(4, (3,)),
-    ),
-))
+_register("T3.11", "proven", period=84, claims=_t311_claims)
 
-_register(TheoremSpec(id="T3.11", kind="proven", claims=_t311_claims))
-
-_register(TheoremSpec(
-    id="Conj-A3", kind="conjecture", m=81, excluded=frozenset({7}),
-    branches=(
-        _classes(7, (1, 2, 4), 2, _form_wit(7), _rhs_4x2_minus_2p),
-        _classes(7, (3, 5, 6)),
-    ),
+_register("Conj-A3", "conjecture", m=81, excluded=frozenset({7}), rows=(
+    _classes(7, (1, 2, 4), 2, _form_wit(7), _rhs_4x2_minus_2p),
+    _classes(7, (3, 5, 6)),
 ))
 
 
@@ -516,20 +518,17 @@ def _register_eq35_conjecture(cid: str, b: int, f: int,
     # stated symbol pairs misplace p = 3 mod 4 for b in {5, 29}.  2b is
     # idoneal (one form per genus), so p prime to 8b is a value of a form
     # iff p mod 8b is a unit value of it (Cox, Primes of the form x^2+ny^2).
+    # 2b y^2 mod 8b reads y^2 mod 4 (0 or 1), b y^2 reads y^2 mod 8.
     d1, n = 2 * b, 8 * b
-    squares = {x * x % n for x in range(n)}
-    one, two = ({r for r in {(a * u + c * v) % n for u in squares
-                             for v in squares} if gcd(r, n) == 1}
-                for a, c in ((1, d1), (2, b)))
-    _register(TheoremSpec(
-        id=cid, kind="conjecture", m=f, excluded=excluded,
-        branches=(
-            Branch(f"p = x^2+{d1}y^2", _mod_in(n, one), 2,
-                   _form_wit(d1), _rhs_4x2_minus_2p),
-            Branch(f"p = 2x^2+{b}y^2", _mod_in(n, two), 2,
-                   _search_wit(b, a=2), _rhs_2p_minus_8x2),
-            Branch("neither form", lambda p, u=one | two: p % n not in u),
-        ),
+    squares = _squares(n)
+    one, two = ({r for r in {(a * u + c * v) % n
+                             for u in squares for v in ys} if gcd(r, n) == 1}
+                for a, c, ys in ((1, d1, (0, 1)), (2, b, (0, 1, 4))))
+    _register(cid, "conjecture", m=f, excluded=excluded, rows=(
+        (f"p = x^2+{d1}y^2", n, one, 2, _form_wit(d1), _rhs_4x2_minus_2p),
+        (f"p = 2x^2+{b}y^2", n, two, 2, _search_wit(b, a=2),
+         _rhs_2p_minus_8x2),
+        ("neither form", n, set(range(n)) - one - two),
     ))
 
 
@@ -541,53 +540,43 @@ _register_eq35_conjecture("Conj-A21", 29, 396 ** 4, frozenset({29}))
 
 def _register_twisted_conjecture(cid: str, d: int, m: int,
                                  excluded: frozenset[int]) -> None:
-    _register(TheoremSpec(
-        id=cid, kind="conjecture", m=m, excluded=excluded,
-        branches=(
-            Branch(f"({d}/p) = (-1/p) = 1",
-                   lambda p, d=d: jacobi(d, p) == 1 and p % 4 == 1, 2,
-                   _form_wit(d), _rhs_4x2_minus_2p),
-            Branch(f"({d}/p) = (-1/p) = -1",
-                   lambda p, d=d: jacobi(d, p) == -1 and p % 4 == 3, 2,
-                   _search_wit(d, scale=2), _rhs_2p_minus_2x2),
-            Branch(f"({d}/p) = -(-1/p)",
-                   lambda p, d=d: jacobi(d, p) != (1 if p % 4 == 1 else -1)),
-        ),
+    # (d/p) = (p/d) for d = 1 mod 4, so each branch is a class mod 4d
+    n = 4 * d
+    one, two = ({r for r in range(c, n, 4) if r % d in chars}
+                for c, chars in ((1, _char_classes(d, 1)),
+                                 (3, _char_classes(d, -1))))
+    _register(cid, "conjecture", m=m, excluded=excluded, rows=(
+        (f"({d}/p) = (-1/p) = 1", n, one, 2, _form_wit(d),
+         _rhs_4x2_minus_2p),
+        (f"({d}/p) = (-1/p) = -1", n, two, 2, _search_wit(d, scale=2),
+         _rhs_2p_minus_2x2),
+        (f"({d}/p) = -(-1/p)", n, set(range(n)) - one - two),
     ))
 
 
 _register_twisted_conjecture("Conj-A17", 13, -82944, frozenset({13}))
 _register_twisted_conjecture("Conj-A19", 37, _M_T34, frozenset({37}))
 
-_register(TheoremSpec(
-    id="Conj-A24", kind="conjecture", m=-12288,
-    branches=(
-        _classes(12, (1,), 1, _gauss_wit, _rhs_signed_4x2_minus_2p),
-        _classes(12, (5,), 2, _gauss_wit, _rhs_minus_4xy_char3),
-        _classes(4, (3,)),
-    ),
+_register("Conj-A24", "conjecture", m=-12288, rows=(
+    _classes(12, (1,), 1, _gauss_wit, _rhs_signed_4x2_minus_2p),
+    _classes(12, (5,), 2, _gauss_wit, _rhs_minus_4xy_char3),
+    _classes(4, (3,)),
 ))
 
-_register(TheoremSpec(
-    id="Conj-A25", kind="conjecture", m=_M_T310, excluded=frozenset({7}),
-    branches=(
-        Branch("p = x^2+25y^2",
-               lambda p: p % 4 == 1 and p % 5 in (1, 4), 1,
-               _form_wit(25), _rhs_4x2_minus_2p),
-        Branch("p = x^2+y^2 with 5 | x-y",
-               lambda p: p % 4 == 1 and p % 5 in (2, 3), 2,
-               _gauss5_wit, _rhs_minus_4xy),
+_register(
+    "Conj-A25", "conjecture", m=_M_T310, excluded=frozenset({7}),
+    rows=(
+        # p = 1 mod 4, and p = +-1 or +-2 mod 5
+        ("p = x^2+25y^2", 20, (1, 9), 1, _form_wit(25), _rhs_4x2_minus_2p),
+        ("p = x^2+y^2 with 5 | x-y", 20, (13, 17), 2, _gauss5_wit,
+         _rhs_minus_4xy),
         _classes(4, (3,)),
     ),
-))
+)
 
-_register(TheoremSpec(
-    id="Conj-A28", kind="conjecture", m=28 ** 4, excluded=frozenset({5}),
-    branches=(
-        _classes(8, (1, 3), 1, _form_wit(2), _rhs_4x2_minus_2p),
-        _classes(8, (5, 7)),
-    ),
-))
+_register("Conj-A28", "conjecture", m=28 ** 4, excluded=frozenset({5}),
+          rows=(_classes(8, (1, 3), 1, _form_wit(2), _rhs_4x2_minus_2p),
+                _classes(8, (5, 7))))
 
 PROVEN_IDS: tuple[str, ...] = tuple(
     tid for tid, s in REGISTRY.items() if s.kind == "proven")
@@ -623,7 +612,8 @@ def verify(spec: TheoremSpec | str, p: PrimeCtx | int,
     if p in spec.excluded or (spec.m is not None and spec.m % p == 0):
         claims = [Claim("excluded", applicable=False)]
     else:
-        claims = list(spec.claims(spec, ctx, seed)) if spec.applies(p) else []
+        claims = (list(spec.claims(spec, ctx, seed))
+                  if p % spec.period in spec.applies else [])
     reports = []
     for label, lhs, rhs, mod, wit, applicable in (
             claims or [Claim("n/a", applicable=False)]):

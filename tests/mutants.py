@@ -1,0 +1,134 @@
+"""Source mutants that the tests must kill.
+
+    python tests/mutants.py [name ...]
+
+Each mutant replaces one text in one file under src/ -- a text that must
+occur there exactly once -- in a temporary copy of the repository, and runs
+a named subset of the tests against that copy.  The mutant is killed when
+the subset fails (pytest exit status 1).  The subsets are first run on the
+unmutated copy, where they must pass.  Exit status: 0 when every mutant is
+killed, 1 when one survives, 2 when a target text does not occur exactly
+once or a subset does not run cleanly.  Not part of tier-1: it runs pytest
+once per mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CURVES = ("tests/test_curves.py",)
+CERTIFICATE = (
+    "tests/test_theorems.py::test_branch_tables_partition_every_residue_class",
+)
+CONSISTENCY = ("tests/test_theorems.py::test_consistency_checks_can_fail",)
+
+#: (name, file, text, replacement, tests that must fail)
+MUTANTS = (
+    ("power_sum: W's upper index one lower", "src/supercong/curves.py",
+     "lo, hi = (h + 1) // 2, 2 * h // 3",
+     "lo, hi = (h + 1) // 2, 2 * h // 3 - 1", CURVES),
+    ("power_sum: W's upper index one higher", "src/supercong/curves.py",
+     "lo, hi = (h + 1) // 2, 2 * h // 3",
+     "lo, hi = (h + 1) // 2, 2 * h // 3 + 1", CURVES),
+    ("power_sum: W's lower index floor(h/2)", "src/supercong/curves.py",
+     "lo, hi = (h + 1) // 2, 2 * h // 3",
+     "lo, hi = h // 2, 2 * h // 3", CURVES),
+    ("power_sum: the shift to x^3 + Bx + C dropped",
+     "src/supercong/curves.py", "s = a * inv_mod(3, p) % p", "s = 0",
+     CURVES),
+    ("power_sum: final sign dropped", "src/supercong/curves.py",
+     "return -coeff % p", "return coeff % p", CURVES),
+    ("RV256: a class removed from the zero branch",
+     "src/supercong/theorems.py",
+     '_register("RV256", "proven", m=256, rows=(\n'
+     "    _classes(8, (1, 3), 2, _form_wit(2), _rhs_4x2_minus_2p),\n"
+     "    _classes(8, (5, 7)),",
+     '_register("RV256", "proven", m=256, rows=(\n'
+     "    _classes(8, (1, 3), 2, _form_wit(2), _rhs_4x2_minus_2p),\n"
+     "    _classes(8, (5,)),", CERTIFICATE),
+    ("Conj-A24: a class added to the second branch",
+     "src/supercong/theorems.py",
+     "_classes(12, (5,), 2, _gauss_wit, _rhs_minus_4xy_char3)",
+     "_classes(12, (5, 7), 2, _gauss_wit, _rhs_minus_4xy_char3)",
+     CERTIFICATE),
+    ("eq35: 'neither form' overlaps the second form",
+     "src/supercong/theorems.py",
+     '("neither form", n, set(range(n)) - one - two)',
+     '("neither form", n, set(range(n)) - one)', CERTIFICATE),
+    ("T3.7: a class left uncovered, labels unchanged",
+     "src/supercong/theorems.py",
+     '("(p/11) = -1", 11, _char_classes(11, -1))',
+     '("(p/11) = -1", 11, _char_classes(11, -1) - {2})', CERTIFICATE),
+    ("theorems imports multiprocessing at the top",
+     "src/supercong/theorems.py",
+     "import os\n", "import multiprocessing\nimport os\n",
+     ("tests/test_cli.py::test_a_verify_run_imports_only_what_it_uses",)),
+    ("consistency: the mod-p leg always holds", "src/supercong/theorems.py",
+     "legendre_eval(ctx.qcap, r, ctx) ** 2 % p == s_val % p", "True",
+     CONSISTENCY),
+    ("consistency: the mod-p**2 leg always holds",
+     "src/supercong/theorems.py",
+     "sum_T((1 - t) * inv128 % p2, ctx) ** 2 % p2 == s_val", "True",
+     CONSISTENCY),
+    ("consistency: the cubic leg always holds", "src/supercong/theorems.py",
+     "power_sum(4, 2 - 2 * t, 0, ctx) ** 2 % p == s_val % p", "True",
+     CONSISTENCY),
+)
+
+
+def _pytest(tree: Path, tests: tuple[str, ...]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests], cwd=tree, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    counts = [(name, path, (ROOT / path).read_text().count(old))
+              for name, path, old, _, _ in chosen]
+    for name, path, count in counts:
+        if count != 1:
+            print(f"ERROR {name}: target occurs {count} times in {path}")
+    if any(count != 1 for _, _, count in counts):
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        for tests in dict.fromkeys(m[4] for m in chosen):
+            if _pytest(tree, tests) != 0:
+                print(f"ERROR unmutated tree fails {' '.join(tests)}")
+                return 2
+        survived = errors = 0
+        for name, path, old, new, tests in chosen:
+            source = (tree / path).read_text()
+            (tree / path).write_text(source.replace(old, new))
+            try:
+                code = _pytest(tree, tests)
+            finally:
+                (tree / path).write_text(source)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+            survived += code == 0
+            errors += code not in (0, 1)
+            print(f"{verdict:9} {name}  ({' '.join(tests)})")
+    print(f"{len(chosen)} mutants: {len(chosen) - survived - errors} killed, "
+          f"{survived} survived, {errors} errors")
+    return 2 if errors else 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -2,22 +2,56 @@
 they are held against.
 
 sum_S_exact is a second, independent route to S(m): it clears
-denominators and reduces once at the end.  The polynomial identity
+denominators and reduces once at the end.
 
-    sum_k s(k) * C(k, m-k) * (-64)**(m-k)
-      = sum_k t(k) * t-coefficient-reversed(m-k)          (over Z)
+Lemma 2.1 is the identity over Z, with s(k) = (4k)!/k!**4 and
+t(k) = (4k)!/((2k)! k!**2),
 
-is checked exactly via lemma21_sides; both sides satisfy the three-term
-recurrence probed by lemma21_recurrence_residual.  (The identity has
-rational-function certificates in the WZ style,
+    L(m) = sum_k s(k) C(k, m-k) (-64)**(m-k)
+         = sum_k t(k) t(m-k) = R(m),
 
-    -4096 k^2 (m+2)(m-2k)(m-2k+1) / ((m-k+1)(m-k+2))            [left]
-    16 k^2 (4m-4k+1)(4m-4k+3)(16m^2-16mk+55m-26k+46)
-        / ((m-k+1)^2 (m-k+2)^2)                                 [right]
+checked directly by lemma21_sides and certified for every m by
+test_lemma21_certificates (Petkovsek-Wilf-Zeilberger, A = B, ch. 6-7).
+With F(m, k) the summand of either side and a0, a1, a2 the coefficients of
+lemma21_recurrence_residual,
 
-recorded here for reference; only the recurrence is verified, numerically.)
+    a0 F(m,k) + a1 F(m+1,k) + a2 F(m+2,k) = G(m,k+1) - G(m,k)
+
+for the certificates
+
+    G_L(m,k) = -4096 (m+2) k^2 s(k) C(k, m-k+2) (-64)**(m-k)    [left]
+    G_R(m,k) = k^2 (16m^2 - 16mk + 55m - 26k + 46) t(k) t(m-k+2)
+               / ((4(m-k)+5) (4(m-k)+7))                        [right]
+
+G_L vanishes unless m/2 + 1 <= k <= m + 2, G_R unless 0 <= k <= m + 2,
+so summing over k telescopes to a0 L(m) + a1 L(m+1) + a2 L(m+2) = 0, and
+the same for R.  Since a2 = (m+2)**3 != 0 and L = R at m = 0 and 1,
+L = R for every m.  Divided by F(m, k), each relation is an identity of
+rational functions of (m, k): F's shifts and G/F are rational.  Times its
+denominator it is a polynomial of degree at most 11 in m and in k, so
+exact zeros on the 12 x 12 grid m = 0..11, k = 50..61, where no
+denominator vanishes, prove it.  The poles of those ratios lie on lines
+where k - m or 2k - m is fixed; there, and at every other k, the relation
+itself is checked exactly for every m < 40.
+
+From Lemma 2.1 to Theorem 2.1 mod p**2, for every prime p > 3: the sides
+of T2.1, sum_{k<p} s(k) (x(1-64x))**k and (sum_{k<p} t(k) x**k)**2, are
+polynomials in x whose coefficient of x**m is
+
+- for m < p, L(m) and R(m) (every k <= m < p is kept), up to the
+  terms the stored prefixes drop, s(k) for (p-1)/2 < k < p and t(k) for
+  (3p-1)/4 < k < p, which are 0 mod p**2 (the valuation lemma in binom's
+  docstring);
+- for m >= p, 0 mod p**2: on the left every k >= m/2 > (p-1)/2, and on
+  the right each t(k) t(j) with k + j = m and k, j < p has v_p >= 2,
+  since v_p(t(k)) is 0, 1, 1, 2 on the four quarters of [0, p), so a
+  factor from the first quarter pairs with one from the last.
+
+So the two sides agree mod p**2 as polynomials, at every x.  C2.1 is T2.1
+at x = (1-t)/128: x(1-64x) = (1-t**2)/256 = 1/m when t**2 = 1 - 256/m.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -50,6 +84,14 @@ def sum_S_exact(m: int | Fraction, ctx: PrimeCtx) -> int:
     return total * pow(inv_mod(num, p2), p - 1, p2) % p2
 
 
+def _s(k: int) -> int:
+    return math.comb(2 * k, k) ** 2 * math.comb(4 * k, 2 * k)
+
+
+def _t(k: int) -> int:
+    return math.comb(2 * k, k) * math.comb(4 * k, 2 * k)
+
+
 def lemma21_sides(m: int) -> tuple[int, int]:
     """Both sides of the degree-m convolution identity, as exact integers.
 
@@ -58,16 +100,64 @@ def lemma21_sides(m: int) -> tuple[int, int]:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    left = 0
-    for k in range((m + 1) // 2, m + 1):
-        left += (math.comb(2 * k, k) ** 2 * math.comb(4 * k, 2 * k)
-                 * math.comb(k, m - k) * (-64) ** (m - k))
-    right = 0
-    for k in range(m + 1):
+    return (sum(_f_left(m, k) for k in range(m + 1)),
+            sum(_f_right(m, k) for k in range(m + 1)))
+
+
+def _f_left(m: int, k: int) -> int:
+    return _s(k) * math.comb(k, m - k) * (-64) ** (m - k) \
+        if 0 <= m - k <= k else 0
+
+
+def _f_right(m: int, k: int) -> int:
+    return _t(k) * _t(m - k) if 0 <= k <= m else 0
+
+
+def _g_left(m: int, k: int, c: int = -4096) -> Fraction:
+    """G_L, with leading coefficient c."""
+    if not m + 2 <= 2 * k <= 2 * m + 4:
+        return Fraction(0)
+    return (c * (m + 2) * k * k * _s(k) * math.comb(k, m - k + 2)
+            * Fraction(-64) ** (m - k))
+
+
+def _g_right(m: int, k: int, e: int = 55) -> Fraction:
+    """G_R, with coefficient e of m in its quadratic factor."""
+    if not 0 <= k <= m + 2:
+        return Fraction(0)
+    j = m - k
+    return Fraction(k * k * (16 * m * m - 16 * m * k + e * m - 26 * k + 46)
+                    * _t(k) * _t(j + 2), (4 * j + 5) * (4 * j + 7))
+
+
+def _ratios_left(m: int, k: int, c: int = -4096) -> tuple[Fraction, ...]:
+    """F_L(m+1,k)/F_L, F_L(m+2,k)/F_L, F_L(m,k+1)/F_L, and G_L/F_L at
+    (m, k) and (m, k+1), as rational functions of (m, k)."""
+    def cert(k):
+        return Fraction(c * (m + 2) * k * k * (2 * k - m) * (2 * k - m - 1),
+                        (m - k + 1) * (m - k + 2))
+
+    return (Fraction(-64 * (2 * k - m), m - k + 1),
+            Fraction(4096 * (2 * k - m) * (2 * k - m - 1),
+                     (m - k + 1) * (m - k + 2)),
+            Fraction(-(4 * k + 1) * (4 * k + 3) * (2 * k + 1) * (m - k),
+                     8 * (k + 1) ** 2 * (2 * k + 2 - m) * (2 * k + 1 - m)),
+            cert(k), cert(k + 1))
+
+
+def _ratios_right(m: int, k: int, e: int = 55) -> tuple[Fraction, ...]:
+    """As _ratios_left, for F_R and G_R, with r(j) = t(j+1)/t(j)."""
+    def r(j):
+        return Fraction(4 * (4 * j + 1) * (4 * j + 3), (j + 1) ** 2)
+
+    def cert(k):
         j = m - k
-        right += (math.comb(2 * k, k) * math.comb(4 * k, 2 * k)
-                  * math.comb(2 * j, j) * math.comb(4 * j, 2 * j))
-    return left, right
+        return Fraction(16 * k * k * (4 * j + 1) * (4 * j + 3)
+                        * (16 * m * m - 16 * m * k + e * m - 26 * k + 46),
+                        (j + 1) ** 2 * (j + 2) ** 2)
+
+    return (r(m - k), r(m - k) * r(m - k + 1), r(k) / r(m - k - 1),
+            cert(k), cert(k + 1))
 
 
 def lemma21_recurrence_residual(m: int, S: Callable[[int], int]) -> int:
@@ -522,6 +612,46 @@ def test_lemma21_identity_and_recurrence_mini():
         assert lemma21_recurrence_residual(m, rf) == 0
     # the m = 0 instance spelled out
     assert 3072 * 1 - 456 * 24 + 8 * 984 == 0
+
+
+def lemma21_certificate_failures(c: int = -4096, e: int = 55) -> list[str]:
+    """The checks of Lemma 2.1's certificates (see the module docstring)
+    that fail, with G_L's leading coefficient c and G_R's coefficient e:
+    for each side, the relation divided by F on the 12 x 12 grid, and
+    the relation itself for every m < 40 and every k (both sides vanish
+    outside -1 <= k <= m + 3)."""
+    failed = []
+    for side, ratios, f, g in (
+            ("left", lambda m, k: _ratios_left(m, k, c), _f_left,
+             lambda m, k: _g_left(m, k, c)),
+            ("right", lambda m, k: _ratios_right(m, k, e), _f_right,
+             lambda m, k: _g_right(m, k, e))):
+        for m, k in itertools.product(range(12), range(50, 62)):
+            up1, up2, right, g0, g1 = ratios(m, k)
+            shifts = {m: 1, m + 1: up1, m + 2: up2}
+            if lemma21_recurrence_residual(m, shifts.__getitem__) \
+                    != g1 * right - g0:
+                failed.append(f"{side} grid")
+                break
+        if any(lemma21_recurrence_residual(m, lambda n: f(n, k))
+               != g(m, k + 1) - g(m, k)
+               for m in range(40) for k in range(-1, m + 4)):
+            failed.append(f"{side} termwise")
+    return failed
+
+
+def test_lemma21_certificates():
+    """Lemma 2.1 for every m: both certificates hold, on the grid and
+    termwise, and the two sides agree at m = 0 and 1."""
+    assert lemma21_certificate_failures() == []
+    assert lemma21_sides(0) == (1, 1) and lemma21_sides(1) == (24, 24)
+
+
+def test_lemma21_certificates_fail_when_perturbed():
+    assert lemma21_certificate_failures(c=-4095) == ["left grid",
+                                                     "left termwise"]
+    assert lemma21_certificate_failures(e=54) == ["right grid",
+                                                  "right termwise"]
 
 
 def test_corollary22_implication():

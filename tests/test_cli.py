@@ -206,8 +206,8 @@ def test_proven_failure_exits_one():
     from supercong.theorems import REGISTRY, Branch, TheoremSpec
 
     false_claim = TheoremSpec(
-        id="X-false", kind="proven", applies=lambda p: True, m=81,
-        branches=(Branch("always", lambda p: True, 1,
+        id="X-false", kind="proven", m=81,
+        branches=(Branch("always", frozenset({0}), 1,
                          rhs=lambda ctx, w: 1), ),
     )
     REGISTRY["X-false"] = false_claim
@@ -221,7 +221,7 @@ def test_proven_failure_exits_one():
         assert body.count("X-false p=") == 1
 
         false_claim = TheoremSpec(
-            id="X-false", kind="conjecture", applies=lambda p: True, m=81,
+            id="X-false", kind="conjecture", m=81,
             branches=false_claim.branches)
         REGISTRY["X-false"] = false_claim
         buf = io.StringIO()
@@ -251,12 +251,12 @@ def test_engine_error_exits_three(fault, monkeypatch, capsys):
     """An exception inside the engine is neither a failed statement (1) nor
     a bad argument (2): exit 3, with the records already written and their
     summary kept."""
-    if fault == "overlap":  # both branches hold from p = 13 (6 mod 7) on
-        holds = REGISTRY["T3.1"].branches[0].holds
-        _break_first_branch(monkeypatch, holds=lambda p: p >= 11 or holds(p))
+    if fault == "overlap":  # both branches hold at p = 13 (6 mod 7)
+        classes = REGISTRY["T3.1"].branches[0].classes
+        _break_first_branch(monkeypatch, classes=classes | {6})
         message = "RuntimeError: T3.1: branch predicates overlap at p = 13"
     elif fault == "gap":  # no branch holds at p = 11 (4 mod 7)
-        _break_first_branch(monkeypatch, holds=lambda p: False)
+        _break_first_branch(monkeypatch, classes=frozenset())
         message = ("RuntimeError: T3.1: branch predicates leave p = 11 "
                    "uncovered")
     else:  # the first branch applies at p = 11 (4 mod 7)

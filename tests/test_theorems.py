@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import multiprocessing
 import pkgutil
@@ -216,10 +217,15 @@ def test_verify_range_ordering():
     assert keys == sorted(keys)
 
 
+def _holds(spec, branch, p):
+    """Does `branch` of `spec` hold at p?"""
+    return p % spec.period in branch.classes
+
+
 def _checked(spec, pmax):
     """The primes 5..pmax at which spec applies and is not excluded."""
     return [p for p in primes_in(5, pmax)
-            if p not in spec.excluded and spec.applies(p)
+            if p not in spec.excluded and p % spec.period in spec.applies
             and (spec.m is None or spec.m % p)]
 
 
@@ -230,82 +236,77 @@ def test_branch_tables_partition_every_prime():
         if not spec.branches:
             continue
         for p in _checked(spec, 800):
-            hits = [b.label for b in spec.branches if b.holds(p)]
+            hits = [b.label for b in spec.branches if _holds(spec, b, p)]
             assert len(hits) == 1, (tid, p, hits)
 
 
-#: The period N of each branch table: whether a statement applies at a
-#: prime p prime to N, and which branch holds there, depend on p mod N only.
-#: Each predicate is periodic for one of three reasons:
-#: - it tests the class of p mod a divisor of N;
-#: - it is a Jacobi symbol (d/p) with d = 1 mod 4 (13, 29, 37), which by
-#:   quadratic reciprocity equals (p/d), a function of p mod d; T3.7's
-#:   (p/11) is one already;
-#: - it tests representation by x^2 + 2b y^2 or 2x^2 + b y^2 (the eq35
-#:   conjectures, b = 3, 5, 11, 29): 2b is idoneal, so each genus of
-#:   discriminant -8b holds one form, and a prime is a value of a form iff
-#:   its class mod 8b is a unit value of it (Cox, *Primes of the form
-#:   x^2 + ny^2*, §3).
-BRANCH_PERIODS = {
-    "RV256": 8, "C2.3": 8, "T3.1": 7, "T3.2": 12, "T3.3": 52, "T3.4": 148,
-    "T3.5": 24, "T3.6": 40, "T3.7": 88, "T3.8": 232, "T3.9": 24,
-    "T3.10": 20, "Conj-A3": 7, "Conj-A14": 24, "Conj-A16": 40,
-    "Conj-A17": 52, "Conj-A18": 88, "Conj-A19": 148, "Conj-A21": 232,
-    "Conj-A24": 12, "Conj-A25": 20, "Conj-A28": 8,
-}
+def test_class_sets_state_the_papers_conditions():
+    """The class sets say what the statements say of p, below 3000: the
+    characters (d/p) by reciprocity as classes of p mod d, the twisted
+    conjectures' (d/p) = +-(-1/p), and T3.11's three parts."""
+    def applies(tid, p):
+        spec = REGISTRY[tid]
+        return p % spec.period in spec.applies
+
+    def holding(tid, p):
+        spec = REGISTRY[tid]
+        return [b.label for b in spec.branches if _holds(spec, b, p)]
+
+    t311 = REGISTRY["T3.11"]
+    for p in primes_in(5, 3000):
+        for tid, d in (("T3.3", 13), ("T3.4", 37), ("T3.8", 29)):
+            assert applies(tid, p) == (jacobi(d, p) == 1), (tid, p)
+        if p != 11:
+            assert holding("T3.7", p) == [f"(p/11) = {jacobi(p, 11)}"], p
+        for tid, d in (("Conj-A17", 13), ("Conj-A19", 37)):
+            chi, sign = jacobi(d, p), (-1) ** (p % 4 == 3)
+            want = (f"({d}/p) = (-1/p) = {sign}" if chi == sign
+                    else f"({d}/p) = -(-1/p)")
+            assert holding(tid, p) == [want], (tid, p)
+        assert [p % t311.period in classes
+                for _, _, classes in theorems._T311_PARTS] == [
+            p % 4 == 3, p % 3 == 2, p % 7 in (3, 5, 6)], p
 
 
-def _class_primes(spec, n):
-    """One prime for each class of primes > 3 mod n: every unit class r,
-    and r itself for each prime r > 3 dividing n (the class's one prime).
-    Each is the least prime of its class that the statement does not
-    exclude and that does not divide m; a class with none is left out."""
-    units = {r for r in range(n) if math.gcd(r, n) == 1}
-    wanted = units | {q % n for q in primes_in(5, n) if n % q == 0}
-    found = {}
-    for p in primes_in(5, 50 * n):
-        r = p % n
-        if r in wanted and r not in found and p not in spec.excluded \
-                and (spec.m is None or spec.m % p):
-            found[r] = p
-    assert units <= set(found), (spec.id, sorted(units - set(found)))
-    return found
+def _prime_classes(spec):
+    """The classes mod the statement's period N that hold the primes > 3
+    it checks: every unit class mod N, and the class of each prime > 3
+    dividing N unless the statement excludes that prime."""
+    n = spec.period
+    return {r for r in range(n) if math.gcd(r, n) == 1} | {
+        q % n for q in primes_in(5, n) if n % q == 0
+        and q not in spec.excluded and (spec.m is None or spec.m % q)}
 
 
-def _uncovered_classes(spec, reps):
-    """The classes of `reps` (class -> prime) at whose prime the statement
-    applies without exactly one branch holding, with the branches that
-    hold."""
-    return {r: [b.label for b in spec.branches if b.holds(p)]
-            for r, p in reps.items()
-            if spec.applies(p)
-            and sum(b.holds(p) for b in spec.branches) != 1}
+def _uncovered_classes(spec, classes):
+    """The classes at which the statement applies without exactly one
+    branch holding, with the branches that hold."""
+    return {r: [b.label for b in spec.branches if r in b.classes]
+            for r in classes if r in spec.applies
+            and sum(r in b.classes for b in spec.branches) != 1}
 
 
 def test_branch_tables_partition_every_residue_class():
     """Exactly one branch holds at every prime > 3 where a branch-table
-    statement applies, certified class by class.  With the period N of
-    BRANCH_PERIODS, every prime > 3 is either in a unit class mod N, which
-    by Dirichlet holds infinitely many primes that all behave alike, or is
-    a prime dividing N, checked by itself; so one prime per class covers
-    them all.  Dropping any branch of any table leaves a class uncovered,
-    and the predicates agree between each prime below 3000 and its class's
-    prime, as the periods say they must."""
-    assert set(BRANCH_PERIODS) == {tid for tid, spec in REGISTRY.items()
-                                   if spec.branches}
-    for tid, n in BRANCH_PERIODS.items():
-        spec = REGISTRY[tid]
-        reps = _class_primes(spec, n)
-        assert _uncovered_classes(spec, reps) == {}, tid
+    statement applies, certified class by class.  Whether a statement
+    applies and which branch holds are sets of residues of p mod its
+    period N, so every prime in a class behaves alike.  Every prime > 3
+    is either in a unit class mod N, which by Dirichlet holds infinitely
+    many primes, or is a prime dividing N, a class by itself; so checking
+    each such class covers them all.  Dropping any branch of any table
+    leaves a class uncovered."""
+    for tid, spec in REGISTRY.items():
+        n = spec.period
+        assert spec.applies <= set(range(n)), tid
+        assert all(b.classes <= set(range(n)) for b in spec.branches), tid
+        if not spec.branches:
+            continue
+        classes = _prime_classes(spec)
+        assert _uncovered_classes(spec, classes) == {}, tid
         for i in range(len(spec.branches)):
             dropped = spec._replace(branches=spec.branches[:i]
                                     + spec.branches[i + 1:])
-            assert _uncovered_classes(dropped, reps), (tid, i)
-        for p in primes_in(5, 3000):
-            q = reps.get(p % n, p)
-            assert spec.applies(p) == spec.applies(q), (tid, p, q)
-            assert [b.holds(p) for b in spec.branches] == \
-                [b.holds(q) for b in spec.branches], (tid, p, q)
+            assert _uncovered_classes(dropped, classes), (tid, i)
 
 
 @pytest.mark.parametrize("tid,p", [("T3.2", 11), ("T3.1", 13), ("T3.5", 17),
@@ -322,12 +323,75 @@ def test_a_branch_table_gap_is_an_engine_error(tid, p):
         verify(gapped, p)
 
 
+#: The primes the branch-table perturbations are checked at: every branch
+#: of every table has an applicable prime below 60 (T3.8's and Conj-A21's
+#: first branches start at 59).
+PERTURBED_PRIMES = primes_in(5, 1000)
+
+
+def _perturbed_tables():
+    """(table id, perturbed spec, {branch label: primes}) for every
+    perturbation of every branch table with two or more branches: each
+    branch with an applicable prime in PERTURBED_PRIMES gives the class
+    of its least such prime to the next branch (cyclically), and each
+    pair of branches swaps right sides (mod_exp, witnesses and rhs).  The
+    primes are those of each touched branch whose claims changed."""
+    out = []
+    for tid, spec in REGISTRY.items():
+        if len(spec.branches) < 2:
+            continue
+        n, branches = spec.period, spec.branches
+        at = {b.label: [p for p in _checked(spec, PERTURBED_PRIMES[-1])
+                        if p % n in b.classes] for b in branches}
+        for i, src in enumerate(branches):
+            if not at[src.label]:
+                continue
+            r = at[src.label][0] % n
+            dst = branches[(i + 1) % len(branches)]
+            moved = list(branches)
+            moved[i] = src._replace(classes=src.classes - {r})
+            moved[(i + 1) % len(branches)] = dst._replace(
+                classes=dst.classes | {r})
+            out.append((f"{tid}: class {r} of {src.label!r} moved",
+                         spec._replace(branches=tuple(moved)),
+                         {src.label: [p for p in at[src.label]
+                                      if p % n == r]}))
+        for i, j in itertools.combinations(range(len(branches)), 2):
+            swapped = list(branches)
+            for a, b in ((i, j), (j, i)):
+                swapped[a] = branches[b]._replace(
+                    label=branches[a].label, classes=branches[a].classes)
+            out.append((f"{tid}: right sides of branches {i} and {j} "
+                        "swapped", spec._replace(branches=tuple(swapped)),
+                        {branches[k].label: at[branches[k].label]
+                         for k in (i, j) if at[branches[k].label]}))
+    return out
+
+
+def test_perturbed_branch_tables_fail():
+    """Every branch table can fail: each perturbation of _perturbed_tables
+    gives a failing record (for a conjecture, a counterexample candidate)
+    at every prime in PERTURBED_PRIMES whose claims it changed, in every
+    branch it touches.  C2.3's table has one branch, so it has neither
+    perturbation."""
+    tables = _perturbed_tables()
+    assert {name.split(":")[0] for name, _, _ in tables} == {
+        tid for tid, spec in REGISTRY.items() if spec.branches} - {"C2.3"}
+    assert all(want for _, _, want in tables)
+    for p in PERTURBED_PRIMES:
+        ctx = PrimeCtx(p)
+        for name, spec, want in tables:
+            if any(p in primes for primes in want.values()):
+                records = verify(spec, ctx)
+                assert not all(r.passed for r in records), (name, p)
+
+
 def test_missing_representation_is_a_failure_not_a_skip():
     from supercong.theorems import Branch, TheoremSpec, _form_wit
 
     broken = TheoremSpec(
-        id="X-test", kind="proven", applies=lambda p: True, m=81,
-        branches=(Branch("impossible", lambda p: True, 1,
+        id="X-test", kind="proven", m=81,
+        branches=(Branch("impossible", frozenset({0}), 1,
                          _form_wit(7), lambda ctx, w: 0),),
     )
     (rec,) = verify(broken, 13)  # 13 = 6 mod 7 has no x^2+7y^2
@@ -383,8 +447,8 @@ def test_witness_existence_matches_branch_predicates():
         for p in _checked(spec, 1999):
             in_one = represent(2 * b, p) is not None
             in_two = represent(b, p, a=2) is not None
-            assert (one.holds(p), two.holds(p), neither.holds(p)) == (
-                in_one, in_two, not (in_one or in_two)), (tid, p)
+            assert [_holds(spec, br, p) for br in (one, two, neither)] == [
+                in_one, in_two, not (in_one or in_two)], (tid, p)
 
 
 def test_p_claim_robust_under_root_choice():
