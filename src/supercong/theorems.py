@@ -392,17 +392,15 @@ REGISTRY: dict[str, TheoremSpec] = {}
 
 def _register(tid: str, kind: str,
               applies: tuple[int, Iterable[int]] = (1, (0,)),
-              rows: tuple[tuple, ...] = (), period: int = 1,
-              **fields) -> None:
+              rows: tuple[tuple, ...] = (), **fields) -> None:
     """Enter a statement into REGISTRY.  Its applicability (every prime
     by default) and the condition of each branch row are classes
-    (mod, residues) of p; its period is the lcm of their moduli (and of
-    `period`), and each is stored as residues mod the period.  A row is
-    (label, mod, residues, *rest), rest being Branch's mod_exp, witnesses
-    and rhs."""
+    (mod, residues) of p; its period is the lcm of their moduli, and each
+    is stored as residues mod the period.  A row is (label, mod, residues,
+    *rest), rest being Branch's mod_exp, witnesses and rhs."""
     if tid in REGISTRY:
         raise ValueError(f"duplicate id {tid}")
-    n = lcm(period, applies[0], *(row[1] for row in rows))
+    n = lcm(applies[0], *(row[1] for row in rows))
     REGISTRY[tid] = TheoremSpec(
         tid, kind, n, _lift(n, *applies),
         branches=tuple(Branch(label, _lift(n, mod, classes), *rest)
@@ -503,7 +501,8 @@ _register("T3.10", "proven", (5, (1, 4)), m=_M_T310, rows=(
     _classes(4, (3,)),
 ))
 
-_register("T3.11", "proven", period=84, claims=_t311_claims)
+# every prime, as classes mod 84, the period of _T311_PARTS
+_register("T3.11", "proven", (84, range(84)), claims=_t311_claims)
 
 _register("Conj-A3", "conjecture", m=81, excluded=frozenset({7}), rows=(
     _classes(7, (1, 2, 4), 2, _form_wit(7), _rhs_4x2_minus_2p),
