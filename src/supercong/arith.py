@@ -12,7 +12,7 @@ import math
 import sys
 from array import array
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, lshift, mul
 
 __all__ = [
@@ -59,17 +59,17 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], ascending (plain sieve of Eratosthenes)."""
-    if hi < 2 or hi < lo:
-        return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(hi) + 1):
-        if sieve[i]:
-            step = ((hi - i * i) // i) + 1
-            sieve[i * i :: i] = bytearray(step)
+    """All primes in [lo, hi], ascending: a sieve of Eratosthenes over
+    [lo, hi] alone, by the primes up to isqrt(hi) (found the same way),
+    in O(hi - lo + sqrt(hi)) memory."""
     lo = max(lo, 2)
-    return [i for i in range(lo, hi + 1) if sieve[i]]
+    if hi < lo:
+        return []
+    segment = bytearray([1]) * (hi - lo + 1)
+    for q in primes_in(2, math.isqrt(hi)):
+        first = max(q * q, (lo + q - 1) // q * q)
+        segment[first - lo :: q] = bytearray(len(range(first, hi + 1, q)))
+    return list(compress(range(lo, hi + 1), segment))
 
 
 def shares_block(lo: int, hi: int) -> bool:

@@ -5,7 +5,7 @@ The terms of interest are
     s(k) = C(2k,k)**2 * C(4k,2k) = (4k)! / k!**4
     t(k) = C(2k,k)    * C(4k,2k) = (4k)! / ((2k)! * k!**2)
 
-and the truncated sums
+and the truncated sums, for an integer m that p does not divide,
 
     S(m) = sum_{k=0}^{p-1} s(k) * m**(-k)      (mod p**2)
     T(x) = sum_{k=0}^{p-1} t(k) * x**k         (mod p**2)
@@ -33,7 +33,9 @@ the t block; _t_prefix runs only when T is evaluated, so a sweep that
 reads only S never builds t.  Each prefix is packed once per prime into
 an arith.PackedPoly, the baby-step/giant-step kernel that evaluates it
 at every point; packing reduces each value mod p**2, the one reduction
-a value takes.
+a value takes.  The packed polynomials are the per-prime cache: the
+prefixes themselves are not cached, since they keep the block's modulus
+and a PrimeCtx compares by p alone.
 """
 
 from __future__ import annotations
@@ -43,12 +45,8 @@ from collections.abc import Iterable
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .arith import PackedPoly, PrimeCtx, inv_mod
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "central_poly",
@@ -94,7 +92,6 @@ def _t_block(block: tuple[int, ...]) -> list[int]:
     return _ratio_series(last, 2, numerators, math.prod(block) ** 2)
 
 
-@lru_cache(maxsize=1)
 def _series(ctx: PrimeCtx) -> tuple[int, ...]:
     """s(k) for k = (p-1)/2 .. 0, highest k first (as PackedPoly takes
     them), modulo the block's modulus: read from the s series of ctx's
@@ -122,23 +119,16 @@ def t_poly(ctx: PrimeCtx) -> PackedPoly:
     return PackedPoly(_t_prefix(ctx), ctx.p2)
 
 
-def sum_S(m: int | Fraction, ctx: PrimeCtx) -> int:
-    """sum_{k=0}^{p-1} (4k)!/k!**4 * m**(-k) reduced mod p**2, for m an
-    integer or a Fraction whose numerator and denominator p does not
-    divide."""
+def sum_S(m: int, ctx: PrimeCtx) -> int:
+    """sum_{k=0}^{p-1} (4k)!/k!**4 * m**(-k) reduced mod p**2, for an
+    integer m that p does not divide."""
     if not isinstance(m, int):
-        from fractions import Fraction  # only a Fraction argument needs it
-
-        if not isinstance(m, Fraction):
-            raise TypeError(f"m must be an int or a Fraction, got {m!r}")
-    num, den, p = m.numerator, m.denominator, ctx.p
-    if num == 0:
+        raise TypeError(f"m must be an int, got {m!r}")
+    if m == 0:
         raise ValueError("m must be nonzero")
-    if den % p == 0:
-        raise ValueError(f"m = {m} is not a p-adic integer for p = {p}")
-    if num % p == 0:
-        raise ValueError(f"p = {p} divides m = {m}")
-    return central_poly(ctx)(den * inv_mod(num, ctx.p2) % ctx.p2)
+    if m % ctx.p == 0:
+        raise ValueError(f"p = {ctx.p} divides m = {m}")
+    return central_poly(ctx)(inv_mod(m, ctx.p2))
 
 
 def sum_T(x: int, ctx: PrimeCtx) -> int:

@@ -29,7 +29,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .arith import PrimeCtx, inv_mod, jacobi, sqrt_mod_p
+from .arith import PrimeCtx, jacobi
 from .binom import sum_S
 from .curves import char_sum
 from .legendre import legendre_eval
@@ -39,6 +39,7 @@ from .theorems import (
     CONJECTURE_IDS,
     PROVEN_IDS,
     REGISTRY,
+    t_roots,
     verify_range,
 )
 
@@ -190,8 +191,7 @@ def cmd_sum(m: int, p: int, out=None) -> int:
     ctx = PrimeCtx(p)
     value = sum_S(m, ctx)
     out.write(f"sum_S(m={m}, p={p}) = {value} (mod {ctx.p2})\n")
-    a = (1 - 256 * inv_mod(m, ctx.p)) % ctx.p
-    roots = sqrt_mod_p(a, ctx)
+    roots = t_roots(m, ctx)[0]
     if roots:
         for t in roots:
             val = legendre_eval(ctx.qcap, t, ctx)

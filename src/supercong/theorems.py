@@ -39,10 +39,12 @@ from __future__ import annotations
 
 import os
 import random
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .arith import (
     PackedPoly,
@@ -60,9 +62,6 @@ from .curves import char_sum, power_sum
 from .legendre import legendre_eval
 from .quadform import cornacchia, normalize, represent
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 __all__ = [
     "ALL_IDS",
     "CONJECTURE_IDS",
@@ -76,6 +75,7 @@ __all__ = [
     "consistency_triangle",
     "ishii_char_sum",
     "shifted_cubic_leg",
+    "t_roots",
     "verify",
     "verify_range",
 ]
@@ -634,9 +634,8 @@ def _eval_prime(ids: tuple[str, ...], ctx: PrimeCtx,
     return out
 
 
-def _eval_block(args: tuple[tuple[str, ...], tuple[int, ...], int]
+def _eval_block(ids: tuple[str, ...], block: tuple[int, ...], seed: int
                 ) -> list[VerdictReport]:
-    ids, block, seed = args
     return [r for p in block
             for r in _eval_prime(ids, PrimeCtx(p, block), seed)]
 
@@ -682,7 +681,9 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     block per task; their number is a multiple of the worker count where
     the primes allow.  At most min(os.cpu_count(), number of blocks)
     processes start, whatever `workers` asks for; the records depend on
-    neither."""
+    neither.  A pool is handed at most 2 * workers blocks ahead of the
+    block being read, so a stalled reader holds that many blocks of
+    records at most."""
     if pmin <= 3 or pmin > pmax:
         raise ValueError("need 3 < pmin <= pmax")
     id_list = tuple(sorted(set(ids)))
@@ -702,35 +703,38 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
         return
     import multiprocessing  # only a pool needs it: keeps start-up lean
 
-    tasks = [(id_list, block, seed) for block in blocks]
     with multiprocessing.Pool(workers) as pool:
-        for reports in pool.imap(_eval_block, tasks, chunksize=1):
-            yield from reports
+        results = (pool.apply_async(_eval_block, (id_list, block, seed))
+                   for block in blocks)
+        window = deque(islice(results, 2 * workers))
+        while window:
+            yield from window.popleft().get()
+            window.extend(islice(results, 1))
 
 
 # ---------------------------------------------------------------------------
 # cross-statement consistency machinery
 
 @lru_cache(maxsize=1)
-def _t_roots(m: int | Fraction, ctx: PrimeCtx):
-    """The square roots t of a = 1 - 256/m mod p, their lifts mod p**2 and
-    S(m) when there are any roots (else None): the start of both
-    consistency checks, which a sweep asks for twice in a row for each
-    (m, p).  Where a is a unit mod p, one Hensel lift gives both: the
-    roots are the lifts' residues.  Where a = 0 mod p, the root is 0,
-    lifted to 0 when a = 0 and to nothing otherwise."""
-    # a = num/den, in lowest terms up to a factor of 256, a unit mod p
-    num, den = m.numerator - 256 * m.denominator, m.numerator
+def t_roots(m: int, ctx: PrimeCtx):
+    """The square roots t of a = 1 - 256/m mod p, for an integer m that p
+    does not divide, their lifts mod p**2 and S(m) when there are any
+    roots (else None): the one route from m to t, read by both consistency
+    checks (a sweep asks twice in a row for each (m, p)) and by `supercong
+    sum`.  Where a is a unit mod p, one Hensel lift gives both: the roots
+    are the lifts' residues.  Where a = 0 mod p, the root is 0, lifted to
+    0 when a = 0 (m = 256) and to nothing otherwise."""
     p, p2 = ctx.p, ctx.p2
-    if num % p:
-        lifts = sqrt_mod_p2(num * inv_mod(den, p2), ctx)
+    a = (m - 256) * inv_mod(m, p2) % p2
+    if a % p:
+        lifts = sqrt_mod_p2(a, ctx)
         roots = tuple(sorted(t % p for t in lifts))
     else:
-        roots, lifts = (0,), ((0,) if num == 0 else ())
+        roots, lifts = (0,), ((0,) if m == 256 else ())
     return roots, lifts, sum_S(m, ctx) if roots else None
 
 
-def consistency_triangle(m: int | Fraction, ctx: PrimeCtx) -> dict:
+def consistency_triangle(m: int, ctx: PrimeCtx) -> dict:
     """Cross-check S(m) against P_[p/4](t)**2 mod p and T((1-t)/128)**2
     mod p**2, with t = sqrt(1 - 256/m), for both root choices.
 
@@ -740,7 +744,7 @@ def consistency_triangle(m: int | Fraction, ctx: PrimeCtx) -> dict:
     square root exists mod p**2 to feed the 128-denominator sum).
     """
     p, p2 = ctx.p, ctx.p2
-    roots, lifts, s_val = _t_roots(m, ctx)
+    roots, lifts, s_val = t_roots(m, ctx)
     if not roots:
         return {"skipped": "t not in F_p"}
     ok_p = all(legendre_eval(ctx.qcap, r, ctx) ** 2 % p == s_val % p
@@ -753,11 +757,11 @@ def consistency_triangle(m: int | Fraction, ctx: PrimeCtx) -> dict:
     return {"mod_p": ok_p, "mod_p2": ok_p2}
 
 
-def shifted_cubic_leg(m: int | Fraction, ctx: PrimeCtx) -> bool | None:
+def shifted_cubic_leg(m: int, ctx: PrimeCtx) -> bool | None:
     """Does the squared power sum of x^3+4x^2+(2-2t)x match S(m) mod p
     for both roots t = sqrt(1 - 256/m)?  None when t is not in F_p."""
     p = ctx.p
-    roots, _, s_val = _t_roots(m, ctx)
+    roots, _, s_val = t_roots(m, ctx)
     if not roots:
         return None
     return all(power_sum(4, 2 - 2 * t, 0, ctx) ** 2 % p == s_val % p

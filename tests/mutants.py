@@ -28,6 +28,10 @@ CERTIFICATE = (
     "tests/test_theorems.py::test_branch_tables_partition_every_residue_class",
 )
 CONSISTENCY = ("tests/test_theorems.py::test_consistency_checks_can_fail",)
+T_ROOTS = (
+    "tests/test_theorems.py::test_t_roots_are_square_roots_of_a",
+    "tests/test_cli.py::test_sum_names_the_roots_of_one_minus_256_over_m",
+)
 
 #: (name, file, text, replacement, tests that must fail)
 MUTANTS = (
@@ -80,6 +84,19 @@ MUTANTS = (
     ("consistency: the cubic leg always holds", "src/supercong/theorems.py",
      "power_sum(4, 2 - 2 * t, 0, ctx) ** 2 % p == s_val % p", "True",
      CONSISTENCY),
+    ("_series cached on a ctx, which compares by p alone",
+     "src/supercong/binom.py", "def _series(",
+     "@lru_cache(maxsize=1)\ndef _series(",
+     ("tests/test_binom.py::test_series_follow_the_block_of_the_same_prime",)),
+    ("the pool window unbounded", "src/supercong/theorems.py",
+     "deque(islice(results, 2 * workers))", "deque(results)",
+     ("tests/test_theorems.py::test_pool_holds_a_bounded_window_of_blocks",)),
+    ("segmented sieve: first multiple off by one", "src/supercong/arith.py",
+     "(lo + q - 1) // q * q", "(lo + q) // q * q",
+     ("tests/test_arith.py::test_segmented_sieve_matches_whole_sieve",)),
+    ("t_roots: a = 1 + 256/m", "src/supercong/theorems.py",
+     "a = (m - 256) * inv_mod(m, p2)", "a = (m + 256) * inv_mod(m, p2)",
+     T_ROOTS),
 )
 
 

@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -58,6 +60,48 @@ def test_is_prime_spot():
     assert [n for n in range(60) if is_prime(n)] == primes_in(0, 59)
     assert is_prime(2**31 - 1)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+
+def primes_in_reference(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi] from a sieve of all of [0, hi]: the
+    reference for primes_in's sieve of [lo, hi] alone."""
+    if hi < 2 or hi < lo:
+        return []
+    sieve = bytearray([1]) * (hi + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(hi) + 1):
+        if sieve[i]:
+            step = ((hi - i * i) // i) + 1
+            sieve[i * i :: i] = bytearray(step)
+    lo = max(lo, 2)
+    return [i for i in range(lo, hi + 1) if sieve[i]]
+
+
+def test_segmented_sieve_matches_whole_sieve():
+    """Random ranges below 10**5, and the edges: hi < 2, lo > hi, lo <= 2,
+    and a prime square at lo or at hi."""
+    rng = random.Random(0)
+    cases = [(lo, lo + rng.randrange(3000))
+             for lo in (rng.randrange(10**5) for _ in range(300))]
+    cases += [(-5, 1), (0, 0), (1, 1), (10, 9), (5, 4), (-3, 2), (2, 2),
+              (0, 3), (1, 30), (2, 100)]
+    cases += [(q * q + d, q * q + e) for q in (2, 3, 5, 7, 11, 97, 313)
+              for d, e in ((0, 50), (-50, 0), (0, 0), (-1, 1))]
+    for lo, hi in cases:
+        assert primes_in(lo, hi) == primes_in_reference(lo, hi), (lo, hi)
+
+
+def test_primes_in_sieves_only_its_range():
+    """A 100-wide range near 10**8 takes O(width + 10**4) memory, not the
+    100 MB of a sieve of [0, 10**8 + 100]."""
+    tracemalloc.start()
+    try:
+        primes = primes_in(10**8, 10**8 + 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert primes == [p for p in range(10**8, 10**8 + 101) if is_prime(p)]
+    assert peak < 2**20
 
 
 def test_jacobi_examples():

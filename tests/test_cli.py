@@ -6,11 +6,14 @@ import sys
 
 import pytest
 
-from supercong.arith import PrimeCtx
+from supercong.arith import PrimeCtx, inv_mod, primes_in, sqrt_mod_p
+from supercong.binom import sum_S
 from supercong.cli import (_render_csv, _render_jsonl, _wit_str, cmd_sum,
                            cmd_verify, main)
 from supercong.curves import char_sum
-from supercong.theorems import ALL_IDS, REGISTRY, VerdictReport, verify_range
+from supercong.legendre import legendre_eval
+from supercong.theorems import (ALL_IDS, REGISTRY, SUM_ARGUMENTS,
+                                VerdictReport, verify_range)
 from test_theorems import from_record, to_record
 
 
@@ -73,6 +76,26 @@ def test_sum_prints_both_roots():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "sum_S(m=81, p=11) = 115 (mod 121)"
     assert len([ln for ln in lines if ln.startswith("P_[")]) == 2
+
+
+def test_sum_names_the_roots_of_one_minus_256_over_m():
+    """For every prime p < 300 and every sum argument m of the registry,
+    with m = 256 (t = 0) and m = 256 + p (t = 0 mod p only), the output
+    of cmd_sum is S(m) and one P_[p/4](t) line per root t of 1 - 256/m
+    mod p, the roots found here as sqrt_mod_p of that residue."""
+    for p in primes_in(5, 299):
+        ctx = PrimeCtx(p)
+        for m in sorted({m for _, m in SUM_ARGUMENTS} | {256, 256 + p}):
+            if m % p == 0:
+                continue
+            roots = sqrt_mod_p((1 - 256 * inv_mod(m, p)) % p, ctx)
+            want = [f"sum_S(m={m}, p={p}) = {sum_S(m, ctx)} (mod {p * p})"]
+            want += [f"P_[{ctx.qcap}](t={t}) = "
+                     f"{legendre_eval(ctx.qcap, t, ctx)} (mod {p})"
+                     for t in roots] or ["t = sqrt(1 - 256/m) is not in F_p"]
+            buf = io.StringIO()
+            assert cmd_sum(m, p, out=buf) == 0
+            assert buf.getvalue().splitlines() == want, (p, m)
 
 
 def test_verify_excluded_prime_exits_zero():
@@ -309,7 +332,7 @@ def test_a_verify_run_imports_only_what_it_uses():
     """Start-up budget: beyond what a bare interpreter imports, a
     one-worker jsonl run imports no dataclass machinery (dataclasses,
     inspect), no pool (multiprocessing), no csv writer and no fractions
-    (only a Fraction argument to sum_S needs it); a csv run, as a
+    (the library uses no rational type); a csv run, as a
     positive control, does import csv."""
     bare = _imported("-c", "pass")
     run = ("-m", "supercong", "verify", "--theorems", "all", "--primes",

@@ -5,6 +5,8 @@ import multiprocessing
 import pkgutil
 import random
 from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -517,38 +519,38 @@ def test_shifted_cubic_leg_mini_sweep():
                 continue
             assert shifted_cubic_leg(m, ctx) in (True, None), (p, m)
     assert curves._deuring_poly.cache_info().currsize <= 1
-    assert theorems._t_roots.cache_info().currsize <= 1
+    assert theorems.t_roots.cache_info().currsize <= 1
 
 
-def test_t_roots_of_a_fraction_are_square_roots_of_a():
-    """_t_roots reads a = 1 - 256/m from m's numerator and denominator,
-    which share up to a factor of 256 that the checks must not depend on."""
-    ms = [Fraction(512, 3), Fraction(-64, 5), Fraction(1024, 7),
-          Fraction(256, 9), Fraction(128, 11), Fraction(256), Fraction(-3)]
+def test_t_roots_are_square_roots_of_a():
+    """t_roots reads a = 1 - 256/m, here taken from the rational number.
+    m = 256 gives a = 0, whose root 0 lifts to 0; m = 256 + p gives
+    a = 0 mod p with a != 0, whose root 0 has no lift mod p**2."""
     for p in primes_in(5, 200):
         ctx = PrimeCtx(p)
         p2 = ctx.p2
-        for m in ms:
-            if m.numerator % p == 0 or m.denominator % p == 0:
+        for m in (512, -64, 1024, 3, 128, -3, 81, -144, 7, 2304, 256,
+                  256 + p):
+            if m % p == 0:
                 continue
-            a = 1 - 256 / m
+            a = 1 - Fraction(256, m)
             a_p2 = a.numerator * inv_mod(a.denominator, p2) % p2
-            roots, lifts, s_val = theorems._t_roots(m, ctx)
+            roots, lifts, s_val = theorems.t_roots(m, ctx)
             assert roots == tuple(r for r in range(p)
                                   if (r * r - a_p2) % p == 0), (p, m)
             assert all(t * t % p2 == a_p2 and t % p in roots
                        for t in lifts), (p, m)
             if a_p2 % p or a == 0:
                 assert len(lifts) == len(roots), (p, m)
+            else:
+                assert roots == (0,) and lifts == (), (p, m)
             assert s_val == (binom.sum_S(m, ctx) if roots else None), (p, m)
-            if m.denominator == 1:
-                assert theorems._t_roots(m.numerator, ctx) == (
-                    roots, lifts, s_val), (p, m)
 
 
-def test_worker_count_is_capped_at_cpu_count(monkeypatch):
-    """A stub pool records its size and maps serially: no process starts."""
-    sizes = []
+def serial_pool(sizes: list, tasks: list):
+    """A stand-in for multiprocessing.Pool that starts no process: it logs
+    each pool's size in `sizes` and each task handed to it in `tasks`,
+    and runs a task when its result is read."""
 
     class SerialPool:
         def __init__(self, processes):
@@ -560,10 +562,17 @@ def test_worker_count_is_capped_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def apply_async(self, fn, args):
+            tasks.append(args)
+            return SimpleNamespace(get=partial(fn, *args))
 
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return SerialPool
+
+
+def test_worker_count_is_capped_at_cpu_count(monkeypatch):
+    """A stub pool records its size and runs serially: no process starts."""
+    sizes = []
+    monkeypatch.setattr(multiprocessing, "Pool", serial_pool(sizes, []))
     ids = ("RV256", "T3.1", "Conj-A25")
     serial = list(verify_range(ids, 5, 80, workers=1))
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
@@ -579,6 +588,21 @@ def test_worker_count_is_capped_at_cpu_count(monkeypatch):
     one = list(verify_range(ids, 11, 12, workers=64))
     assert one == list(verify_range(ids, 11, 12, workers=1))
     assert sizes == [2, 2]  # a one-prime range starts no pool
+
+
+def test_pool_holds_a_bounded_window_of_blocks(monkeypatch):
+    """A pool is handed at most 2 * workers blocks ahead of the reader: when
+    the first record of a 5..3000 sweep on 2 workers has been read, at
+    most 4 of its blocks have been submitted, and the records are the
+    one-worker sweep's."""
+    tasks = []
+    monkeypatch.setattr(multiprocessing, "Pool", serial_pool([], tasks))
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    records = verify_range(["RV256"], 5, 3000, workers=2)
+    first = next(records)
+    assert 0 < len(tasks) <= 4
+    assert [first, *records] == list(verify_range(["RV256"], 5, 3000))
+    assert len(tasks) > 4
 
 
 def test_conjectures_have_no_candidates_to_300():
@@ -682,10 +706,10 @@ def test_sweep_keeps_one_prime_of_tables():
                 ishii_char_sum(tid, root, ctx)
     caches = _module_caches()
     assert sorted(caches) == [
-        "binom._s_block", "binom._series", "binom._t_block",
+        "binom._s_block", "binom._t_block",
         "binom.central_poly", "binom.t_poly",
         "curves._chi_table", "curves._deuring_poly",
-        "legendre._legendre_poly", "theorems._t_roots"]
+        "legendre._legendre_poly", "theorems.t_roots"]
     for name, cached in caches.items():
         assert cached.cache_info().currsize <= 1, name
     # The live S and T polynomials are 199's, and their memos hold only
@@ -693,14 +717,12 @@ def test_sweep_keeps_one_prime_of_tables():
     # and T at (1 - t)/128 with t**2 = 1 - 256/m.
     ctx = PrimeCtx(199)
     p2 = ctx.p2
-    ms = [Fraction(m) for _, m in SUM_ARGUMENTS if m % 199]
+    ms = [m for _, m in SUM_ARGUMENTS if m % 199]
     s_memo, t_memo = binom.central_poly(ctx).memo, binom.t_poly(ctx).memo
     assert 0 < len(s_memo) <= len(ms) and 0 < len(t_memo) <= 2 * len(ms)
-    assert set(s_memo) <= {m.denominator * inv_mod(m.numerator, p2) % p2
-                           for m in ms}
+    assert set(s_memo) <= {inv_mod(m, p2) for m in ms}
     assert {(1 - 128 * x) ** 2 % p2 for x in t_memo} <= {
-        (m.numerator - 256 * m.denominator) * inv_mod(m.numerator, p2) % p2
-        for m in ms}
+        (m - 256) * inv_mod(m, p2) % p2 for m in ms}
 
 
 def test_sweep_evaluates_each_point_once_per_prime(monkeypatch):
@@ -712,9 +734,7 @@ def test_sweep_evaluates_each_point_once_per_prime(monkeypatch):
         theorems._poly_sum
 
     def asked_s(m, ctx):
-        f = Fraction(m)
-        requests.add((ctx.p, "s", f.denominator
-                      * inv_mod(f.numerator, ctx.p2) % ctx.p2))
+        requests.add((ctx.p, "s", inv_mod(m, ctx.p2)))
         return sum_s(m, ctx)
 
     def asked_t(x, ctx):
@@ -740,7 +760,7 @@ def _consistency_legs(seen: list) -> dict:
     """(p, m) -> the mod-p, mod-p**2 and cubic legs of the consistency
     checks, for every prime p < 300 and sum argument m, with the values
     that a perturbed route put into `seen` at that (p, m)."""
-    theorems._t_roots.cache_clear()
+    theorems.t_roots.cache_clear()
     out = {}
     for p in primes_in(5, 299):
         ctx = PrimeCtx(p)
@@ -756,7 +776,7 @@ def _consistency_legs(seen: list) -> dict:
 
 def test_consistency_checks_can_fail(monkeypatch):
     """Non-vacuity of the consistency checks on p < 300.  With 1 added to
-    S(m) where _t_roots reads it, every leg that is not skipped fails.
+    S(m) where t_roots reads it, every leg that is not skipped fails.
     With 1 added to one route alone -- legendre_eval (the mod-p leg),
     sum_T (the mod-p**2 leg) or power_sum (the cubic leg) -- that route's
     legs fail and the others are unchanged, except where every value v
