@@ -1,9 +1,11 @@
 """Representations of primes by binary quadratic forms x^2 + d y^2.
 
 cornacchia solves x^2 + d y^2 = p for prime p (complete: it finds a
-solution whenever one exists).  represent is the exhaustive oracle, also
-used for the target 2p = x^2 + d y^2 and for forms a x^2 + d y^2 with
-a > 1.  Both return the pair (x, y), or None.
+solution whenever one exists); it settles p <= 3 and d >= p directly and
+never calls the search.  represent is the exhaustive oracle the tests hold
+cornacchia against, and it serves the targets cornacchia does not:
+2p = x^2 + d y^2 and p = 2x^2 + d y^2.  Both return the pair (x, y), or
+None.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from .arith import PrimeCtx, is_prime, sqrt_mod_p
 
 __all__ = [
     "cornacchia",
-    "normalize",
     "represent",
 ]
 
@@ -47,12 +48,13 @@ def cornacchia(d: int, p: PrimeCtx | int) -> tuple[int, int] | None:
     if d < 1:
         raise ValueError("d must be positive")
     if p <= 3 or d >= p:
-        # Tiny p, or y forced to 0: settle directly.
+        # y = 0 would make the prime p a square and x = 0 would put p | d,
+        # so x, y >= 1: nothing is left for d >= p, and x = y = 1 for p <= 3.
         if ctx is None and not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if d % p == 0:
             raise ValueError("p must not divide d")
-        return represent(d, p)
+        return (1, 1) if p == d + 1 else None
     ctx = ctx or PrimeCtx(p)  # validates p; 0 < d < p: p does not divide d
     roots = sqrt_mod_p(-d % p, ctx)
     if not roots:
@@ -74,32 +76,4 @@ def cornacchia(d: int, p: PrimeCtx | int) -> tuple[int, int] | None:
     x = b
     if d == 1 and y > x:
         x, y = y, x
-    return x, y
-
-
-def normalize(rep: tuple[int, int],
-              convention: str = "nonneg") -> tuple[int, int]:
-    """Sign-adjust x of a representation (x, y) to the named convention;
-    y comes back nonnegative.
-
-    Conventions: "nonneg" (x >= 0), "one_mod_4" (x = 1 mod 4, requires x
-    odd), "one_mod_3" (x = 1 mod 3, requires 3 not dividing x).
-    """
-    x, y = abs(rep[0]), abs(rep[1])
-    if convention == "nonneg":
-        pass
-    elif convention == "one_mod_4":
-        if x % 2 == 0:
-            raise ValueError(
-                f"x = {rep[0]} is even; no sign gives x = 1 mod 4")
-        if x % 4 != 1:
-            x = -x
-    elif convention == "one_mod_3":
-        if x % 3 == 0:
-            raise ValueError(
-                f"3 divides x = {rep[0]}; no sign gives x = 1 mod 3")
-        if x % 3 != 1:
-            x = -x
-    else:
-        raise ValueError(f"unknown normalization convention {convention!r}")
     return x, y

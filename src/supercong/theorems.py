@@ -28,11 +28,10 @@ Failures of proven statements are genuine failures; failures of
 conjecture-kind statements are downgraded to counterexample candidates by
 the callers (the records carry kind="conjecture").
 
-Sign conventions for the Legendre-polynomial claims were fixed by brute
-force: the character sum of x^3+21x^2+112x equals -2C(C/7) (see
-eq31_sign_survey in tests/test_theorems.py), which flips the sign of the
-matching P_[p/4] claim relative to the character-sum form it is derived
-from.
+The signs of the Legendre-polynomial claims were fixed by brute force:
+the character sum of x^3+21x^2+112x equals -2C(C/7) (see eq31_sign_survey
+in tests/test_theorems.py), which flips the sign of the matching P_[p/4]
+claim relative to the character-sum form it is derived from.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from .arith import (
 from .binom import central_poly, sum_S, sum_T
 from .curves import char_sum, power_sum
 from .legendre import legendre_eval
-from .quadform import cornacchia, normalize, represent
+from .quadform import cornacchia, represent
 
 __all__ = [
     "ALL_IDS",
@@ -165,53 +164,28 @@ class TheoremSpec(NamedTuple):
 # witness builders (None where the form does not represent p) and
 # right-hand sides
 
-def _form_wit(d: int, names: tuple[str, str] = ("x", "y"),
-              convention: str | None = None):
+def _form_wit(d: int, names: tuple[str, str] = ("x", "y"), a: int = 1,
+              scale: int = 1, pick: Callable[[int, int], bool] | None = None):
+    """Witnesses of a x^2 + d y^2 = scale * p, named by `names`.  With a
+    sign rule `pick`, the first of (x, y), (x, -y), (-x, y), (-x, -y) --
+    then, for d = 1, the same four of (y, x) -- that it accepts, or None."""
     def build(ctx: PrimeCtx) -> dict[str, int] | None:
-        rep = cornacchia(d, ctx)
+        rep = (cornacchia(d, ctx) if a == scale == 1
+               else represent(d, scale * ctx.p, a=a))
         if rep is None:
             return None
-        if convention is not None:
-            rep = normalize(rep, convention)
-        return dict(zip(names, rep))
+        if pick is None:
+            return dict(zip(names, rep))
+        orders = (rep, rep[::-1]) if d == 1 else (rep,)
+        return next((dict(zip(names, xy)) for u, v in orders
+                     for xy in ((u, v), (u, -v), (-u, v), (-u, -v))
+                     if pick(*xy)), None)
 
     return build
 
 
-def _search_wit(d: int, a: int = 1, scale: int = 1):
-    """x, y with a x^2 + d y^2 = scale * p, by exhaustive search."""
-    def build(ctx: PrimeCtx) -> dict[str, int] | None:
-        xy = represent(d, scale * ctx.p, a=a)
-        return None if xy is None else {"x": xy[0], "y": xy[1]}
-
-    return build
-
-
-def _gauss_wit(ctx: PrimeCtx) -> dict[str, int] | None:
-    """p = x^2 + y^2 with x the odd component, sign-pinned to x = 1 mod 4."""
-    rep = cornacchia(1, ctx)
-    if rep is None:
-        return None
-    x, y = rep if rep[0] % 2 else rep[::-1]
-    if x % 4 != 1:
-        x = -x
-    return {"x": x, "y": y}
-
-
-def _gauss5_wit(ctx: PrimeCtx) -> dict[str, int] | None:
-    """p = x^2 + y^2 with signs arranged so that 5 divides x - y.
-
-    The product x*y is the same for every admissible arrangement.
-    """
-    rep = cornacchia(1, ctx)
-    if rep is None:
-        return None
-    a, b = rep
-    for x, y in ((a, b), (a, -b), (-a, b), (-a, -b),
-                 (b, a), (b, -a), (-b, a), (-b, -a)):
-        if (x - y) % 5 == 0:
-            return {"x": x, "y": y}
-    return None
+# p = x^2 + y^2 with x the odd component, sign-pinned to x = 1 mod 4
+_gauss_wit = _form_wit(1, pick=lambda x, y: x % 4 == 1)
 
 
 def _rhs_4x2(ctx, w):
@@ -421,7 +395,8 @@ _register("C2.2", "proven", claims=_c22_claims)
 
 _register(
     "C2.3", "proven", (8, (1, 3)),
-    rows=(_classes(8, (1, 3), 2, _form_wit(2, ("c", "d"), "one_mod_4"),
+    rows=(_classes(8, (1, 3), 2, _form_wit(2, ("c", "d"),
+                             pick=lambda c, d: c % 4 == 1),
                    _rhs_c23),),
     claims=lambda spec, ctx, seed: _branch_claims(
         spec, ctx, seed, sum_T(inv_mod(128, ctx.p2), ctx)),
@@ -443,7 +418,7 @@ _register(
 _register(
     "T3.2", "proven", (12, (1, 11)), m=-12288,
     rows=(
-        _classes(12, (1,), 1, _form_wit(9, convention="one_mod_3"),
+        _classes(12, (1,), 1, _form_wit(9, pick=lambda x, y: x % 3 == 1),
                  _rhs_4x2),
         _classes(12, (11,)),
     ),
@@ -525,7 +500,7 @@ def _register_eq35_conjecture(cid: str, b: int, f: int,
                 for a, c, ys in ((1, d1, (0, 1)), (2, b, (0, 1, 4))))
     _register(cid, "conjecture", m=f, excluded=excluded, rows=(
         (f"p = x^2+{d1}y^2", n, one, 2, _form_wit(d1), _rhs_4x2_minus_2p),
-        (f"p = 2x^2+{b}y^2", n, two, 2, _search_wit(b, a=2),
+        (f"p = 2x^2+{b}y^2", n, two, 2, _form_wit(b, a=2),
          _rhs_2p_minus_8x2),
         ("neither form", n, set(range(n)) - one - two),
     ))
@@ -547,7 +522,7 @@ def _register_twisted_conjecture(cid: str, d: int, m: int,
     _register(cid, "conjecture", m=m, excluded=excluded, rows=(
         (f"({d}/p) = (-1/p) = 1", n, one, 2, _form_wit(d),
          _rhs_4x2_minus_2p),
-        (f"({d}/p) = (-1/p) = -1", n, two, 2, _search_wit(d, scale=2),
+        (f"({d}/p) = (-1/p) = -1", n, two, 2, _form_wit(d, scale=2),
          _rhs_2p_minus_2x2),
         (f"({d}/p) = -(-1/p)", n, set(range(n)) - one - two),
     ))
@@ -567,8 +542,9 @@ _register(
     rows=(
         # p = 1 mod 4, and p = +-1 or +-2 mod 5
         ("p = x^2+25y^2", 20, (1, 9), 1, _form_wit(25), _rhs_4x2_minus_2p),
-        ("p = x^2+y^2 with 5 | x-y", 20, (13, 17), 2, _gauss5_wit,
-         _rhs_minus_4xy),
+        # x*y is the same for every arrangement with 5 | x - y
+        ("p = x^2+y^2 with 5 | x-y", 20, (13, 17), 2,
+         _form_wit(1, pick=lambda x, y: (x - y) % 5 == 0), _rhs_minus_4xy),
         _classes(4, (3,)),
     ),
 )

@@ -28,6 +28,8 @@ CERTIFICATE = (
     "tests/test_theorems.py::test_branch_tables_partition_every_residue_class",
 )
 CONSISTENCY = ("tests/test_theorems.py::test_consistency_checks_can_fail",)
+WITNESSES = (
+    "tests/test_theorems.py::test_witnesses_follow_the_parents_rules",)
 T_ROOTS = (
     "tests/test_theorems.py::test_t_roots_are_square_roots_of_a",
     "tests/test_cli.py::test_sum_names_the_roots_of_one_minus_256_over_m",
@@ -97,6 +99,17 @@ MUTANTS = (
     ("t_roots: a = 1 + 256/m", "src/supercong/theorems.py",
      "a = (m - 256) * inv_mod(m, p2)", "a = (m + 256) * inv_mod(m, p2)",
      T_ROOTS),
+    ("witnesses: the d = 1 swap dropped", "src/supercong/theorems.py",
+     "orders = (rep, rep[::-1]) if d == 1 else (rep,)", "orders = (rep,)",
+     WITNESSES),
+    ("C2.3: c = 3 mod 4", "src/supercong/theorems.py",
+     "c % 4 == 1", "c % 4 == 3", WITNESSES),
+    ("Conj-A25: 5 | x + y", "src/supercong/theorems.py",
+     "(x - y) % 5", "(x + y) % 5", WITNESSES),
+    ("cornacchia: p = d + 2 at small p", "src/supercong/quadform.py",
+     "p == d + 1", "p == d + 2",
+     ("tests/test_quadform.py::test_cornacchia_agrees_with_exhaustive_search",
+      "tests/test_cli.py::test_tools_cornacchia")),
 )
 
 

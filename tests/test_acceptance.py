@@ -13,7 +13,7 @@ import time
 from supercong.arith import PrimeCtx, inv_mod, jacobi, primes_in
 from supercong.binom import sum_S, sum_T
 from supercong.curves import char_sum, power_sum
-from supercong.quadform import cornacchia, normalize, represent
+from supercong.quadform import cornacchia, represent
 from supercong.theorems import (
     CONJECTURE_IDS,
     SUM_ARGUMENTS,
@@ -27,6 +27,7 @@ from test_binom import (
     theorem21_check,
 )
 from test_curves import discriminant, scale_check
+from test_quadform import normalize
 
 THEOREM_D_SET = (2, 5, 6, 7, 9, 10, 13, 18, 22, 25, 29, 37, 58)
 

@@ -286,12 +286,12 @@ def _factorial_route(ctx):
     return tuple(s[::-1]), tuple(t[::-1])
 
 
-@pytest.mark.parametrize("block", [(100003, 100019), (99991,)])
+@pytest.mark.parametrize("block", [(100003, 100019), (99991,), (999983,)])
 def test_large_p_sums_match_factorial_route(block):
-    """Two consecutive primes near 10**5 built as one block, and a
-    one-prime block: the prefixes, S and T at seeded points by Horner on
-    the factorial route's coefficients, and T((1-t)/128) mod p against
-    P_[p/4](t) by legendre_eval's explicit sum at three seeded t."""
+    """Two consecutive primes near 10**5 built as one block, and one-prime
+    blocks near 10**5 and 10**6: the prefixes, S and T at seeded points by
+    Horner on the factorial route's coefficients, and T((1-t)/128) mod p
+    against P_[p/4](t) by legendre_eval's explicit sum at three seeded t."""
     for p in block:
         ctx = PrimeCtx(p, block)
         for cached in (binom.central_poly, binom.t_poly):

@@ -33,6 +33,8 @@ def test_tools_cornacchia():
     assert (code, out.strip()) == (0, "(2,1)")
     code, out, _ = run_cli("tools", "cornacchia", "--d", "7", "--p", "3")
     assert (code, out.strip()) == (0, "no representation")
+    code, out, _ = run_cli("tools", "cornacchia", "--d", "1", "--p", "2")
+    assert (code, out.strip()) == (0, "(1,1)")
 
 
 def test_tools_charsum():

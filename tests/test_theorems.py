@@ -21,13 +21,14 @@ from supercong.arith import (
     sqrt_mod_p,
 )
 from supercong.curves import char_sum
-from supercong.quadform import cornacchia, normalize
+from supercong.quadform import cornacchia, represent
 from supercong.theorems import (
     ALL_IDS,
     CONJECTURE_IDS,
     PROVEN_IDS,
     REGISTRY,
     SUM_ARGUMENTS,
+    Branch,
     VerdictReport,
     consistency_triangle,
     ishii_char_sum,
@@ -36,6 +37,7 @@ from supercong.theorems import (
     verify_range,
 )
 from test_binom import _tiles, count_column_sums
+from test_quadform import normalize
 
 
 def to_record(rec: VerdictReport) -> dict:
@@ -429,8 +431,6 @@ def test_witness_existence_matches_branch_predicates():
     """Quadratic-form witnesses exist exactly where the branches say so.
     The eq35 conjectures branch by classes mod 8b, held here against the
     exhaustive search for x^2 + 2b y^2 = p and 2x^2 + b y^2 = p."""
-    from supercong.quadform import represent
-
     cases = {
         "T3.1": (7, (1, 2, 4), 7),
         "T3.5": (6, (1, 7), 24),
@@ -451,6 +451,83 @@ def test_witness_existence_matches_branch_predicates():
             in_two = represent(b, p, a=2) is not None
             assert [_holds(spec, br, p) for br in (one, two, neither)] == [
                 in_one, in_two, not (in_one or in_two)], (tid, p)
+
+
+EQ35_B = (("Conj-A14", 3), ("Conj-A16", 5), ("Conj-A18", 11),
+          ("Conj-A21", 29))
+TWISTED_D = (("Conj-A17", 13), ("Conj-A19", 37))
+
+#: The witness rule of every registry branch that has witnesses, as the
+#: sign rules were first written: (d, a, scale, names, sign), the form
+#: a x^2 + d y^2 = scale * p and a normalize convention, "gauss" or "gauss5".
+WITNESS_RULES = {
+    ("RV256", "p mod 8 in {1,3}"): (2, 1, 1, "xy", None),
+    ("C2.3", "p mod 8 in {1,3}"): (2, 1, 1, "cd", "one_mod_4"),
+    ("T3.1", "p mod 7 in {1,2,4}"): (7, 1, 1, "CD", None),
+    ("T3.2", "p mod 12 = 1"): (9, 1, 1, "xy", "one_mod_3"),
+    ("T3.3", "p mod 4 = 1"): (13, 1, 1, "xy", None),
+    ("T3.4", "p mod 4 = 1"): (37, 1, 1, "xy", None),
+    ("T3.5", "p mod 24 in {1,7}"): (6, 1, 1, "xy", None),
+    ("T3.6", "p mod 40 in {1,9,11,19}"): (10, 1, 1, "xy", None),
+    ("T3.7", "(p/11) = 1"): (22, 1, 1, "xy", None),
+    ("T3.8", "p mod 8 in {1,3}"): (58, 1, 1, "xy", None),
+    ("T3.9", "p mod 24 in {1,19}"): (18, 1, 1, "xy", None),
+    ("T3.10", "p = x^2+25y^2"): (25, 1, 1, "xy", None),
+    ("Conj-A3", "p mod 7 in {1,2,4}"): (7, 1, 1, "xy", None),
+    **{(tid, f"p = x^2+{2 * b}y^2"): (2 * b, 1, 1, "xy", None)
+       for tid, b in EQ35_B},
+    **{(tid, f"p = 2x^2+{b}y^2"): (b, 2, 1, "xy", None)
+       for tid, b in EQ35_B},
+    **{(tid, f"({d}/p) = (-1/p) = 1"): (d, 1, 1, "xy", None)
+       for tid, d in TWISTED_D},
+    **{(tid, f"({d}/p) = (-1/p) = -1"): (d, 1, 2, "xy", None)
+       for tid, d in TWISTED_D},
+    ("Conj-A24", "p mod 12 = 1"): (1, 1, 1, "xy", "gauss"),
+    ("Conj-A24", "p mod 12 = 5"): (1, 1, 1, "xy", "gauss"),
+    ("Conj-A25", "p = x^2+25y^2"): (25, 1, 1, "xy", None),
+    ("Conj-A25", "p = x^2+y^2 with 5 | x-y"): (1, 1, 1, "xy", "gauss5"),
+    ("Conj-A28", "p mod 8 in {1,3}"): (2, 1, 1, "xy", None),
+}
+
+
+def rule_witnesses(rule, p):
+    """The witnesses `rule` gives at p, from the exhaustive search."""
+    d, a, scale, names, sign = rule
+    rep = represent(d, scale * p, a=a)
+    if rep is None:
+        return None
+    if sign == "gauss":  # the odd component, sign-pinned to 1 mod 4
+        x, y = rep if rep[0] % 2 else rep[::-1]
+        rep = (x if x % 4 == 1 else -x, y)
+    elif sign == "gauss5":  # the first arrangement with 5 | x - y
+        u, v = rep
+        rep = next(((x, y) for x, y in (
+            (u, v), (u, -v), (-u, v), (-u, -v),
+            (v, u), (v, -u), (-v, u), (-v, -u)) if (x - y) % 5 == 0), None)
+    elif sign is not None:
+        rep = normalize(rep, sign)
+    return None if rep is None else dict(zip(names, rep))
+
+
+def test_witnesses_follow_the_parents_rules():
+    """Every branch with witnesses gives, at every prime below 5000 where
+    it holds, what its sign rule gives, and the pair solves its form."""
+    default = Branch._field_defaults["witnesses"]
+    assert {(tid, br.label) for tid, spec in REGISTRY.items()
+            for br in spec.branches if br.witnesses is not default} \
+        == set(WITNESS_RULES)
+    for (tid, label), rule in WITNESS_RULES.items():
+        spec = REGISTRY[tid]
+        (branch,) = (br for br in spec.branches if br.label == label)
+        d, a, scale, names, _ = rule
+        for p in _checked(spec, 4999):
+            if not _holds(spec, branch, p):
+                continue
+            got = branch.witnesses(PrimeCtx(p))
+            assert got == rule_witnesses(rule, p), (tid, label, p)
+            if got is not None:
+                x, y = (got[n] for n in names)
+                assert a * x * x + d * y * y == scale * p, (tid, label, p)
 
 
 def test_p_claim_robust_under_root_choice():
