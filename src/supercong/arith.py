@@ -18,7 +18,7 @@ from operator import add, lshift, mul
 __all__ = [
     "PackedPoly",
     "PrimeCtx",
-    "inv_mod",
+    "factorials",
     "is_prime",
     "jacobi",
     "primes_in",
@@ -121,13 +121,14 @@ class PrimeCtx:
                 f"qcap={self.qcap})")
 
 
-def inv_mod(a: int, m: int) -> int:
-    """Inverse of a modulo m; raises ValueError when gcd(a, m) > 1."""
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise ValueError(f"{a} is not invertible modulo {m} "
-                         f"(gcd = {math.gcd(a, m)})") from None
+def factorials(n: int, p: int) -> tuple[list[int], list[int]]:
+    """i! and 1/i! mod the prime p for i = 0 .. n < p: one walk up, one
+    inverse and one walk down."""
+    acc = 1
+    fac = [1] + [acc := acc * i % p for i in range(1, n + 1)]
+    acc = pow(fac[n], -1, p)
+    inv = [acc] + [acc := acc * i % p for i in range(n, 0, -1)]
+    return fac, inv[::-1]
 
 
 _LIMB = 2**64 - 1
@@ -308,5 +309,5 @@ def sqrt_mod_p2(a: int, ctx: PrimeCtx) -> tuple[int, ...]:
     if not roots:
         return ()
     r = roots[0]
-    r2 = (r - (r * r - a) * inv_mod(2 * r, p2)) % p2
+    r2 = (r - (r * r - a) * pow(2 * r, -1, p2)) % p2
     return (r2, p2 - r2) if r2 <= p2 - r2 else (p2 - r2, r2)

@@ -46,7 +46,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import mul
 
-from .arith import PackedPoly, PrimeCtx, inv_mod
+from .arith import PackedPoly, PrimeCtx
 
 __all__ = [
     "central_poly",
@@ -128,7 +128,7 @@ def sum_S(m: int, ctx: PrimeCtx) -> int:
         raise ValueError("m must be nonzero")
     if m % ctx.p == 0:
         raise ValueError(f"p = {ctx.p} divides m = {m}")
-    return central_poly(ctx)(inv_mod(m, ctx.p2))
+    return central_poly(ctx)(pow(m, -1, ctx.p2))
 
 
 def sum_T(x: int, ctx: PrimeCtx) -> int:

@@ -20,13 +20,14 @@ over [lo, hi] = [ceil(h/2), floor(2h/3)], about p/12 terms, and for B != 0
 
     W(z)  =  sum_{i=lo}^{hi} w_i z**(i-lo),   w_i = h!/(i! (2h-3i)! (2i-h)!).
 
-W depends on p alone, so it is built once per prime mod p and packed as an
-arith.PackedPoly, the kernel that also evaluates S, T and P_[p/4].  The
-degenerate cubics keep one term each: C = 0 is the point z = 0, where
-W(0) = w_lo (term i = lo, nonzero only when 2lo = h), and B = 0 keeps the
-term j = 0, w_hi C**(2hi-h) (nonzero only when 3hi = 2h).  The two routes
-share no table, so tests comparing them compare two computations.  These
-sums are the bridge between Legendre-polynomial values and point counts on
+W depends on p alone, so it is built once per prime mod p, from the
+factorial table arith.factorials(h, p), and packed as an arith.PackedPoly,
+the kernel that also evaluates S, T and P_[p/4].  The degenerate cubics
+keep one term each: C = 0 is the point z = 0, where W(0) = w_lo (term
+i = lo, nonzero only when 2lo = h), and B = 0 keeps the term j = 0,
+w_hi C**(2hi-h) (nonzero only when 3hi = 2h).  The two routes share no
+table, so tests comparing them compare two computations.  These sums are
+the bridge between Legendre-polynomial values and point counts on
 y^2 = f(x): the count is p + 1 + char_sum.  Both take the coefficients a,
 b, c as plain integers and reduce them mod p.
 """
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import PackedPoly, PrimeCtx, inv_mod
+from .arith import PackedPoly, PrimeCtx, factorials
 
 __all__ = [
     "char_sum",
@@ -74,17 +75,8 @@ def _deuring_poly(
     when that term is absent (see the module docstring)."""
     p, h = ctx.p, ctx.half
     lo, hi = (h + 1) // 2, 2 * h // 3
-    # i, 2h - 3i and 2i - h are all at most hi: 1/n! for n <= hi, then h!
-    fac = 1
-    for n in range(2, hi + 1):
-        fac = fac * n % p
-    inv = [1] * (hi + 1)
-    inv[hi] = inv_mod(fac, p)
-    for n in range(hi, 1, -1):
-        inv[n - 1] = inv[n] * n % p
-    for n in range(hi + 1, h + 1):
-        fac = fac * n % p
-    w = [fac * inv[i] % p * inv[2 * h - 3 * i] % p * inv[2 * i - h] % p
+    fac, inv = factorials(h, p)
+    w = [fac[h] * inv[i] % p * inv[2 * h - 3 * i] % p * inv[2 * i - h] % p
          for i in range(hi, lo - 1, -1)]
     b_zero = (w[0], 2 * hi - h) if 3 * hi == 2 * h else None
     return PackedPoly(w, p), 2 * h - 3 * lo, 2 * lo - h, b_zero
@@ -95,7 +87,7 @@ def power_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
     coefficient of x**(p-1) in f**h, read from W (see the module
     docstring)."""
     p = ctx.p
-    s = a * inv_mod(3, p) % p
+    s = a * pow(3, -1, p) % p
     big_b = (b - 3 * s * s) % p
     big_c = (c - b * s + 2 * s * s * s) % p
     w, e_b, e_c, b_zero = _deuring_poly(ctx)

@@ -5,15 +5,16 @@ P_n is evaluated through its explicit finite sum
     P_n(t) = 2**(-n) * sum_{k=0}^{[n/2]} C(n,k) (-1)**k C(2n-2k, n) t**(n-2k)
 
 with all arithmetic mod p, as a polynomial in t**2 packed once per (n, p)
-into an arith.PackedPoly.  The engine reads P_[p/4] from binom's t series;
-this independent route serves the consistency checks and `supercong sum`.
+into an arith.PackedPoly; its factorials come from arith.factorials.  The
+engine reads P_[p/4] from binom's t series; this independent route serves
+the consistency checks and `supercong sum`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import PackedPoly, PrimeCtx, inv_mod
+from .arith import PackedPoly, PrimeCtx, factorials
 
 __all__ = [
     "legendre_eval",
@@ -24,16 +25,8 @@ __all__ = [
 def _legendre_poly(n: int, ctx: PrimeCtx) -> PackedPoly:
     """2**(-n) P_n as a polynomial in t**2 (t**n down to t**(n mod 2))."""
     p = ctx.p
-    # i! for i <= min(2n, p-1) and 1/i! for i <= n: all that the terms read.
-    top = min(2 * n, p - 1)
-    fac = [1] * (top + 1)
-    for i in range(1, top + 1):
-        fac[i] = fac[i - 1] * i % p
-    inv = [1] * (n + 1)
-    inv[n] = inv_mod(fac[n], p)
-    for i in range(n, 0, -1):
-        inv[i - 1] = inv[i] * i % p
-    scale = inv_mod(pow(2, n, p), p)
+    fac, inv = factorials(min(2 * n, p - 1), p)
+    scale = pow(2, -n, p)
     coeffs = []
     for k in range(n // 2 + 1):
         # C(n,k) C(2n-2k,n) = (2n-2k)!/(k! (n-k)! (n-2k)!); once

@@ -41,7 +41,9 @@ def cornacchia(d: int, p: PrimeCtx | int) -> tuple[int, int] | None:
 
     Classic algorithm: seed with the square root of -d mod p lying in
     (p/2, p), run the Euclidean remainder chain down to sqrt(p), and test
-    the leftover.  Deterministic; returns the smallest-y representation.
+    the leftover.  Deterministic; returns the smallest-y representation:
+    for d = 1 the chain's first remainder below sqrt(p) is the larger of
+    x and y (Brillhart, Math. Comp. 26, 1972).
     """
     ctx = p if isinstance(p, PrimeCtx) else None
     p = ctx.p if ctx else p
@@ -56,24 +58,15 @@ def cornacchia(d: int, p: PrimeCtx | int) -> tuple[int, int] | None:
             raise ValueError("p must not divide d")
         return (1, 1) if p == d + 1 else None
     ctx = ctx or PrimeCtx(p)  # validates p; 0 < d < p: p does not divide d
-    roots = sqrt_mod_p(-d % p, ctx)
+    roots = sqrt_mod_p(-d % p, ctx)  # ascending: the last is in (p/2, p)
     if not roots:
         return None
-    x0 = roots[1] if roots[-1] > p // 2 else roots[0]
-    if 2 * x0 < p:
-        x0 = p - x0
-    a, b = p, x0
+    a, b = p, roots[-1]
     lim = math.isqrt(p)
     while b > lim:
         a, b = b, a % b
-    r = p - b * b
-    if r % d:
-        return None
-    c = r // d
+    c, r = divmod(p - b * b, d)
     y = math.isqrt(c)
-    if y * y != c:
+    if r or y * y != c:
         return None
-    x = b
-    if d == 1 and y > x:
-        x, y = y, x
-    return x, y
+    return b, y

@@ -1,28 +1,28 @@
 """Verdict engine: a declarative registry of congruence statements.
 
-Every statement is a TheoremSpec: the classes of p where it applies plus
-a claims function that lists, at one prime, the congruences to check.  A Claim
-carries both sides of one congruence: the left side, already evaluated by
-the claims function -- S(m), the s series at a raw point, or T(x), which
-also gives P_[p/4](t) (see _p_claims) -- the right side, the modulus p or
-p**2 and the quadratic-form witnesses.  The default claims function reads
-the spec's branch table (classes of p -> witnesses -> expected residue of
-S(m)).  Every condition of a statement, its applicability and each branch,
-is a set of residues of p mod the statement's period N: congruences of p,
-the characters (13/p), (37/p), (29/p) and (p/11), which reciprocity makes
-classes of p mod 13, 37, 29 and 11, and representability by the two genus
-forms of discriminant -8b, classes mod 8b (Cox, Primes of the form
-x^2+ny^2, section 3).  _register lifts each to residues mod N, the lcm of
-their moduli, once at import, so verify reads p mod N against sets.
-Exactly one branch must hold at every applicable, non-excluded prime: a
-gap or an overlap in the table is an engine error (RuntimeError), never a
-record.  A witness builder returns None where its form does not represent
-p, and the claim then records a missing representation, a failure.  The
-sampled statements draw their claims from an rng seeded per statement and
-prime.  verify turns claims into VerdictReport records: it reduces both
-sides by the modulus and compares them.  verify_range sweeps a prime
-interval, optionally fanning out across worker processes with a
-deterministic ordered merge.
+Every statement is a TheoremSpec: the classes of p where it applies plus a
+claims function that lists, at one prime, the congruences to check.  A
+Claim carries both sides of one congruence: the left side, already
+evaluated by the claims function -- S(m), the s series at a raw point, or
+T(x), which also gives P_[p/4](t) at _t_at, the one Murphy point -- the
+right side, the modulus p or p**2 and the quadratic-form witnesses.  The
+default claims function reads the spec's branch table (classes of p ->
+witnesses -> expected residue of S(m)).  Every condition of a statement,
+its applicability and each branch, is a set of residues of p mod the
+statement's period N: congruences of p, the characters (13/p), (37/p),
+(29/p) and (p/11), which reciprocity makes classes of p mod 13, 37, 29 and
+11, and representability by the two genus forms of discriminant -8b,
+classes mod 8b (Cox, Primes of the form x^2+ny^2, section 3).  _register
+lifts each to residues mod N, the lcm of their moduli, once at import, so
+verify reads p mod N against sets.  Exactly one branch must hold at every
+applicable, non-excluded prime: a gap or an overlap in the table is an
+engine error (RuntimeError), never a record.  A witness builder returns
+None where its form does not represent p, and the claim then records a
+missing representation, a failure.  The sampled statements draw their
+claims from an rng seeded per statement and prime.  verify turns claims
+into VerdictReport records: it reduces both sides by the modulus and
+compares them.  verify_range sweeps a prime interval, optionally fanning
+out across worker processes with a deterministic ordered merge.
 
 Failures of proven statements are genuine failures; failures of
 conjecture-kind statements are downgraded to counterexample candidates by
@@ -48,7 +48,6 @@ from typing import NamedTuple
 from .arith import (
     PackedPoly,
     PrimeCtx,
-    inv_mod,
     jacobi,
     primes_in,
     quad_char,
@@ -188,20 +187,9 @@ def _form_wit(d: int, names: tuple[str, str] = ("x", "y"), a: int = 1,
 _gauss_wit = _form_wit(1, pick=lambda x, y: x % 4 == 1)
 
 
-def _rhs_4x2(ctx, w):
-    return 4 * w["x"] ** 2
-
-
-def _rhs_4x2_minus_2p(ctx, w):
-    return 4 * w["x"] ** 2 - 2 * ctx.p
-
-
-def _rhs_2p_minus_8x2(ctx, w):
-    return 2 * ctx.p - 8 * w["x"] ** 2
-
-
-def _rhs_2p_minus_2x2(ctx, w):
-    return 2 * ctx.p - 2 * w["x"] ** 2
+def _quad(u: int, v: int = 0, name: str = "x"):
+    """The right side u * x**2 + v * p, x the witness `name`."""
+    return lambda ctx, w: u * w[name] ** 2 + v * ctx.p
 
 
 def _rhs_signed_4x2_minus_2p(ctx, w):
@@ -222,7 +210,7 @@ def _rhs_minus_4xy(ctx, w):
 def _rhs_c23(ctx, w):
     c = w["c"]
     sgn = -1 if (ctx.p // 8 + ctx.half) % 2 else 1
-    return sgn * (2 * c - ctx.p * inv_mod(2 * c, ctx.p2))
+    return sgn * (2 * c - ctx.p * pow(2 * c, -1, ctx.p2))
 
 
 def _classes(mod: int, classes: tuple[int, ...], *rest) -> tuple:
@@ -260,6 +248,14 @@ def _char_classes(q: int, value: int) -> set[int]:
 _poly_sum = PackedPoly.__call__
 
 
+def _t_at(t: int, ctx: PrimeCtx) -> int:
+    """T((1-t)/128) mod p**2: P_[p/4](t) mod p by Murphy's formula (see
+    tests/test_legendre.py), and a square root of S(m) mod p**2 where
+    t**2 = 1 - 256/m.  The one point where T meets t; it reads sum_T
+    through this module, as every T evaluation here does."""
+    return sum_T((1 - t) * pow(128, -1, ctx.p2) % ctx.p2, ctx)
+
+
 def _t21_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
     rng = random.Random(f"{seed}:{spec.id}:{ctx.p}")
     p2 = ctx.p2
@@ -275,7 +271,6 @@ def _t21_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
 def _c21_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
     rng = random.Random(f"{seed}:{spec.id}:{ctx.p}")
     p, p2 = ctx.p, ctx.p2
-    inv128 = inv_mod(128, p2)
     out = []
     tries = 0
     while len(out) < 10 and tries < 400:
@@ -283,13 +278,12 @@ def _c21_claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
         m = rng.randrange(1, p2)
         if m % p == 0:
             continue
-        roots = sqrt_mod_p2((1 - 256 * inv_mod(m, p2)) % p2, ctx)
+        roots = sqrt_mod_p2((1 - 256 * pow(m, -1, p2)) % p2, ctx)
         if not roots:
             continue
         t = roots[0]
         out.append(Claim(f"m-sample-{len(out):02d}", sum_S(m, ctx),
-                         sum_T((1 - t) * inv128 % p2, ctx) ** 2, p2,
-                         {"m": m, "t": t}))
+                         _t_at(t, ctx) ** 2, p2, {"m": m, "t": t}))
     return out
 
 
@@ -331,7 +325,7 @@ def _p_claims(radicand: int, coef: tuple[int, int], char: tuple[int, int],
     root r of the radicand P_[p/4](u*r/v) = ((c0 + c1*r)/p) * base mod p,
     where (u, v) = coef, (c0, c1) = char and base reads the branch's own
     witnesses (the zero branch has none, and base 0).  P_[p/4](t) is read
-    as T((1-t)/128) mod p, by Murphy's formula (see tests/test_legendre.py).
+    as _t_at(t) mod p.
     """
     def claims(spec: TheoremSpec, ctx: PrimeCtx, seed: int) -> list[Claim]:
         out = _branch_claims(spec, ctx, seed)
@@ -343,12 +337,11 @@ def _p_claims(radicand: int, coef: tuple[int, int], char: tuple[int, int],
             return out + [Claim("P; missing representation")]
         wit = out[0].witnesses
         b = base(ctx, wit) if wit else 0
-        c = coef[0] * inv_mod(coef[1], p)
+        c = coef[0] * pow(coef[1], -1, p)
         for tag, r in zip(("min", "max"), roots):
             t = c * r % p
             rhs = b and quad_char((char[0] + char[1] * r) % p, ctx) * b
-            x = (1 - t) * inv_mod(128, ctx.p2) % ctx.p2
-            out.append(Claim(f"P; root={tag}", sum_T(x, ctx), rhs, p,
+            out.append(Claim(f"P; root={tag}", _t_at(t, ctx), rhs, p,
                              {"root": r, "t": t, **wit}))
         return out
 
@@ -383,7 +376,7 @@ def _register(tid: str, kind: str,
 
 
 _register("RV256", "proven", m=256, rows=(
-    _classes(8, (1, 3), 2, _form_wit(2), _rhs_4x2_minus_2p),
+    _classes(8, (1, 3), 2, _form_wit(2), _quad(4, -2)),
     _classes(8, (5, 7)),
 ))
 
@@ -399,14 +392,14 @@ _register(
                              pick=lambda c, d: c % 4 == 1),
                    _rhs_c23),),
     claims=lambda spec, ctx, seed: _branch_claims(
-        spec, ctx, seed, sum_T(inv_mod(128, ctx.p2), ctx)),
+        spec, ctx, seed, _t_at(0, ctx)),
 )
 
 _register(
     "T3.1", "proven", m=81, excluded=frozenset({7}),
     rows=(
         _classes(7, (1, 2, 4), 1, _form_wit(7, ("C", "D")),
-                 lambda ctx, w: 4 * w["C"] ** 2),
+                 _quad(4, name="C")),
         _classes(7, (3, 5, 6)),
     ),
     # sign fixed empirically; the stated character-sum form carries the
@@ -419,7 +412,7 @@ _register(
     "T3.2", "proven", (12, (1, 11)), m=-12288,
     rows=(
         _classes(12, (1,), 1, _form_wit(9, pick=lambda x, y: x % 3 == 1),
-                 _rhs_4x2),
+                 _quad(4)),
         _classes(12, (11,)),
     ),
     claims=_p_claims(3, (7, 12), (2, 2), lambda ctx, w: 2 * w["x"]),
@@ -427,19 +420,19 @@ _register(
 
 # (d/p) = (p/d) for d = 13, 37, 29 (d = 1 mod 4), a class of p mod d
 _register("T3.3", "proven", (13, _char_classes(13, 1)), m=-82944, rows=(
-    _classes(4, (1,), 1, _form_wit(13), _rhs_4x2),
+    _classes(4, (1,), 1, _form_wit(13), _quad(4)),
     _classes(4, (3,)),
 ))
 
 _register("T3.4", "proven", (37, _char_classes(37, 1)), m=_M_T34, rows=(
-    _classes(4, (1,), 1, _form_wit(37), _rhs_4x2),
+    _classes(4, (1,), 1, _form_wit(37), _quad(4)),
     _classes(4, (3,)),
 ))
 
 _register(
     "T3.5", "proven", (8, (1, 7)), m=48 ** 2,
     rows=(
-        _classes(24, (1, 7), 1, _form_wit(6), _rhs_4x2),
+        _classes(24, (1, 7), 1, _form_wit(6), _quad(4)),
         _classes(24, (17, 23)),
     ),
     claims=_p_claims(2, (2, 3), (0, 1),
@@ -448,22 +441,22 @@ _register(
 )
 
 _register("T3.6", "proven", (5, (1, 4)), m=12 ** 4, rows=(
-    _classes(40, (1, 9, 11, 19), 1, _form_wit(10), _rhs_4x2),
+    _classes(40, (1, 9, 11, 19), 1, _form_wit(10), _quad(4)),
     _classes(40, (21, 29, 31, 39)),
 ))
 
 _register("T3.7", "proven", (8, (1, 7)), m=1584 ** 2, rows=(
-    ("(p/11) = 1", 11, _char_classes(11, 1), 1, _form_wit(22), _rhs_4x2),
+    ("(p/11) = 1", 11, _char_classes(11, 1), 1, _form_wit(22), _quad(4)),
     ("(p/11) = -1", 11, _char_classes(11, -1)),
 ))
 
 _register("T3.8", "proven", (29, _char_classes(29, 1)), m=396 ** 4, rows=(
-    _classes(8, (1, 3), 1, _form_wit(58), _rhs_4x2),
+    _classes(8, (1, 3), 1, _form_wit(58), _quad(4)),
     _classes(8, (5, 7)),
 ))
 
 _register("T3.9", "proven", (24, (1, 5, 19, 23)), m=28 ** 4, rows=(
-    _classes(24, (1, 19), 1, _form_wit(18), _rhs_4x2),
+    _classes(24, (1, 19), 1, _form_wit(18), _quad(4)),
     _classes(24, (5, 23)),
 ))
 
@@ -472,7 +465,7 @@ _register("T3.10", "proven", (5, (1, 4)), m=_M_T310, rows=(
     # were 5 to divide neither, a^2 + b^2 would be 2, 0 or 3 mod 5
     # (squares of units are 1 or 4), not p = +-1 mod 5.  So 5 divides
     # one of them, b say, and p = a^2 + 25(b/5)^2.
-    ("p = x^2+25y^2", 4, (1,), 1, _form_wit(25), _rhs_4x2),
+    ("p = x^2+25y^2", 4, (1,), 1, _form_wit(25), _quad(4)),
     _classes(4, (3,)),
 ))
 
@@ -480,7 +473,7 @@ _register("T3.10", "proven", (5, (1, 4)), m=_M_T310, rows=(
 _register("T3.11", "proven", (84, range(84)), claims=_t311_claims)
 
 _register("Conj-A3", "conjecture", m=81, excluded=frozenset({7}), rows=(
-    _classes(7, (1, 2, 4), 2, _form_wit(7), _rhs_4x2_minus_2p),
+    _classes(7, (1, 2, 4), 2, _form_wit(7), _quad(4, -2)),
     _classes(7, (3, 5, 6)),
 ))
 
@@ -499,9 +492,8 @@ def _register_eq35_conjecture(cid: str, b: int, f: int,
                              for u in squares for v in ys} if gcd(r, n) == 1}
                 for a, c, ys in ((1, d1, (0, 1)), (2, b, (0, 1, 4))))
     _register(cid, "conjecture", m=f, excluded=excluded, rows=(
-        (f"p = x^2+{d1}y^2", n, one, 2, _form_wit(d1), _rhs_4x2_minus_2p),
-        (f"p = 2x^2+{b}y^2", n, two, 2, _form_wit(b, a=2),
-         _rhs_2p_minus_8x2),
+        (f"p = x^2+{d1}y^2", n, one, 2, _form_wit(d1), _quad(4, -2)),
+        (f"p = 2x^2+{b}y^2", n, two, 2, _form_wit(b, a=2), _quad(-8, 2)),
         ("neither form", n, set(range(n)) - one - two),
     ))
 
@@ -520,10 +512,9 @@ def _register_twisted_conjecture(cid: str, d: int, m: int,
                 for c, chars in ((1, _char_classes(d, 1)),
                                  (3, _char_classes(d, -1))))
     _register(cid, "conjecture", m=m, excluded=excluded, rows=(
-        (f"({d}/p) = (-1/p) = 1", n, one, 2, _form_wit(d),
-         _rhs_4x2_minus_2p),
+        (f"({d}/p) = (-1/p) = 1", n, one, 2, _form_wit(d), _quad(4, -2)),
         (f"({d}/p) = (-1/p) = -1", n, two, 2, _form_wit(d, scale=2),
-         _rhs_2p_minus_2x2),
+         _quad(-2, 2)),
         (f"({d}/p) = -(-1/p)", n, set(range(n)) - one - two),
     ))
 
@@ -541,7 +532,7 @@ _register(
     "Conj-A25", "conjecture", m=_M_T310, excluded=frozenset({7}),
     rows=(
         # p = 1 mod 4, and p = +-1 or +-2 mod 5
-        ("p = x^2+25y^2", 20, (1, 9), 1, _form_wit(25), _rhs_4x2_minus_2p),
+        ("p = x^2+25y^2", 20, (1, 9), 1, _form_wit(25), _quad(4, -2)),
         # x*y is the same for every arrangement with 5 | x - y
         ("p = x^2+y^2 with 5 | x-y", 20, (13, 17), 2,
          _form_wit(1, pick=lambda x, y: (x - y) % 5 == 0), _rhs_minus_4xy),
@@ -550,7 +541,7 @@ _register(
 )
 
 _register("Conj-A28", "conjecture", m=28 ** 4, excluded=frozenset({5}),
-          rows=(_classes(8, (1, 3), 1, _form_wit(2), _rhs_4x2_minus_2p),
+          rows=(_classes(8, (1, 3), 1, _form_wit(2), _quad(4, -2)),
                 _classes(8, (5, 7))))
 
 PROVEN_IDS: tuple[str, ...] = tuple(
@@ -701,7 +692,7 @@ def t_roots(m: int, ctx: PrimeCtx):
     are the lifts' residues.  Where a = 0 mod p, the root is 0, lifted to
     0 when a = 0 (m = 256) and to nothing otherwise."""
     p, p2 = ctx.p, ctx.p2
-    a = (m - 256) * inv_mod(m, p2) % p2
+    a = (m - 256) * pow(m, -1, p2) % p2
     if a % p:
         lifts = sqrt_mod_p2(a, ctx)
         roots = tuple(sorted(t % p for t in lifts))
@@ -727,9 +718,7 @@ def consistency_triangle(m: int, ctx: PrimeCtx) -> dict:
                for r in roots)
     ok_p2: bool | None = None
     if lifts:
-        inv128 = inv_mod(128, p2)
-        ok_p2 = all(sum_T((1 - t) * inv128 % p2, ctx) ** 2 % p2 == s_val
-                    for t in lifts)
+        ok_p2 = all(_t_at(t, ctx) ** 2 % p2 == s_val for t in lifts)
     return {"mod_p": ok_p, "mod_p2": ok_p2}
 
 

@@ -47,17 +47,17 @@ MUTANTS = (
      "lo, hi = (h + 1) // 2, 2 * h // 3",
      "lo, hi = h // 2, 2 * h // 3", CURVES),
     ("power_sum: the shift to x^3 + Bx + C dropped",
-     "src/supercong/curves.py", "s = a * inv_mod(3, p) % p", "s = 0",
+     "src/supercong/curves.py", "s = a * pow(3, -1, p) % p", "s = 0",
      CURVES),
     ("power_sum: final sign dropped", "src/supercong/curves.py",
      "return -coeff % p", "return coeff % p", CURVES),
     ("RV256: a class removed from the zero branch",
      "src/supercong/theorems.py",
      '_register("RV256", "proven", m=256, rows=(\n'
-     "    _classes(8, (1, 3), 2, _form_wit(2), _rhs_4x2_minus_2p),\n"
+     "    _classes(8, (1, 3), 2, _form_wit(2), _quad(4, -2)),\n"
      "    _classes(8, (5, 7)),",
      '_register("RV256", "proven", m=256, rows=(\n'
-     "    _classes(8, (1, 3), 2, _form_wit(2), _rhs_4x2_minus_2p),\n"
+     "    _classes(8, (1, 3), 2, _form_wit(2), _quad(4, -2)),\n"
      "    _classes(8, (5,)),", CERTIFICATE),
     ("Conj-A24: a class added to the second branch",
      "src/supercong/theorems.py",
@@ -81,7 +81,7 @@ MUTANTS = (
      CONSISTENCY),
     ("consistency: the mod-p**2 leg always holds",
      "src/supercong/theorems.py",
-     "sum_T((1 - t) * inv128 % p2, ctx) ** 2 % p2 == s_val", "True",
+     "_t_at(t, ctx) ** 2 % p2 == s_val", "True",
      CONSISTENCY),
     ("consistency: the cubic leg always holds", "src/supercong/theorems.py",
      "power_sum(4, 2 - 2 * t, 0, ctx) ** 2 % p == s_val % p", "True",
@@ -97,7 +97,7 @@ MUTANTS = (
      "(lo + q - 1) // q * q", "(lo + q) // q * q",
      ("tests/test_arith.py::test_segmented_sieve_matches_whole_sieve",)),
     ("t_roots: a = 1 + 256/m", "src/supercong/theorems.py",
-     "a = (m - 256) * inv_mod(m, p2)", "a = (m + 256) * inv_mod(m, p2)",
+     "a = (m - 256) * pow(m, -1, p2)", "a = (m + 256) * pow(m, -1, p2)",
      T_ROOTS),
     ("witnesses: the d = 1 swap dropped", "src/supercong/theorems.py",
      "orders = (rep, rep[::-1]) if d == 1 else (rep,)", "orders = (rep,)",
@@ -110,6 +110,18 @@ MUTANTS = (
      "p == d + 1", "p == d + 2",
      ("tests/test_quadform.py::test_cornacchia_agrees_with_exhaustive_search",
       "tests/test_cli.py::test_tools_cornacchia")),
+    ("cornacchia: the smaller of x and y first", "src/supercong/quadform.py",
+     "return b, y", "return y, b",
+     ("tests/test_quadform.py::test_sum_of_two_squares_comes_larger_first",)),
+    ("factorials: the inverse of (n-1)!", "src/supercong/arith.py",
+     "pow(fac[n], -1, p)", "pow(fac[n - 1], -1, p)",
+     ("tests/test_arith.py::test_factorials_match_math_factorial",)),
+    ("right sides: u x^2 - v p", "src/supercong/theorems.py",
+     "+ v * ctx.p", "- v * ctx.p",
+     ("tests/test_theorems.py::test_verify_spot_records",)),
+    ("Murphy point: T((1 + t)/128)", "src/supercong/theorems.py",
+     "(1 - t)", "(1 + t)",
+     ("tests/test_theorems.py::test_p_claim_robust_under_root_choice",)),
 )
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from supercong.arith import PrimeCtx, inv_mod
+from supercong.arith import PrimeCtx
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class ValuedResidue:
         if self.is_zero:
             return self
         return ValuedResidue(self.ctx, self.e - other.e,
-                             self.u * inv_mod(other.u, self.ctx.p2)
+                             self.u * pow(other.u, -1, self.ctx.p2)
                              % self.ctx.p2)
 
     def pow(self, k: int) -> "ValuedResidue":

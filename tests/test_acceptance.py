@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 
-from supercong.arith import PrimeCtx, inv_mod, jacobi, primes_in
+from supercong.arith import PrimeCtx, jacobi, primes_in
 from supercong.binom import sum_S, sum_T
 from supercong.curves import char_sum, power_sum
 from supercong.quadform import cornacchia, represent
@@ -89,8 +89,8 @@ def test_criterion_04_corollary_2_3():
         ctx = PrimeCtx(p)
         c, _ = normalize(cornacchia(2, p), "one_mod_4")
         sign = -1 if (p // 8 + ctx.half) % 2 else 1
-        rhs = sign * (2 * c - p * inv_mod(2 * c, ctx.p2)) % ctx.p2
-        assert sum_T(inv_mod(128, ctx.p2), ctx) == rhs, p
+        rhs = sign * (2 * c - p * pow(2 * c, -1, ctx.p2)) % ctx.p2
+        assert sum_T(pow(128, -1, ctx.p2), ctx) == rhs, p
     _report(4, "128-denominator sum vs (-1)^([p/8]+(p-1)/2)(2c-p/2c), "
                "primes <= 2000")
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from padic import ValuedResidue, factorial_vp
 from supercong.arith import (
     PrimeCtx,
-    inv_mod,
+    factorials,
     is_prime,
     jacobi,
     primes_in,
@@ -169,11 +169,18 @@ def test_sqrt_mod_p2_lifts():
                 assert roots == ()
 
 
-def test_inv_mod_examples():
-    assert inv_mod(6, 121) == 101
-    assert inv_mod(1, 25) == 1
-    with pytest.raises(ValueError):
-        inv_mod(11, 121)
+def test_factorials_match_math_factorial():
+    """i! and its inverse mod p for every i <= n, at every n < p for the
+    primes below 60, and at n = 0 and p - 1 up to 1000, where Wilson's
+    theorem pins the last entry."""
+    for p in primes_in(2, 1000):
+        for n in range(p) if p < 60 else (0, p - 1):
+            fac, inv = factorials(n, p)
+            assert len(fac) == len(inv) == n + 1
+            assert fac[:100] == [math.factorial(i) % p
+                                 for i in range(min(n + 1, 100))]
+            assert all(f * g % p == 1 for f, g in zip(fac, inv)), (p, n)
+        assert fac[-1] == p - 1  # (p-1)! = -1 mod p
 
 
 def test_factorial_vp_examples():

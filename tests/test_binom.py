@@ -61,7 +61,7 @@ import pytest
 
 from padic import central_term, t_term
 from supercong import arith, binom
-from supercong.arith import PackedPoly, PrimeCtx, inv_mod, primes_in
+from supercong.arith import PackedPoly, PrimeCtx, primes_in
 from supercong.binom import central_poly, sum_S, sum_T
 from supercong.legendre import legendre_eval
 from supercong.theorems import REGISTRY
@@ -79,7 +79,7 @@ def sum_S_exact(m: int, ctx: PrimeCtx) -> int:
     for k in range(p):
         term = math.comb(2 * k, k) ** 2 * math.comb(4 * k, 2 * k)
         total += term * m ** (p - 1 - k)
-    return total * pow(inv_mod(m, p2), p - 1, p2) % p2
+    return total * pow(m, 1 - p, p2) % p2
 
 
 def _s(k: int) -> int:
@@ -273,12 +273,19 @@ def _factorial_route(ctx):
     """The s and t prefixes, highest k first, from one table F(n) of n!
     with its factors p removed, mod p**2, for n <= 3p - 1 (so p and 2p
     give 1 and 2): s(k) = p**[4k >= p] F(4k) / F(k)**4 and
-    t(k) = p**([4k/p] - [2k/p]) F(4k) / (F(2k) F(k)**2)."""
+    t(k) = p**([4k/p] - [2k/p]) F(4k) / (F(2k) F(k)**2).  1/F(n) for
+    n <= (3p + 1)/2 takes one inverse and a walk down by the same
+    factors."""
     p, p2 = ctx.p, ctx.p2
+    factors = [n // p if n % p == 0 else n for n in range(1, 3 * p)]
     table = [1]
-    for n in range(1, 3 * p):
-        table.append(table[-1] * (n // p if n % p == 0 else n) % p2)
-    inv = [pow(f, -1, p2) for f in table[:(3 * p + 3) // 2]]
+    for f in factors:
+        table.append(table[-1] * f % p2)
+    top = (3 * p + 1) // 2
+    inv = [pow(table[top], -1, p2)]
+    for f in reversed(factors[:top]):
+        inv.append(inv[-1] * f % p2)
+    inv.reverse()
     s = [p ** (4 * k >= p) * table[4 * k] * inv[k] ** 4 % p2
          for k in range((p - 1) // 2 + 1)]
     t = [p ** (4 * k // p - 2 * k // p) * table[4 * k] * inv[2 * k]
@@ -302,10 +309,10 @@ def test_large_p_sums_match_factorial_route(block):
         for _ in range(3):
             m = rng.randrange(1, ctx.p2)
             if m % p:
-                assert sum_S(m, ctx) == horner(s, inv_mod(m, ctx.p2), ctx.p2)
+                assert sum_S(m, ctx) == horner(s, pow(m, -1, ctx.p2), ctx.p2)
             x = rng.randrange(ctx.p2)
             assert sum_T(x, ctx) == horner(t, x, ctx.p2)
-        inv128 = inv_mod(128, ctx.p2)
+        inv128 = pow(128, -1, ctx.p2)
         for u in rng.sample(range(p), 3):
             assert sum_T((1 - u) * inv128 % ctx.p2, ctx) % p == \
                 legendre_eval(ctx.qcap, u, ctx), (p, u)
@@ -354,9 +361,9 @@ def test_sum_s_matches_exact_oracle():
 def test_sum_t_spot_values():
     ctx = PrimeCtx(11)
     assert sum_T(0, ctx) == 1
-    assert sum_T(inv_mod(128, 121), ctx) == 16
+    assert sum_T(pow(128, -1, 121), ctx) == 16
     c7 = PrimeCtx(7)
-    lhs = sum_T(inv_mod(128, 49), c7) ** 2 % 49
+    lhs = sum_T(pow(128, -1, 49), c7) ** 2 % 49
     assert lhs == sum_S(256, c7)
 
 
@@ -589,7 +596,7 @@ def test_packed_lane_width_follows_the_modulus():
 
 def test_theorem21_examples():
     assert theorem21_check(0, PrimeCtx(11))
-    assert theorem21_check(inv_mod(128, 121), PrimeCtx(11))
+    assert theorem21_check(pow(128, -1, 121), PrimeCtx(11))
     assert theorem21_check(17, PrimeCtx(13))
 
 
@@ -669,7 +676,7 @@ def test_corollary22_implication():
         for m in ms:
             if m % p == 0 or (m - 256) % p == 0:
                 continue
-            mi = inv_mod(m, p)
+            mi = pow(m, -1, p)
             acc, yk = 0, 1
             for k in range(ctx.qcap + 1):
                 acc = (acc + series[k] * yk) % p

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from supercong import binom, legendre
-from supercong.arith import PrimeCtx, inv_mod, jacobi, primes_in
+from supercong.arith import PrimeCtx, jacobi, primes_in
 from supercong.binom import sum_T
 from supercong.curves import power_sum
 from supercong.legendre import legendre_eval
@@ -30,7 +30,7 @@ def _legendre_sum(n, t, p):
     for k in range(n // 2 + 1):
         term = math.comb(n, k) * math.comb(2 * n - 2 * k, n)
         acc += (-1) ** k * term * pow(t, n - 2 * k, p)
-    return acc * inv_mod(pow(2, n, p), p) % p
+    return acc * pow(2, -n, p) % p
 
 
 def test_packed_eval_matches_explicit_sum():
@@ -79,7 +79,7 @@ def _truncated_128_sum(t, ctx):
     """sum_{k=0}^{[p/4]} C(4k,2k) C(2k,k) ((1-t)/128)**k mod p, term by
     term with math.comb; equals P_[p/4](t) mod p."""
     p = ctx.p
-    w = (1 - t) * inv_mod(128, p) % p
+    w = (1 - t) * pow(128, -1, p) % p
     return sum(math.comb(4 * k, 2 * k) * math.comb(2 * k, k) * pow(w, k, p)
                for k in range(ctx.qcap + 1)) % p
 
@@ -136,7 +136,7 @@ def test_p_quarter_is_t_at_every_point():
         n, p2 = ctx.qcap, ctx.p2
         tail = binom._t_prefix(ctx)[:-(n + 1)]  # k > [p/4], highest first
         assert all(c % p == 0 for c in tail), p
-        inv128 = inv_mod(128, p2)
+        inv128 = pow(128, -1, p2)
         for t in range(n + 1):
             assert sum_T((1 - t) * inv128 % p2, ctx) % p == legendre_eval(
                 n, t, ctx), (p, t)
@@ -151,7 +151,7 @@ def test_three_term_recurrence_chain():
         chain = [1, t]
         for n in range(1, p - 1):
             nxt = ((2 * n + 1) * t * chain[n] - n * chain[n - 1]) \
-                * inv_mod(n + 1, p) % p
+                * pow(n + 1, -1, p) % p
             chain.append(nxt)
         # n > p/2 reaches the terms that vanish by a Kummer carry
         picks = {0, 1, ctx.qcap, ctx.qcap // 2, rng.randrange(ctx.qcap + 1),
@@ -165,7 +165,7 @@ def test_cubic_power_sum_route():
     rng = random.Random(16)
     for p in primes_in(5, 300):
         ctx = PrimeCtx(p)
-        inv2 = inv_mod(2, p)
+        inv2 = pow(2, -1, p)
         for _ in range(3):
             u = rng.randrange(p)
             b = -3 * (3 * u + 5) * inv2 % p

@@ -86,6 +86,19 @@ def test_cornacchia_agrees_with_exhaustive_search():
             assert cornacchia(d, p) == oracle, (d, p)
 
 
+def test_sum_of_two_squares_comes_larger_first():
+    """cornacchia(1, p) returns x > y >= 1 with x^2 + y^2 = p for every
+    prime p = 1 mod 4 below 10**5, from an int and from a PrimeCtx: the
+    chain seeded with the root in (p/2, p) first drops below sqrt(p) at
+    the larger of x and y (Brillhart, Math. Comp. 26, 1972), so nothing
+    swaps them."""
+    for p in primes_in(5, 99999):
+        if p % 4 == 1:
+            for arg in (p, arith.PrimeCtx(p)):
+                x, y = cornacchia(1, arg)
+                assert x > y >= 1 and x * x + y * y == p, p
+
+
 def test_genus_split_d7():
     for p in primes_in(5, 1000):
         if p == 7:
