@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from itertools import compress, repeat
 from operator import add, lshift, mul
 
@@ -87,13 +87,17 @@ class PrimeCtx:
     t series are built together, modulo the product of their squares
     (see binom); its least and greatest primes must pass shares_block.
     It defaults to (p,) and takes no part in equality or hashing: it
-    changes how the series are built, not what they are.
+    changes how the series are built, not what they are.  `sums`, in the
+    same way, maps sum arguments m to S(m) mod p**2 where a sweep has
+    tabulated them (see theorems.verify_range); binom.sum_S reads them
+    there instead of packing p's series.  It defaults to no entries.
 
     Immutable after construction (assigning an attribute raises
     AttributeError); safe to share across workers.
     """
 
-    def __init__(self, p: int, block: Sequence[int] = ()) -> None:
+    def __init__(self, p: int, block: Sequence[int] = (),
+                 sums: Mapping[int, int] | None = None) -> None:
         block = tuple(block) or (p,)
         if not isinstance(p, int) or p <= 3 or not is_prime(p):
             raise ValueError(f"p must be a prime greater than 3, got {p!r}")
@@ -102,8 +106,8 @@ class PrimeCtx:
                               or not shares_block(block[0], block[-1])):
             raise ValueError(f"{block!r} is not a strictly ascending block "
                              f"holding p = {p} whose ends pass shares_block")
-        self.__dict__.update(p=p, block=block, p2=p * p, half=(p - 1) // 2,
-                             qcap=p // 4)
+        self.__dict__.update(p=p, block=block, sums=dict(sums or {}),
+                             p2=p * p, half=(p - 1) // 2, qcap=p // 4)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to PrimeCtx field {name!r}")
@@ -121,13 +125,16 @@ class PrimeCtx:
                 f"qcap={self.qcap})")
 
 
-def factorials(n: int, p: int) -> tuple[list[int], list[int]]:
-    """i! and 1/i! mod the prime p for i = 0 .. n < p: one walk up, one
-    inverse and one walk down."""
+def factorials(n: int, p: int, k: int | None = None
+               ) -> tuple[list[int], list[int]]:
+    """i! mod the prime p for i = 0 .. n < p, and 1/i! for i = 0 .. k
+    (k <= n, by default n): one walk up, one inverse and one walk down
+    from k."""
+    k = n if k is None else k
     acc = 1
     fac = [1] + [acc := acc * i % p for i in range(1, n + 1)]
-    acc = pow(fac[n], -1, p)
-    inv = [acc] + [acc := acc * i % p for i in range(n, 0, -1)]
+    acc = pow(fac[k], -1, p)
+    inv = [acc] + [acc := acc * i % p for i in range(k, 0, -1)]
     return fac, inv[::-1]
 
 

@@ -36,6 +36,14 @@ at every point; packing reduces each value mod p**2, the one reduction
 a value takes.  The packed polynomials are the per-prime cache: the
 prefixes themselves are not cached, since they keep the block's modulus
 and a PrimeCtx compares by p alone.
+
+A sweep whose statements read S only at fixed m, over a dense range (the
+conjectures, for one; see theorems._tabulated), builds no s series at
+all: sumtree's remainder tree gives S(m) at those m for a whole window
+of primes in quasi-linear time, and sum_S reads the value from
+PrimeCtx.sums.  The packed series stays the route for every other point
+(T2.1's raw points, C2.1's samples), for `supercong sum` and the
+consistency checks, and the oracle the tree is tested against.
 """
 
 from __future__ import annotations
@@ -121,13 +129,16 @@ def t_poly(ctx: PrimeCtx) -> PackedPoly:
 
 def sum_S(m: int, ctx: PrimeCtx) -> int:
     """sum_{k=0}^{p-1} (4k)!/k!**4 * m**(-k) reduced mod p**2, for an
-    integer m that p does not divide."""
+    integer m that p does not divide: read from ctx.sums where a sweep
+    tabulated it (see sumtree), else from p's packed series."""
     if not isinstance(m, int):
         raise TypeError(f"m must be an int, got {m!r}")
     if m == 0:
         raise ValueError("m must be nonzero")
     if m % ctx.p == 0:
         raise ValueError(f"p = {ctx.p} divides m = {m}")
+    if m in ctx.sums:
+        return ctx.sums[m]
     return central_poly(ctx)(pow(m, -1, ctx.p2))
 
 

@@ -21,8 +21,9 @@ over [lo, hi] = [ceil(h/2), floor(2h/3)], about p/12 terms, and for B != 0
     W(z)  =  sum_{i=lo}^{hi} w_i z**(i-lo),   w_i = h!/(i! (2h-3i)! (2i-h)!).
 
 W depends on p alone, so it is built once per prime mod p, from the
-factorial table arith.factorials(h, p), and packed as an arith.PackedPoly,
-the kernel that also evaluates S, T and P_[p/4].  The degenerate cubics
+factorial table arith.factorials(h, p, hi) (no factorial below i = hi
+is inverted: every i!, (2h-3i)! and (2i-h)! has index at most hi), and
+packed as an arith.PackedPoly, the kernel that also evaluates S, T and P_[p/4].  The degenerate cubics
 keep one term each: C = 0 is the point z = 0, where W(0) = w_lo (term
 i = lo, nonzero only when 2lo = h), and B = 0 keeps the term j = 0,
 w_hi C**(2hi-h) (nonzero only when 3hi = 2h).  The two routes share no
@@ -75,7 +76,7 @@ def _deuring_poly(
     when that term is absent (see the module docstring)."""
     p, h = ctx.p, ctx.half
     lo, hi = (h + 1) // 2, 2 * h // 3
-    fac, inv = factorials(h, p)
+    fac, inv = factorials(h, p, hi)
     w = [fac[h] * inv[i] % p * inv[2 * h - 3 * i] % p * inv[2 * i - h] % p
          for i in range(hi, lo - 1, -1)]
     b_zero = (w[0], 2 * hi - h) if 3 * hi == 2 * h else None

@@ -5,7 +5,8 @@ P_n is evaluated through its explicit finite sum
     P_n(t) = 2**(-n) * sum_{k=0}^{[n/2]} C(n,k) (-1)**k C(2n-2k, n) t**(n-2k)
 
 with all arithmetic mod p, as a polynomial in t**2 packed once per (n, p)
-into an arith.PackedPoly; its factorials come from arith.factorials.  The
+into an arith.PackedPoly; its factorials come from arith.factorials,
+which inverts only the i! with i <= n that the terms divide by.  The
 engine reads P_[p/4] from binom's t series; this independent route serves
 the consistency checks and `supercong sum`.
 """
@@ -25,7 +26,7 @@ __all__ = [
 def _legendre_poly(n: int, ctx: PrimeCtx) -> PackedPoly:
     """2**(-n) P_n as a polynomial in t**2 (t**n down to t**(n mod 2))."""
     p = ctx.p
-    fac, inv = factorials(min(2 * n, p - 1), p)
+    fac, inv = factorials(min(2 * n, p - 1), p, n)
     scale = pow(2, -n, p)
     coeffs = []
     for k in range(n // 2 + 1):

@@ -1,0 +1,173 @@
+"""S(m) mod p**2 at fixed sum arguments m for every prime of a range, by an
+accumulating remainder tree (Costa, Gerbicz and Harvey, "A search for
+Wilson primes", Math. Comp. 83, 2014; Harvey, Ann. of Math. 179, 2014).
+
+With a_k = 8(4k-1)(4k-3)(2k-1), the numerator of s(k)/s(k-1) (see binom),
+
+    M_k = [[a_k, a_k], [0, k**3 m]],    M_1 M_2 ... M_K = [[A, Y], [0, B]]
+
+gives A = a_1 ... a_K, B = prod_{k<=K} k**3 m and
+Y/B = sum_{1<=k<=K} s(k) m**(-k).  At K = (p-1)/2, past which s(k) = 0
+mod p**2, S(m) = (Y + B)/B mod p**2 wherever p does not divide m, so
+that B is a unit mod p; where p divides m the tables hold no value.  A
+product is held as (A, C, [Y for each m], [B for each m]), C the product
+of the cubes k**3: A and C do not depend on m, so every m shares them,
+and each m adds its own Y and B.  A prefix M_1 ... M_K, whose B is
+C m**K, keeps no B: its B is needed only at the end, as a unit mod p**2,
+and a prefix times a product needs only the product's B.
+
+For ascending primes p_0 < p_1 < ... with K_i = (p_i - 1)/2, prime i needs
+the prefix through K_i mod p_i**2.  The prefix through K_0 is one product,
+by binary splitting.  The leaf at prime i is the product over
+(K_i, K_{i+1}], up to the next prime's K (empty at the last prime), so
+the prefix through K_0 times the leaves to the left of prime i is the
+prefix through K_i.  The primes are taken a window at a time.  In a
+window, a product tree of the leaves goes up, and a tree of the moduli
+p**2 beside it; coming down, a node's value, the prefix through its first
+prime, is reduced mod the product of its own primes' moduli: its left
+child takes it as it is, its right child times the left child's product.
+Between windows only the prefix carries, times the window's root product.
+
+Every product is needed only modulo the moduli of the primes to its
+right: those are the only moduli the descent and the carry use it for.
+So each up-tree product, and each half of the first prefix, is reduced
+modulo the product of those moduli once it outgrows it, and the carry is
+reduced so after every window: it stays no larger than the moduli still
+ahead.  One window's trees are held at a time.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Iterator, Sequence
+from itertools import accumulate
+from operator import mul
+
+__all__ = [
+    "window_sums",
+]
+
+# (A, C, [Y for each m], [B for each m]): a product of the M_k, exact or
+# reduced mod some modulus; a prefix has no B (an empty list)
+Node = tuple[int, int, list[int], list[int]]
+
+_SPLIT = 16  # longer spans are split in two (binary splitting)
+
+
+def _span(lo: int, hi: int, ms: Sequence[int], q: int = 0) -> Node:
+    """M_{lo+1} ... M_hi: with n = hi - lo terms, Y is
+    sum_j (a_{lo+1} ... a_{lo+j}) ((lo+j+1)**3 ... hi**3) m**(n-j), by
+    Horner in m over those coefficients, and B = C m**n.  Exact, but for
+    the halves of a long span, which are reduced mod q where they outgrow
+    it (q = 0: never)."""
+    if hi - lo > _SPLIT:
+        mid = (lo + hi) // 2
+        x = _mul(_span(lo, mid, ms, q), _span(mid, hi, ms, q))
+        return _mod(x, q) if q and _bits(x) > q.bit_length() else x
+    ks = range(lo + 1, hi + 1)
+    heads = list(accumulate(
+        (8 * (4 * k - 1) * (4 * k - 3) * (2 * k - 1) for k in ks), mul,
+        initial=1))
+    tails = list(accumulate((k ** 3 for k in reversed(ks)), mul, initial=1))
+    n = hi - lo
+    coeffs = [heads[j] * tails[n - j] for j in range(1, n + 1)]
+    ys = []
+    for m in ms:
+        y = 0
+        for c in coeffs:
+            y = y * m + c
+        ys.append(y)
+    return heads[-1], tails[-1], ys, [tails[-1] * m ** n for m in ms]
+
+
+def _mul(x: Node, y: Node) -> Node:
+    """x y, a prefix where x is one (y is not)."""
+    a, c, ys, bs = x
+    a2, c2, ys2, bs2 = y
+    return (a * a2, c * c2,
+            [a * v2 + v * b2 for v, v2, b2 in zip(ys, ys2, bs2)],
+            list(map(mul, bs, bs2)))
+
+
+def _mod(x: Node, q: int) -> Node:
+    a, c, ys, bs = x
+    return a % q, c % q, [v % q for v in ys], [b % q for b in bs]
+
+
+def _bits(x: Node) -> int:
+    a, c, ys, bs = x
+    return max(a.bit_length(), c.bit_length(), *map(int.bit_length, ys),
+               *map(int.bit_length, bs))
+
+
+def _trim(nodes: list[Node], moduli: list[int], rest: int) -> None:
+    """Reduce each node of one level, in place, modulo the moduli to its
+    right -- those of the later nodes, times `rest` -- where it has
+    outgrown them.  Their product is formed only while some node of the
+    level could still outgrow it."""
+    top = max(map(_bits, nodes))
+    q = rest
+    for j in range(len(nodes) - 1, -1, -1):
+        if q.bit_length() > top:
+            return
+        if _bits(nodes[j]) > q.bit_length():
+            nodes[j] = _mod(nodes[j], q)
+        q *= moduli[j]
+
+
+def _window(primes: Sequence[int], after: int, carry: Node, rest: int,
+            ms: Sequence[int]) -> tuple[list[dict[int, int]], Node]:
+    """The tables of one window and the carry past it.  `carry` is the
+    prefix through the window's first prime, reduced mod the moduli of
+    this window and `rest` (those of every later prime); `after` is the
+    next window's first prime, or the last prime here."""
+    halves = [(p - 1) // 2 for p in (*primes, after)]
+    nodes = [_span(lo, hi, ms) for lo, hi in zip(halves, halves[1:])]
+    moduli = [p * p for p in primes]
+    levels = []
+    while True:
+        _trim(nodes, moduli, rest)
+        levels.append((nodes, moduli))
+        if len(nodes) == 1:
+            break
+        nodes = [_mul(*nodes[j:j + 2]) if j + 1 < len(nodes) else nodes[j]
+                 for j in range(0, len(nodes), 2)]
+        moduli = [math.prod(moduli[j:j + 2])
+                  for j in range(0, len(moduli), 2)]
+    values = [_mod(carry, moduli[0])]
+    for nodes, moduli in reversed(levels[:-1]):
+        down = []
+        for j, v in enumerate(values):
+            if 2 * j + 1 < len(nodes):
+                down += [_mod(v, moduli[2 * j]),
+                         _mod(_mul(v, nodes[2 * j]), moduli[2 * j + 1])]
+            else:
+                down.append(v)
+        values = down
+    tables = []
+    for p, k, (_, c, ys, _) in zip(primes, halves, values):
+        p2 = p * p
+        inv_c = pow(c, -1, p2)  # 1/B = (1/C) m**(-K)
+        tables.append({m: (1 + y * inv_c * pow(m, -k, p2)) % p2
+                       for m, y in zip(ms, ys) if m % p})
+    return tables, _mod(_mul(carry, levels[-1][0][0]), rest)
+
+
+def window_sums(windows: Sequence[Sequence[int]], ms: Sequence[int]
+                ) -> Iterator[list[dict[int, int]]]:
+    """For each window of `windows` -- runs of primes greater than 3, each
+    ascending and each after the last -- one table {m: S(m) mod p**2} per
+    prime, over the nonzero integers m of `ms` that p does not divide.
+    The tables come a window at a time, and only one window's trees are
+    held: the cost of a window grows with its own span of k and with the
+    moduli still ahead, and the first window also pays for the prefix
+    through its first prime."""
+    moduli = [math.prod(p * p for p in w) for w in windows]
+    rest = math.prod(moduli)
+    a, c, ys, _ = _span(0, (windows[0][0] - 1) // 2, ms, rest)
+    carry = _mod((a, c, ys, []), rest)
+    for i, (primes, q) in enumerate(zip(windows, moduli)):
+        rest //= q
+        after = windows[i + 1][0] if i + 1 < len(windows) else primes[-1]
+        tables, carry = _window(primes, after, carry, rest, ms)
+        yield tables

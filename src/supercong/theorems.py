@@ -22,7 +22,11 @@ missing representation, a failure.  The sampled statements draw their
 claims from an rng seeded per statement and prime.  verify turns claims
 into VerdictReport records: it reduces both sides by the modulus and
 compares them.  verify_range sweeps a prime interval, optionally fanning
-out across worker processes with a deterministic ordered merge.
+out across worker processes with a deterministic ordered merge.  Where
+every selected statement reads S at fixed m only and the range is dense
+(_tabulated, the one rule), the sweep reads S(m) from sumtree's tables,
+computed a window of primes at a time, instead of packing each prime's
+s series: no conjecture reads S anywhere else.
 
 Failures of proven statements are genuine failures; failures of
 conjecture-kind statements are downgraded to counterexample candidates by
@@ -559,6 +563,42 @@ SUM_ARGUMENTS: tuple[tuple[str, int], ...] = tuple(
 
 _C22_TEST_SET = tuple(sorted({m for _, m in SUM_ARGUMENTS}))
 
+_DENSE = 32  # the fewest primes on which sweeps read S from sumtree's tables
+
+#: The sum arguments at which the claims functions that read S elsewhere
+#: than at spec.m read it: None where they depend on p (T2.1 reads the s
+#: series at x(1 - 64x), C2.1 reads S at sampled m).
+_S_POINTS = {
+    _t21_claims: None,
+    _c21_claims: None,
+    _c22_claims: _C22_TEST_SET,
+    _t311_claims: tuple(m for m, _, _ in _T311_PARTS),
+}
+
+
+def _tabulated(ids: Iterable[str], primes: list[int]) -> tuple[int, ...]:
+    """The sum arguments m at which a sweep of the statements `ids` over the
+    ascending `primes` reads S(m) from sumtree's tables, or () where each
+    prime packs its own series.  The one rule for when the tables run:
+    every statement reads S at fixed points only (its m, or those of
+    _S_POINTS), since a point that depends on p needs p's packed series
+    anyway, and the range is dense: it holds at least _DENSE primes.  The
+    tables first build the prefix through the first prime, (p_0 - 1)/2
+    terms, and that costs about as much as packing the series of 15 to 30
+    primes near p_0, each of about as many terms (measured for p_0 up to
+    10**5): on fewer primes, packing is cheaper."""
+    points = set()
+    for tid in ids:
+        spec = REGISTRY[tid]
+        fixed = _S_POINTS.get(spec.claims,
+                              () if spec.m is None else (spec.m,))
+        if fixed is None:
+            return ()
+        points.update(fixed)
+    if len(primes) < _DENSE:
+        return ()
+    return tuple(sorted(points))
+
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -601,13 +641,14 @@ def _eval_prime(ids: tuple[str, ...], ctx: PrimeCtx,
     return out
 
 
-def _eval_block(ids: tuple[str, ...], block: tuple[int, ...], seed: int
-                ) -> list[VerdictReport]:
-    return [r for p in block
-            for r in _eval_prime(ids, PrimeCtx(p, block), seed)]
+def _eval_block(ids: tuple[str, ...], block: tuple[int, ...], seed: int,
+                sums: list[dict[int, int]]) -> list[VerdictReport]:
+    return [r for p, s in zip(block, sums)
+            for r in _eval_prime(ids, PrimeCtx(p, block, s), seed)]
 
 
 _BLOCK = 8  # at most this many primes share one series build
+_WINDOW = 8  # blocks whose S tables one remainder tree computes at a time
 
 
 def _blocks(primes: list[int], parts: int) -> list[tuple[int, ...]]:
@@ -639,6 +680,27 @@ def _blocks(primes: list[int], parts: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _block_sums(ids: tuple[str, ...], blocks: list[tuple[int, ...]]
+                ) -> Iterator[list[dict[int, int]]]:
+    """For each block, the S(m) tables of its primes: sumtree's, one window
+    of _WINDOW blocks at a time, for the points _tabulated names, and
+    empty where it names none (sumtree is then not imported)."""
+    ms = _tabulated(ids, [p for block in blocks for p in block])
+    if not ms:
+        for block in blocks:
+            yield [{}] * len(block)
+        return
+    from .sumtree import window_sums
+
+    windows = [blocks[i:i + _WINDOW] for i in range(0, len(blocks), _WINDOW)]
+    tables = window_sums([[p for block in w for p in block]
+                          for w in windows], ms)
+    for window, table in zip(windows, tables):
+        for block in window:
+            yield table[:len(block)]
+            del table[:len(block)]
+
+
 def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
                  workers: int = 1) -> Iterator[VerdictReport]:
     """Verdicts for every statement in `ids` and every prime in
@@ -646,9 +708,13 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
 
     The primes are cut into blocks that share their series builds, one
     block per task; their number is a multiple of the worker count where
-    the primes allow.  At most min(os.cpu_count(), number of blocks)
-    processes start, whatever `workers` asks for; the records depend on
-    neither.  A pool is handed at most 2 * workers blocks ahead of the
+    the primes allow.  Where _tabulated names sum arguments, S at them
+    comes from sumtree's tables in place of each prime's packed series:
+    this process computes them one window of _WINDOW blocks at a time,
+    as the blocks are reached, and each block takes its primes' tables
+    with it, to a worker when there is a pool.  At most
+    min(os.cpu_count(), number of blocks) processes start, whatever
+    `workers` asks for; the records depend on neither.  A pool is handed at most 2 * workers blocks ahead of the
     block being read, so a stalled reader holds that many blocks of
     records at most."""
     if pmin <= 3 or pmin > pmax:
@@ -663,16 +729,18 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     workers = max(1, min(workers, os.cpu_count() or 1, len(primes)))
     blocks = _blocks(primes, workers)
     workers = min(workers, len(blocks))
+    sums = _block_sums(id_list, blocks)
     if workers <= 1:
-        for block in blocks:
-            for p in block:
-                yield from _eval_prime(id_list, PrimeCtx(p, block), seed)
+        for block, block_sums in zip(blocks, sums):
+            for p, s in zip(block, block_sums):
+                yield from _eval_prime(id_list, PrimeCtx(p, block, s), seed)
         return
     import multiprocessing  # only a pool needs it: keeps start-up lean
 
     with multiprocessing.Pool(workers) as pool:
-        results = (pool.apply_async(_eval_block, (id_list, block, seed))
-                   for block in blocks)
+        results = (pool.apply_async(_eval_block,
+                                    (id_list, block, seed, block_sums))
+                   for block, block_sums in zip(blocks, sums))
         window = deque(islice(results, 2 * workers))
         while window:
             yield from window.popleft().get()

@@ -30,6 +30,7 @@ CERTIFICATE = (
 CONSISTENCY = ("tests/test_theorems.py::test_consistency_checks_can_fail",)
 WITNESSES = (
     "tests/test_theorems.py::test_witnesses_follow_the_parents_rules",)
+TREE = ("tests/test_sumtree.py::test_tree_matches_packed_series",)
 T_ROOTS = (
     "tests/test_theorems.py::test_t_roots_are_square_roots_of_a",
     "tests/test_cli.py::test_sum_names_the_roots_of_one_minus_256_over_m",
@@ -113,8 +114,8 @@ MUTANTS = (
     ("cornacchia: the smaller of x and y first", "src/supercong/quadform.py",
      "return b, y", "return y, b",
      ("tests/test_quadform.py::test_sum_of_two_squares_comes_larger_first",)),
-    ("factorials: the inverse of (n-1)!", "src/supercong/arith.py",
-     "pow(fac[n], -1, p)", "pow(fac[n - 1], -1, p)",
+    ("factorials: the inverse of (k-1)!", "src/supercong/arith.py",
+     "pow(fac[k], -1, p)", "pow(fac[k - 1], -1, p)",
      ("tests/test_arith.py::test_factorials_match_math_factorial",)),
     ("right sides: u x^2 - v p", "src/supercong/theorems.py",
      "+ v * ctx.p", "- v * ctx.p",
@@ -122,6 +123,30 @@ MUTANTS = (
     ("Murphy point: T((1 + t)/128)", "src/supercong/theorems.py",
      "(1 - t)", "(1 + t)",
      ("tests/test_theorems.py::test_p_claim_robust_under_root_choice",)),
+    ("sumtree: each leaf one k short", "src/supercong/sumtree.py",
+     "_span(lo, hi, ms) for lo, hi", "_span(lo + 1, hi, ms) for lo, hi",
+     TREE),
+    ("sumtree: a right child not times its left sibling's product",
+     "src/supercong/sumtree.py",
+     "_mod(_mul(v, nodes[2 * j]), moduli[2 * j + 1])",
+     "_mod(v, moduli[2 * j + 1])", TREE),
+    ("sumtree: up-tree products reduced without the later windows' moduli",
+     "src/supercong/sumtree.py", "    q = rest\n", "    q = 1\n", TREE),
+    ("sumtree: first prefix reduced mod the first window's moduli alone",
+     "src/supercong/sumtree.py", "ms, rest)\n", "ms, moduli[0])\n", TREE),
+    ("tables: one window for the whole range", "src/supercong/theorems.py",
+     "_WINDOW = 8", "_WINDOW = 10 ** 9",
+     ("tests/test_sumtree.py::test_tables_memory_does_not_grow_with_the_range",
+      )),
+    ("tables: C2.1's sampled points taken as fixed",
+     "src/supercong/theorems.py", "    _c21_claims: None,\n", "",
+     ("tests/test_sumtree.py::test_dense_rule",)),
+    ("sum_S: the tables never read", "src/supercong/binom.py",
+     "if m in ctx.sums:", "if False:",
+     ("tests/test_sumtree.py::test_routes_agree_through_the_engine",)),
+    ("theorems imports sumtree at the top", "src/supercong/theorems.py",
+     "import os\n", "import os\nimport supercong.sumtree\n",
+     ("tests/test_cli.py::test_a_verify_run_imports_only_what_it_uses",)),
 )
 
 

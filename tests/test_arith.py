@@ -24,7 +24,8 @@ def test_prime_ctx_fields():
     assert repr(ctx) == "PrimeCtx(p=11, p2=121, half=5, qcap=2)"
 
 
-@pytest.mark.parametrize("name", ["p", "block", "p2", "half", "qcap", "new"])
+@pytest.mark.parametrize("name", ["p", "block", "sums", "p2", "half", "qcap",
+                                  "new"])
 def test_prime_ctx_is_immutable(name):
     ctx = PrimeCtx(11)
     with pytest.raises(AttributeError):
@@ -170,16 +171,20 @@ def test_sqrt_mod_p2_lifts():
 
 
 def test_factorials_match_math_factorial():
-    """i! and its inverse mod p for every i <= n, at every n < p for the
-    primes below 60, and at n = 0 and p - 1 up to 1000, where Wilson's
-    theorem pins the last entry."""
+    """i! mod p for every i <= n and its inverse for every i <= k, at
+    every n < p and k in {n, n // 2, 0} for the primes below 60, and at
+    n = 0 and p - 1 up to 1000, where Wilson's theorem pins the last
+    entry."""
     for p in primes_in(2, 1000):
         for n in range(p) if p < 60 else (0, p - 1):
-            fac, inv = factorials(n, p)
-            assert len(fac) == len(inv) == n + 1
-            assert fac[:100] == [math.factorial(i) % p
-                                 for i in range(min(n + 1, 100))]
-            assert all(f * g % p == 1 for f, g in zip(fac, inv)), (p, n)
+            for k in (None, n, n // 2, 0):
+                fac, inv = factorials(n, p, k)
+                assert len(fac) == n + 1
+                assert len(inv) == (n if k is None else k) + 1
+                assert fac[:100] == [math.factorial(i) % p
+                                     for i in range(min(n + 1, 100))]
+                assert all(f * g % p == 1
+                           for f, g in zip(fac, inv)), (p, n, k)
         assert fac[-1] == p - 1  # (p-1)! = -1 mod p
 
 

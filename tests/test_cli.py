@@ -333,14 +333,25 @@ def _imported(*args: str) -> set[str]:
 def test_a_verify_run_imports_only_what_it_uses():
     """Start-up budget: beyond what a bare interpreter imports, a
     one-worker jsonl run imports no dataclass machinery (dataclasses,
-    inspect), no pool (multiprocessing), no csv writer and no fractions
-    (the library uses no rational type); a csv run, as a
-    positive control, does import csv."""
+    inspect), no pool (multiprocessing), no csv writer, no fractions
+    (the library uses no rational type) and no remainder tree
+    (supercong.sumtree), which only a sweep that reads its tables loads:
+    a dense conjecture sweep does, a whole-registry sweep (T2.1 reads S
+    at points that depend on p) and a one-prime conjecture sweep do not.
+    A csv run, as a positive control, does import csv."""
     bare = _imported("-c", "pass")
     run = ("-m", "supercong", "verify", "--theorems", "all", "--primes",
            "5..5")
     jsonl = _imported(*run, "--format", "jsonl") - bare
     assert {"supercong.cli", "supercong.theorems"} <= jsonl
-    lazy = {"dataclasses", "inspect", "multiprocessing", "csv", "fractions"}
+    lazy = {"dataclasses", "inspect", "multiprocessing", "csv", "fractions",
+            "supercong.sumtree"}
     assert not jsonl & lazy
     assert (_imported(*run, "--format", "csv") - bare) & lazy == {"csv"}
+    sweep = ("-m", "supercong", "verify", "--format", "jsonl", "--primes")
+    for theorems, primes, tree in (("all-conjectures", "5..300", True),
+                                   ("all", "5..300", False),
+                                   ("all-conjectures", "5..5", False)):
+        loaded = _imported(*sweep, primes, "--theorems", theorems) - bare
+        assert loaded & lazy == ({"supercong.sumtree"} if tree else set()), \
+            (theorems, primes)
