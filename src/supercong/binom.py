@@ -49,7 +49,7 @@ consistency checks, and the oracle the tree is tested against.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
@@ -58,6 +58,7 @@ from .arith import PackedPoly, PrimeCtx
 
 __all__ = [
     "central_poly",
+    "s_numerators",
     "sum_S",
     "sum_T",
     "t_poly",
@@ -79,15 +80,20 @@ def _ratio_series(last: int, e: int, numerators: Iterable[int],
                   for f, d in zip(numerators, reversed(down))]
 
 
+def s_numerators(lo: int, hi: int) -> Iterator[int]:
+    """8(2k-1)(4k-1)(4k-3), the numerator of s(k)/s(k-1), for lo < k <= hi."""
+    return map(mul, map(mul, range(16 * lo + 8, 16 * hi, 16),
+                        range(4 * lo + 3, 4 * hi, 4)),
+               range(4 * lo + 1, 4 * hi, 4))
+
+
 @lru_cache(maxsize=1)
 def _s_block(block: tuple[int, ...]) -> list[int]:
     """s(k) for k = 0 .. (max-1)//2, modulo the product of the block's
     squares."""
     last = (block[-1] - 1) // 2
-    # 8(2k-1) * (4k-1) * (4k-3), k = 1 .. last
-    numerators = map(mul, map(mul, range(8, 16 * last, 16),
-                              range(3, 4 * last, 4)), range(1, 4 * last, 4))
-    return _ratio_series(last, 3, numerators, math.prod(block) ** 2)
+    return _ratio_series(last, 3, s_numerators(0, last),
+                         math.prod(block) ** 2)
 
 
 @lru_cache(maxsize=1)

@@ -23,11 +23,12 @@ over [lo, hi] = [ceil(h/2), floor(2h/3)], about p/12 terms, and for B != 0
 W depends on p alone, so it is built once per prime mod p, from the
 factorial table arith.factorials(h, p, hi) (no factorial below i = hi
 is inverted: every i!, (2h-3i)! and (2i-h)! has index at most hi), and
-packed as an arith.PackedPoly, the kernel that also evaluates S, T and P_[p/4].  The degenerate cubics
-keep one term each: C = 0 is the point z = 0, where W(0) = w_lo (term
-i = lo, nonzero only when 2lo = h), and B = 0 keeps the term j = 0,
-w_hi C**(2hi-h) (nonzero only when 3hi = 2h).  The two routes share no
-table, so tests comparing them compare two computations.  These sums are
+packed as an arith.PackedPoly, the kernel that also evaluates S, T and
+P_[p/4].  The degenerate cubics keep one term each: C = 0 is the point
+z = 0, where W(0) = w_lo (term i = lo, nonzero only when 2lo = h), and
+B = 0 keeps the term j = 0, w_hi C**(2hi-h) (nonzero only when
+3hi = 2h).  The two routes share no table, so tests comparing them
+compare two computations.  These sums are
 the bridge between Legendre-polynomial values and point counts on
 y^2 = f(x): the count is p + 1 + char_sum.  Both take the coefficients a,
 b, c as plain integers and reduce them mod p.

@@ -43,6 +43,8 @@ from collections.abc import Iterator, Sequence
 from itertools import accumulate
 from operator import mul
 
+from .binom import s_numerators
+
 __all__ = [
     "window_sums",
 ]
@@ -65,9 +67,7 @@ def _span(lo: int, hi: int, ms: Sequence[int], q: int = 0) -> Node:
         x = _mul(_span(lo, mid, ms, q), _span(mid, hi, ms, q))
         return _mod(x, q) if q and _bits(x) > q.bit_length() else x
     ks = range(lo + 1, hi + 1)
-    heads = list(accumulate(
-        (8 * (4 * k - 1) * (4 * k - 3) * (2 * k - 1) for k in ks), mul,
-        initial=1))
+    heads = list(accumulate(s_numerators(lo, hi), mul, initial=1))
     tails = list(accumulate((k ** 3 for k in reversed(ks)), mul, initial=1))
     n = hi - lo
     coeffs = [heads[j] * tails[n - j] for j in range(1, n + 1)]
@@ -154,14 +154,14 @@ def _window(primes: Sequence[int], after: int, carry: Node, rest: int,
 
 
 def window_sums(windows: Sequence[Sequence[int]], ms: Sequence[int]
-                ) -> Iterator[list[dict[int, int]]]:
-    """For each window of `windows` -- runs of primes greater than 3, each
-    ascending and each after the last -- one table {m: S(m) mod p**2} per
-    prime, over the nonzero integers m of `ms` that p does not divide.
-    The tables come a window at a time, and only one window's trees are
-    held: the cost of a window grows with its own span of k and with the
-    moduli still ahead, and the first window also pays for the prefix
-    through its first prime."""
+                ) -> Iterator[dict[int, int]]:
+    """For each prime of `windows` -- runs of primes greater than 3, each
+    ascending and each after the last -- in order, the table
+    {m: S(m) mod p**2} over the nonzero integers m of `ms` that p does not
+    divide.  The tables are computed a window at a time, and only one
+    window's trees are held: the cost of a window grows with its own span
+    of k and with the moduli still ahead, and the first window also pays
+    for the prefix through its first prime."""
     moduli = [math.prod(p * p for p in w) for w in windows]
     rest = math.prod(moduli)
     a, c, ys, _ = _span(0, (windows[0][0] - 1) // 2, ms, rest)
@@ -170,4 +170,4 @@ def window_sums(windows: Sequence[Sequence[int]], ms: Sequence[int]
         rest //= q
         after = windows[i + 1][0] if i + 1 < len(windows) else primes[-1]
         tables, carry = _window(primes, after, carry, rest, ms)
-        yield tables
+        yield from tables

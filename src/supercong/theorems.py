@@ -45,7 +45,7 @@ import random
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -641,14 +641,14 @@ def _eval_prime(ids: tuple[str, ...], ctx: PrimeCtx,
     return out
 
 
-def _eval_block(ids: tuple[str, ...], block: tuple[int, ...], seed: int,
-                sums: list[dict[int, int]]) -> list[VerdictReport]:
-    return [r for p, s in zip(block, sums)
-            for r in _eval_prime(ids, PrimeCtx(p, block, s), seed)]
+def _eval_block(ids: tuple[str, ...], block: tuple[int, ...],
+                seed: int) -> list[VerdictReport]:
+    return [r for p in block
+            for r in _eval_prime(ids, PrimeCtx(p, block), seed)]
 
 
 _BLOCK = 8  # at most this many primes share one series build
-_WINDOW = 8  # blocks whose S tables one remainder tree computes at a time
+_WINDOW = 64  # primes whose S tables one remainder tree computes at a time
 
 
 def _blocks(primes: list[int], parts: int) -> list[tuple[int, ...]]:
@@ -680,25 +680,17 @@ def _blocks(primes: list[int], parts: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _block_sums(ids: tuple[str, ...], blocks: list[tuple[int, ...]]
-                ) -> Iterator[list[dict[int, int]]]:
-    """For each block, the S(m) tables of its primes: sumtree's, one window
-    of _WINDOW blocks at a time, for the points _tabulated names, and
-    empty where it names none (sumtree is then not imported)."""
-    ms = _tabulated(ids, [p for block in blocks for p in block])
+def _prime_sums(ms: tuple[int, ...], primes: list[int]
+                ) -> Iterator[dict[int, int]]:
+    """The S(m) table of each of the ascending primes at the points `ms`:
+    sumtree's, one window of _WINDOW primes at a time, or empty tables
+    where `ms` is () (sumtree is then not imported)."""
     if not ms:
-        for block in blocks:
-            yield [{}] * len(block)
-        return
+        return repeat({})
     from .sumtree import window_sums
 
-    windows = [blocks[i:i + _WINDOW] for i in range(0, len(blocks), _WINDOW)]
-    tables = window_sums([[p for block in w for p in block]
-                          for w in windows], ms)
-    for window, table in zip(windows, tables):
-        for block in window:
-            yield table[:len(block)]
-            del table[:len(block)]
+    return window_sums([primes[i:i + _WINDOW]
+                        for i in range(0, len(primes), _WINDOW)], ms)
 
 
 def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
@@ -709,14 +701,14 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     The primes are cut into blocks that share their series builds, one
     block per task; their number is a multiple of the worker count where
     the primes allow.  Where _tabulated names sum arguments, S at them
-    comes from sumtree's tables in place of each prime's packed series:
-    this process computes them one window of _WINDOW blocks at a time,
-    as the blocks are reached, and each block takes its primes' tables
-    with it, to a worker when there is a pool.  At most
-    min(os.cpu_count(), number of blocks) processes start, whatever
-    `workers` asks for; the records depend on neither.  A pool is handed at most 2 * workers blocks ahead of the
-    block being read, so a stalled reader holds that many blocks of
-    records at most."""
+    comes from sumtree's tables in place of each prime's packed series,
+    and the sweep runs in this process whatever `workers` asks for: the
+    tables are computed here, a window of _WINDOW primes at a time as the
+    primes are reached, so a pool would add only dispatch and pickling.
+    Otherwise at most min(os.cpu_count(), number of blocks) processes
+    start; the records depend on neither.  A pool is handed at most
+    2 * workers blocks ahead of the block being read, so a stalled reader
+    holds that many blocks of records at most."""
     if pmin <= 3 or pmin > pmax:
         raise ValueError("need 3 < pmin <= pmax")
     id_list = tuple(sorted(set(ids)))
@@ -726,21 +718,21 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     if not id_list:
         return
     primes = primes_in(pmin, pmax)
+    ms = _tabulated(id_list, primes)
     workers = max(1, min(workers, os.cpu_count() or 1, len(primes)))
     blocks = _blocks(primes, workers)
     workers = min(workers, len(blocks))
-    sums = _block_sums(id_list, blocks)
-    if workers <= 1:
-        for block, block_sums in zip(blocks, sums):
-            for p, s in zip(block, block_sums):
+    if ms or workers <= 1:
+        sums = _prime_sums(ms, primes)
+        for block in blocks:
+            for p, s in zip(block, sums):
                 yield from _eval_prime(id_list, PrimeCtx(p, block, s), seed)
         return
     import multiprocessing  # only a pool needs it: keeps start-up lean
 
     with multiprocessing.Pool(workers) as pool:
-        results = (pool.apply_async(_eval_block,
-                                    (id_list, block, seed, block_sums))
-                   for block, block_sums in zip(blocks, sums))
+        results = (pool.apply_async(_eval_block, (id_list, block, seed))
+                   for block in blocks)
         window = deque(islice(results, 2 * workers))
         while window:
             yield from window.popleft().get()

@@ -135,9 +135,12 @@ MUTANTS = (
     ("sumtree: first prefix reduced mod the first window's moduli alone",
      "src/supercong/sumtree.py", "ms, rest)\n", "ms, moduli[0])\n", TREE),
     ("tables: one window for the whole range", "src/supercong/theorems.py",
-     "_WINDOW = 8", "_WINDOW = 10 ** 9",
+     "_WINDOW = 64", "_WINDOW = 10 ** 9",
      ("tests/test_sumtree.py::test_tables_memory_does_not_grow_with_the_range",
       )),
+    ("a tabulated sweep handed to the pool", "src/supercong/theorems.py",
+     "if ms or workers <= 1:", "if workers <= 1:",
+     ("tests/test_sumtree.py::test_a_tabulated_sweep_starts_no_pool",)),
     ("tables: C2.1's sampled points taken as fixed",
      "src/supercong/theorems.py", "    _c21_claims: None,\n", "",
      ("tests/test_sumtree.py::test_dense_rule",)),

@@ -338,7 +338,9 @@ def test_a_verify_run_imports_only_what_it_uses():
     (supercong.sumtree), which only a sweep that reads its tables loads:
     a dense conjecture sweep does, a whole-registry sweep (T2.1 reads S
     at points that depend on p) and a one-prime conjecture sweep do not.
-    A csv run, as a positive control, does import csv."""
+    A dense conjecture sweep asked for 2 workers still imports no pool:
+    it runs in one process.  A csv run, as a positive control, does
+    import csv."""
     bare = _imported("-c", "pass")
     run = ("-m", "supercong", "verify", "--theorems", "all", "--primes",
            "5..5")
@@ -349,9 +351,12 @@ def test_a_verify_run_imports_only_what_it_uses():
     assert not jsonl & lazy
     assert (_imported(*run, "--format", "csv") - bare) & lazy == {"csv"}
     sweep = ("-m", "supercong", "verify", "--format", "jsonl", "--primes")
-    for theorems, primes, tree in (("all-conjectures", "5..300", True),
-                                   ("all", "5..300", False),
-                                   ("all-conjectures", "5..5", False)):
-        loaded = _imported(*sweep, primes, "--theorems", theorems) - bare
+    for theorems, primes, tree, workers in (
+            ("all-conjectures", "5..300", True, "1"),
+            ("all-conjectures", "5..300", True, "2"),
+            ("all", "5..300", False, "1"),
+            ("all-conjectures", "5..5", False, "1")):
+        loaded = _imported(*sweep, primes, "--theorems", theorems,
+                           "--workers", workers) - bare
         assert loaded & lazy == ({"supercong.sumtree"} if tree else set()), \
-            (theorems, primes)
+            (theorems, primes, workers)

@@ -5,6 +5,7 @@ the same by either route, and the tables are held one window at a time.
 """
 
 import itertools
+import multiprocessing
 import tracemalloc
 
 import pytest
@@ -53,7 +54,7 @@ def test_tree_matches_packed_series(lo, hi, sizes):
     assert [p for w in windows for p in w] == primes
     assert {-12288, -82944, theorems._M_T34, theorems._M_T310, 256} \
         <= set(POINTS)
-    tables = [t for ts in window_sums(windows, POINTS) for t in ts]
+    tables = list(window_sums(windows, POINTS))
     assert len(tables) == len(primes)
     for p, table in zip(primes, tables):
         ctx = PrimeCtx(p)
@@ -78,26 +79,65 @@ def _without(records, tid):
     return [r for r in records if r.theorem != tid]
 
 
+def _no_series_packed(monkeypatch):
+    """Make packing any prime's s series in this process an error."""
+    binom.central_poly.cache_clear()
+
+    def build(ctx):
+        raise AssertionError(f"series packed at p = {ctx.p}")
+
+    monkeypatch.setattr(binom, "central_poly", build)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_routes_agree_through_the_engine(workers, monkeypatch):
     """T2.1 reads the s series at points that depend on p, so a sweep that
     holds it packs every prime's series and reads S from there; without
-    it the sweep reads S from the tree.  Both give the same records,
-    with one worker and with two."""
+    it the sweep reads S from the tree, in this process, and packs no
+    series.  Both give the same records, asked for one worker or two."""
     ids = CONJECTURE_IDS + ("T2.1",)
     packed = _without(verify_range(ids, 5, 1500, workers=workers), "T2.1")
     assert theorems._tabulated(ids, primes_in(5, 1500)) == ()
     assert theorems._tabulated(CONJECTURE_IDS, primes_in(5, 1500))
-    if workers == 1:  # in this process: no prime may pack its series
-        binom.central_poly.cache_clear()
-
-        def build(ctx):
-            raise AssertionError(f"series packed at p = {ctx.p}")
-
-        monkeypatch.setattr(binom, "central_poly", build)
+    _no_series_packed(monkeypatch)
     tree = list(verify_range(CONJECTURE_IDS, 5, 1500, workers=workers))
     assert tree == packed
     assert len(tree) > 2000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tables_and_t_series_in_one_sweep(workers, monkeypatch):
+    """C2.3, T3.1 and T3.5 read T, whose series each block still builds,
+    beside the conjectures' S at fixed m, which the tree gives: a sweep
+    of both reads S from the tables and T from the series, and its
+    records are those of the packed route (the same statements and T2.1,
+    less T2.1's records)."""
+    ids = CONJECTURE_IDS + ("C2.3", "T3.1", "T3.5")
+    packed = _without(verify_range(ids + ("T2.1",), 5, 1500,
+                                   workers=workers), "T2.1")
+    assert theorems._tabulated(ids, primes_in(5, 1500))
+    _no_series_packed(monkeypatch)
+    both = list(verify_range(ids, 5, 1500, workers=workers))
+    assert both == packed
+    assert {"C2.3", "T3.1", "T3.5"} <= {r.theorem for r in both}
+    assert len(both) > 3000
+
+
+def test_a_tabulated_sweep_starts_no_pool(monkeypatch):
+    """The tables are computed in the reading process, so a sweep that
+    reads them runs there whatever `workers` asks: on two CPUs and
+    asked for two workers it starts no pool, and its records are the
+    one-worker sweep's.  An untabulated sweep still asks for one."""
+    serial = list(verify_range(CONJECTURE_IDS, 5, 1500, workers=1))
+
+    def pool(processes):
+        raise AssertionError(f"a pool of {processes} started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    assert list(verify_range(CONJECTURE_IDS, 5, 1500, workers=2)) == serial
+    with pytest.raises(AssertionError, match="a pool of 2 started"):
+        next(verify_range(("C2.3",), 5, 1500, workers=2))
 
 
 def test_dense_rule():
@@ -117,11 +157,13 @@ def test_dense_rule():
 
 def _peak_of_tables(lo, hi):
     """Peak traced memory while the engine's tables for all-conjectures
-    over [lo, hi] are produced and dropped block by block."""
-    blocks = theorems._blocks(primes_in(lo, hi), 1)
+    over [lo, hi] are produced and dropped prime by prime."""
+    primes = primes_in(lo, hi)
+    ms = theorems._tabulated(CONJECTURE_IDS, primes)
+    assert ms
     tracemalloc.start()
     try:
-        for _ in theorems._block_sums(CONJECTURE_IDS, blocks):
+        for _ in theorems._prime_sums(ms, primes):
             pass
         return tracemalloc.get_traced_memory()[1]
     finally:
