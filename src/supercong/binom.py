@@ -58,7 +58,6 @@ from .arith import PackedPoly, PrimeCtx
 
 __all__ = [
     "central_poly",
-    "s_numerators",
     "sum_S",
     "sum_T",
     "t_poly",
@@ -80,7 +79,7 @@ def _ratio_series(last: int, e: int, numerators: Iterable[int],
                   for f, d in zip(numerators, reversed(down))]
 
 
-def s_numerators(lo: int, hi: int) -> Iterator[int]:
+def _s_numerators(lo: int, hi: int) -> Iterator[int]:
     """8(2k-1)(4k-1)(4k-3), the numerator of s(k)/s(k-1), for lo < k <= hi."""
     return map(mul, map(mul, range(16 * lo + 8, 16 * hi, 16),
                         range(4 * lo + 3, 4 * hi, 4)),
@@ -92,7 +91,7 @@ def _s_block(block: tuple[int, ...]) -> list[int]:
     """s(k) for k = 0 .. (max-1)//2, modulo the product of the block's
     squares."""
     last = (block[-1] - 1) // 2
-    return _ratio_series(last, 3, s_numerators(0, last),
+    return _ratio_series(last, 3, _s_numerators(0, last),
                          math.prod(block) ** 2)
 
 

@@ -43,7 +43,7 @@ from collections.abc import Iterator, Sequence
 from itertools import accumulate
 from operator import mul
 
-from .binom import s_numerators
+from .binom import _s_numerators
 
 __all__ = [
     "window_sums",
@@ -67,7 +67,7 @@ def _span(lo: int, hi: int, ms: Sequence[int], q: int = 0) -> Node:
         x = _mul(_span(lo, mid, ms, q), _span(mid, hi, ms, q))
         return _mod(x, q) if q and _bits(x) > q.bit_length() else x
     ks = range(lo + 1, hi + 1)
-    heads = list(accumulate(s_numerators(lo, hi), mul, initial=1))
+    heads = list(accumulate(_s_numerators(lo, hi), mul, initial=1))
     tails = list(accumulate((k ** 3 for k in reversed(ks)), mul, initial=1))
     n = hi - lo
     coeffs = [heads[j] * tails[n - j] for j in range(1, n + 1)]

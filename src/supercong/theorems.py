@@ -576,6 +576,12 @@ _S_POINTS = {
 }
 
 
+#: The claims functions whose only O(p) work is S at fixed m: over the
+#: tables, a prime costs them little.  Every other one reads T, whose
+#: series each block builds, or S at points that depend on p.
+_S_ONLY = frozenset({_branch_claims, _c22_claims, _t311_claims})
+
+
 def _tabulated(ids: Iterable[str], primes: list[int]) -> tuple[int, ...]:
     """The sum arguments m at which a sweep of the statements `ids` over the
     ascending `primes` reads S(m) from sumtree's tables, or () where each
@@ -633,18 +639,10 @@ def verify(spec: TheoremSpec | str, p: PrimeCtx | int,
     return reports
 
 
-def _eval_prime(ids: tuple[str, ...], ctx: PrimeCtx,
+def _eval_block(ids: tuple[str, ...], block: tuple[PrimeCtx, ...],
                 seed: int) -> list[VerdictReport]:
-    out: list[VerdictReport] = []
-    for tid in ids:
-        out.extend(verify(REGISTRY[tid], ctx, seed))
-    return out
-
-
-def _eval_block(ids: tuple[str, ...], block: tuple[int, ...],
-                seed: int) -> list[VerdictReport]:
-    return [r for p in block
-            for r in _eval_prime(ids, PrimeCtx(p, block), seed)]
+    return [r for ctx in block for tid in ids
+            for r in verify(REGISTRY[tid], ctx, seed)]
 
 
 _BLOCK = 8  # at most this many primes share one series build
@@ -700,15 +698,15 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
 
     The primes are cut into blocks that share their series builds, one
     block per task; their number is a multiple of the worker count where
-    the primes allow.  Where _tabulated names sum arguments, S at them
-    comes from sumtree's tables in place of each prime's packed series,
-    and the sweep runs in this process whatever `workers` asks for: the
-    tables are computed here, a window of _WINDOW primes at a time as the
-    primes are reached, so a pool would add only dispatch and pickling.
-    Otherwise at most min(os.cpu_count(), number of blocks) processes
-    start; the records depend on neither.  A pool is handed at most
-    2 * workers blocks ahead of the block being read, so a stalled reader
-    holds that many blocks of records at most."""
+    the primes allow.  Where _tabulated names sum arguments, this process
+    computes sumtree's tables of S at them, a window of _WINDOW primes at
+    a time as the blocks are reached, and each PrimeCtx carries its
+    prime's table, to a worker where there is a pool.  There is none
+    where every claims function is one of _S_ONLY, as the tables are
+    then all the O(p) work; otherwise at most min(os.cpu_count(), number
+    of blocks) processes start.  The records depend on neither.  A pool
+    is handed at most 2 * workers blocks ahead of the block being read,
+    so a stalled reader holds that many blocks of records at most."""
     if pmin <= 3 or pmin > pmax:
         raise ValueError("need 3 < pmin <= pmax")
     id_list = tuple(sorted(set(ids)))
@@ -719,20 +717,23 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
         return
     primes = primes_in(pmin, pmax)
     ms = _tabulated(id_list, primes)
+    if ms and all(REGISTRY[tid].claims in _S_ONLY for tid in id_list):
+        workers = 1
     workers = max(1, min(workers, os.cpu_count() or 1, len(primes)))
     blocks = _blocks(primes, workers)
     workers = min(workers, len(blocks))
-    if ms or workers <= 1:
-        sums = _prime_sums(ms, primes)
-        for block in blocks:
-            for p, s in zip(block, sums):
-                yield from _eval_prime(id_list, PrimeCtx(p, block, s), seed)
+    sums = _prime_sums(ms, primes)
+    ctxs = (tuple(PrimeCtx(p, block, s) for p, s in zip(block, sums))
+            for block in blocks)
+    if workers <= 1:
+        for block in ctxs:
+            yield from _eval_block(id_list, block, seed)
         return
     import multiprocessing  # only a pool needs it: keeps start-up lean
 
     with multiprocessing.Pool(workers) as pool:
         results = (pool.apply_async(_eval_block, (id_list, block, seed))
-                   for block in blocks)
+                   for block in ctxs)
         window = deque(islice(results, 2 * workers))
         while window:
             yield from window.popleft().get()

@@ -139,7 +139,12 @@ MUTANTS = (
      ("tests/test_sumtree.py::test_tables_memory_does_not_grow_with_the_range",
       )),
     ("a tabulated sweep handed to the pool", "src/supercong/theorems.py",
-     "if ms or workers <= 1:", "if workers <= 1:",
+     "        workers = 1\n", "        pass\n",
+     ("tests/test_sumtree.py::test_a_tabulated_sweep_starts_no_pool",)),
+    ("a tabulated sweep that reads T kept in one process",
+     "src/supercong/theorems.py",
+     "if ms and all(REGISTRY[tid].claims in _S_ONLY for tid in id_list):",
+     "if ms:",
      ("tests/test_sumtree.py::test_a_tabulated_sweep_starts_no_pool",)),
     ("tables: C2.1's sampled points taken as fixed",
      "src/supercong/theorems.py", "    _c21_claims: None,\n", "",

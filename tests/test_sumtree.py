@@ -94,7 +94,8 @@ def test_routes_agree_through_the_engine(workers, monkeypatch):
     """T2.1 reads the s series at points that depend on p, so a sweep that
     holds it packs every prime's series and reads S from there; without
     it the sweep reads S from the tree, in this process, and packs no
-    series.  Both give the same records, asked for one worker or two."""
+    series.  Both give the same records, asked for one worker or two
+    (which pools the packed route only)."""
     ids = CONJECTURE_IDS + ("T2.1",)
     packed = _without(verify_range(ids, 5, 1500, workers=workers), "T2.1")
     assert theorems._tabulated(ids, primes_in(5, 1500)) == ()
@@ -111,8 +112,11 @@ def test_tables_and_t_series_in_one_sweep(workers, monkeypatch):
     beside the conjectures' S at fixed m, which the tree gives: a sweep
     of both reads S from the tables and T from the series, and its
     records are those of the packed route (the same statements and T2.1,
-    less T2.1's records)."""
+    less T2.1's records).  On two workers the series are built in a pool
+    of two, and each block's tables ride to it on the PrimeCtx of its
+    primes (forked workers inherit the raising central_poly)."""
     ids = CONJECTURE_IDS + ("C2.3", "T3.1", "T3.5")
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     packed = _without(verify_range(ids + ("T2.1",), 5, 1500,
                                    workers=workers), "T2.1")
     assert theorems._tabulated(ids, primes_in(5, 1500))
@@ -124,10 +128,11 @@ def test_tables_and_t_series_in_one_sweep(workers, monkeypatch):
 
 
 def test_a_tabulated_sweep_starts_no_pool(monkeypatch):
-    """The tables are computed in the reading process, so a sweep that
-    reads them runs there whatever `workers` asks: on two CPUs and
-    asked for two workers it starts no pool, and its records are the
-    one-worker sweep's.  An untabulated sweep still asks for one."""
+    """The tables are computed in the reading process, so a sweep whose
+    only O(p) work they are runs there whatever `workers` asks: on two
+    CPUs and asked for two workers it starts no pool, and its records
+    are the one-worker sweep's.  A tabulated sweep that also reads T,
+    and an untabulated one, still ask for one."""
     serial = list(verify_range(CONJECTURE_IDS, 5, 1500, workers=1))
 
     def pool(processes):
@@ -136,8 +141,30 @@ def test_a_tabulated_sweep_starts_no_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", pool)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     assert list(verify_range(CONJECTURE_IDS, 5, 1500, workers=2)) == serial
-    with pytest.raises(AssertionError, match="a pool of 2 started"):
-        next(verify_range(("C2.3",), 5, 1500, workers=2))
+    for ids in (CONJECTURE_IDS + ("T3.1",), ("C2.3",)):
+        with pytest.raises(AssertionError, match="a pool of 2 started"):
+            next(verify_range(ids, 5, 1500, workers=2))
+
+
+def test_s_only_statements_build_no_series(monkeypatch):
+    """The rule that keeps a tabulated sweep in one process rests on
+    _S_ONLY: over the tables, the statements whose claims function is one
+    of those pack no series, s or t, while every other statement packs
+    one."""
+    s_only = tuple(tid for tid, spec in REGISTRY.items()
+                   if spec.claims in theorems._S_ONLY)
+    assert set(CONJECTURE_IDS) < set(s_only)
+    assert theorems._tabulated(s_only, primes_in(5, 300))
+    for tid in set(REGISTRY) - set(s_only):
+        binom.t_poly.cache_clear()
+        binom.central_poly.cache_clear()
+        list(verify_range((tid,), 5, 300))
+        assert (binom.t_poly.cache_info().misses
+                + binom.central_poly.cache_info().misses), tid
+    expected = list(verify_range(s_only + ("T2.1",), 5, 300))
+    _no_series_packed(monkeypatch)
+    monkeypatch.setattr(binom, "t_poly", binom.central_poly)  # raises too
+    assert list(verify_range(s_only, 5, 300)) == _without(expected, "T2.1")
 
 
 def test_dense_rule():
