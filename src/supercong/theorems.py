@@ -650,31 +650,26 @@ _WINDOW = 64  # primes whose S tables one remainder tree computes at a time
 
 
 def _blocks(primes: list[int], parts: int) -> list[tuple[int, ...]]:
-    """The ascending primes cut into runs of at most _BLOCK consecutive
-    primes whose ends pass shares_block: as few runs as make a multiple of
-    `parts` (one per prime if there are fewer primes), each as near an
-    even share of the primes left as the rest allows."""
+    """The ascending primes cut by count into k runs whose lengths differ
+    by at most one, longer first, k the least multiple of `parts` that is
+    at least n/_BLOCK (at most n, the number of primes); each run is then
+    split greedily where its primes stop passing shares_block with its
+    first.  So no block exceeds _BLOCK primes, and there are at least
+    min(parts, n) blocks.  Splits fall only among small primes (none
+    above 139 up to 10**5), where a series has at most 104 terms."""
     n = len(primes)
-    # reach[i]: end of the longest run from primes[i]; need[i]: fewest
-    # runs over primes[i:], which the longest first run always attains
-    reach, j = [], 0
-    for i, lo in enumerate(primes):
-        j = max(j, i + 1)
-        while j < min(n, i + _BLOCK) and shares_block(lo, primes[j]):
-            j += 1
-        reach.append(j)
-    need = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        need[i] = need[reach[i]] + 1
+    runs = -(-n // _BLOCK)
+    runs = min(n, -(-runs // parts) * parts)
     out, i = [], 0
-    for left in range(min(n, -(-need[0] // parts) * parts), 0, -1):
-        # an even share, longer if the rest would need too many runs; at
-        # reach[i] the rest needs need[i] - 1 < left, so this stops there
-        size = min(-(-(n - i) // left), reach[i] - i)
-        while need[i + size] >= left:
-            size += 1
-        out.append(tuple(primes[i:i + size]))
-        i += size
+    for j in range(runs):
+        run = primes[i:i + n // runs + (j < n % runs)]
+        i += len(run)
+        while run:
+            size = 1
+            while size < len(run) and shares_block(run[0], run[size]):
+                size += 1
+            out.append(tuple(run[:size]))
+            run = run[size:]
     return out
 
 
@@ -697,14 +692,14 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     [pmin, pmax], in ascending (p, id) order regardless of worker count.
 
     The primes are cut into blocks that share their series builds, one
-    block per task; their number is a multiple of the worker count where
-    the primes allow.  Where _tabulated names sum arguments, this process
+    block per task, by _blocks: at least as many as workers, so every
+    worker has one.  Where _tabulated names sum arguments, this process
     computes sumtree's tables of S at them, a window of _WINDOW primes at
     a time as the blocks are reached, and each PrimeCtx carries its
     prime's table, to a worker where there is a pool.  There is none
     where every claims function is one of _S_ONLY, as the tables are
     then all the O(p) work; otherwise at most min(os.cpu_count(), number
-    of blocks) processes start.  The records depend on neither.  A pool
+    of primes) processes start.  The records depend on neither.  A pool
     is handed at most 2 * workers blocks ahead of the block being read,
     so a stalled reader holds that many blocks of records at most."""
     if pmin <= 3 or pmin > pmax:
@@ -721,7 +716,6 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
         workers = 1
     workers = max(1, min(workers, os.cpu_count() or 1, len(primes)))
     blocks = _blocks(primes, workers)
-    workers = min(workers, len(blocks))
     sums = _prime_sums(ms, primes)
     ctxs = (tuple(PrimeCtx(p, block, s) for p, s in zip(block, sums))
             for block in blocks)

@@ -31,6 +31,8 @@ CONSISTENCY = ("tests/test_theorems.py::test_consistency_checks_can_fail",)
 WITNESSES = (
     "tests/test_theorems.py::test_witnesses_follow_the_parents_rules",)
 TREE = ("tests/test_sumtree.py::test_tree_matches_packed_series",)
+BLOCKS = (
+    "tests/test_theorems.py::test_blocks_cover_the_primes_in_valid_runs",)
 T_ROOTS = (
     "tests/test_theorems.py::test_t_roots_are_square_roots_of_a",
     "tests/test_cli.py::test_sum_names_the_roots_of_one_minus_256_over_m",
@@ -152,6 +154,11 @@ MUTANTS = (
     ("sum_S: the tables never read", "src/supercong/binom.py",
      "if m in ctx.sums:", "if False:",
      ("tests/test_sumtree.py::test_routes_agree_through_the_engine",)),
+    ("blocks: a run never split", "src/supercong/theorems.py",
+     "shares_block(run[0], run[size])", "True", BLOCKS),
+    ("blocks: count not rounded to the worker count",
+     "src/supercong/theorems.py",
+     "-(-runs // parts) * parts", "-(-runs // parts)", BLOCKS),
     ("theorems imports sumtree at the top", "src/supercong/theorems.py",
      "import os\n", "import os\nimport supercong.sumtree\n",
      ("tests/test_cli.py::test_a_verify_run_imports_only_what_it_uses",)),

@@ -715,27 +715,46 @@ def test_proven_sweep_builds_no_legendre_polynomial(monkeypatch):
     assert list(verify_range(PROVEN_IDS, 5, 300)) == expected
 
 
+def _even_runs(primes, parts):
+    """The primes cut by count into k runs whose lengths differ by at most
+    one, longer first: k the fewest runs of at most 8 primes, rounded up
+    to a multiple of `parts`, but no more runs than primes."""
+    if not primes:
+        return []
+    n, k = len(primes), parts
+    while 8 * k < n:
+        k += parts
+    k = min(k, n)
+    sizes = [n // k + 1] * (n % k) + [n // k] * (k - n % k)
+    ends = list(itertools.accumulate(sizes, initial=0))
+    return [primes[a:b] for a, b in zip(ends, ends[1:])]
+
+
 def test_blocks_cover_the_primes_in_valid_runs():
-    """Every prime once, in order, in runs PrimeCtx accepts; the fewest
-    runs for one worker, a multiple of the worker count for more, and
-    near-equal sizes where the bound allows."""
-    for lo, hi in ((5, 4000), (5, 80), (19900, 20100), (11, 12), (8, 10)):
+    """Every prime once, in order, in runs PrimeCtx accepts: exactly the
+    even runs by count, each tiled greedily into blocks of at most 8 that
+    share a series build, so at least one block per worker.  A run is
+    split only among small primes: at none above 139 up to 10**5."""
+    small = set(primes_in(5, 139))
+    for lo, hi in ((5, 4000), (5, 80), (19900, 20100), (11, 12), (8, 10),
+                   (5, 10 ** 5)):
         primes = primes_in(lo, hi)
         for parts in (1, 2, 3):
             blocks = theorems._blocks(primes, parts)
+            runs = _even_runs(primes, parts)
+            assert blocks == [b for run in runs for b in _tiles(run, 8)], \
+                (lo, hi, parts)
+            assert len(blocks) >= min(parts, len(primes))
+            assert {b[0] for b in blocks} - {r[0] for r in runs} <= small
             assert [p for b in blocks for p in b] == primes
             for block in blocks:
                 assert 1 <= len(block) <= 8
                 for p in block:
                     PrimeCtx(p, block)
-            if parts == 1:  # greedy runs are the fewest
-                assert len(blocks) == len(_tiles(primes, 8))
-            elif len(primes) >= parts:
-                assert len(blocks) % parts == 0 or \
-                    len(blocks) == len(primes), (lo, hi, parts)
     near = primes_in(19900, 20100)
     assert [len(b) for b in theorems._blocks(near, 2)] == [6, 5, 5, 5]
     assert [len(b) for b in theorems._blocks(near, 1)] == [7, 7, 7]
+    assert [len(b) for b in theorems._blocks(near, 3)] == [7, 7, 7]
 
 
 def test_record_round_trip():
