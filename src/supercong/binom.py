@@ -39,11 +39,11 @@ and a PrimeCtx compares by p alone.
 
 A sweep whose statements read S only at fixed m, over a dense range (the
 conjectures, for one; see theorems._tabulated), builds no s series at
-all: sumtree's remainder tree gives S(m) at those m for a whole window
-of primes in quasi-linear time, and sum_S reads the value from
+all: sumtree gives S(m) at those m for a whole window of primes from
+products of the term-ratio matrices, and sum_S reads the value from
 PrimeCtx.sums.  The packed series stays the route for every other point
 (T2.1's raw points, C2.1's samples), for `supercong sum` and the
-consistency checks, and the oracle the tree is tested against.
+consistency checks, and the oracle the tables are tested against.
 """
 
 from __future__ import annotations

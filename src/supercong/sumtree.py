@@ -1,4 +1,5 @@
-"""S(m) mod p**2 at fixed sum arguments m for every prime of a range, by an
+"""S(m) mod p**2 at fixed sum arguments m for every prime of a range, by
+a prefix product carried from window to window of primes, as in an
 accumulating remainder tree (Costa, Gerbicz and Harvey, "A search for
 Wilson primes", Math. Comp. 83, 2014; Harvey, Ann. of Math. 179, 2014).
 
@@ -22,18 +23,20 @@ by binary splitting.  The leaf at prime i is the product over
 (K_i, K_{i+1}], up to the next prime's K (empty at the last prime), so
 the prefix through K_0 times the leaves to the left of prime i is the
 prefix through K_i.  The primes are taken a window at a time.  In a
-window, a product tree of the leaves goes up, and a tree of the moduli
-p**2 beside it; coming down, a node's value, the prefix through its first
-prime, is reduced mod the product of its own primes' moduli: its left
-child takes it as it is, its right child times the left child's product.
-Between windows only the prefix carries, times the window's root product.
+window, a scan goes from prime to prime: the prefix through K_i, reduced
+mod the p**2 of prime i and of the window's primes after it, gives prime
+i's table, and times prime i's leaf it is the prefix through K_{i+1}.
+Between windows only the prefix carries, times the product of the
+window's leaves, which a balanced tree of products forms.
 
-Every product is needed only modulo the moduli of the primes to its
-right: those are the only moduli the descent and the carry use it for.
-So each up-tree product, and each half of the first prefix, is reduced
-modulo the product of those moduli once it outgrows it, and the carry is
-reduced so after every window: it stays no larger than the moduli still
-ahead.  One window's trees are held at a time.
+A product is needed only modulo the moduli of the primes to its right:
+those are the only moduli the scan and the carry use it for.  So each
+step of the scan is reduced modulo the window's moduli still ahead, and
+the carry, after every window, modulo those of the later windows.  Each
+half of the first prefix, and each product of the carry's tree, is
+reduced so only once it outgrows them: m can be negative, and a small
+negative product mod q is as large as q.  One window's leaves are held
+at a time.
 """
 
 from __future__ import annotations
@@ -64,8 +67,7 @@ def _span(lo: int, hi: int, ms: Sequence[int], q: int = 0) -> Node:
     it (q = 0: never)."""
     if hi - lo > _SPLIT:
         mid = (lo + hi) // 2
-        x = _mul(_span(lo, mid, ms, q), _span(mid, hi, ms, q))
-        return _mod(x, q) if q and _bits(x) > q.bit_length() else x
+        return _reduced(_mul(_span(lo, mid, ms, q), _span(mid, hi, ms, q)), q)
     ks = range(lo + 1, hi + 1)
     heads = list(accumulate(_s_numerators(lo, hi), mul, initial=1))
     tails = list(accumulate((k ** 3 for k in reversed(ks)), mul, initial=1))
@@ -100,57 +102,36 @@ def _bits(x: Node) -> int:
                *map(int.bit_length, bs))
 
 
-def _trim(nodes: list[Node], moduli: list[int], rest: int) -> None:
-    """Reduce each node of one level, in place, modulo the moduli to its
-    right -- those of the later nodes, times `rest` -- where it has
-    outgrown them.  Their product is formed only while some node of the
-    level could still outgrow it."""
-    top = max(map(_bits, nodes))
-    q = rest
-    for j in range(len(nodes) - 1, -1, -1):
-        if q.bit_length() > top:
-            return
-        if _bits(nodes[j]) > q.bit_length():
-            nodes[j] = _mod(nodes[j], q)
-        q *= moduli[j]
+def _reduced(x: Node, q: int) -> Node:
+    """x mod q where x has outgrown q (q = 0: never)."""
+    return _mod(x, q) if q and _bits(x) > q.bit_length() else x
 
 
 def _window(primes: Sequence[int], after: int, carry: Node, rest: int,
             ms: Sequence[int]) -> tuple[list[dict[int, int]], Node]:
-    """The tables of one window and the carry past it.  `carry` is the
-    prefix through the window's first prime, reduced mod the moduli of
-    this window and `rest` (those of every later prime); `after` is the
-    next window's first prime, or the last prime here."""
+    """The tables of one window, by a scan over its primes, and the carry
+    past it, `carry` times the product of the window's leaves mod `rest`.
+    `carry` is the prefix through the window's first prime, reduced mod
+    the moduli of this window and `rest` (those of every later prime);
+    `after` is the next window's first prime, or the last prime here."""
     halves = [(p - 1) // 2 for p in (*primes, after)]
-    nodes = [_span(lo, hi, ms) for lo, hi in zip(halves, halves[1:])]
-    moduli = [p * p for p in primes]
-    levels = []
-    while True:
-        _trim(nodes, moduli, rest)
-        levels.append((nodes, moduli))
-        if len(nodes) == 1:
-            break
-        nodes = [_mul(*nodes[j:j + 2]) if j + 1 < len(nodes) else nodes[j]
-                 for j in range(0, len(nodes), 2)]
-        moduli = [math.prod(moduli[j:j + 2])
-                  for j in range(0, len(moduli), 2)]
-    values = [_mod(carry, moduli[0])]
-    for nodes, moduli in reversed(levels[:-1]):
-        down = []
-        for j, v in enumerate(values):
-            if 2 * j + 1 < len(nodes):
-                down += [_mod(v, moduli[2 * j]),
-                         _mod(_mul(v, nodes[2 * j]), moduli[2 * j + 1])]
-            else:
-                down.append(v)
-        values = down
+    leaves = [_span(lo, hi, ms) for lo, hi in zip(halves, halves[1:])]
+    ahead = list(accumulate((p * p for p in reversed(primes)), mul))[::-1]
     tables = []
-    for p, k, (_, c, ys, _) in zip(primes, halves, values):
+    x = carry
+    for p, k, leaf, q in zip(primes, halves, leaves, ahead):
+        x = _mod(x, q)
+        _, c, ys, _ = x
         p2 = p * p
         inv_c = pow(c, -1, p2)  # 1/B = (1/C) m**(-K)
         tables.append({m: (1 + y * inv_c * pow(m, -k, p2)) % p2
                        for m, y in zip(ms, ys) if m % p})
-    return tables, _mod(_mul(carry, levels[-1][0][0]), rest)
+        x = _mul(x, leaf)
+    while len(leaves) > 1:
+        leaves = [_reduced(_mul(*leaves[j:j + 2]), rest)
+                  if j + 1 < len(leaves) else leaves[j]
+                  for j in range(0, len(leaves), 2)]
+    return tables, _mod(_mul(carry, leaves[0]), rest)
 
 
 def window_sums(windows: Sequence[Sequence[int]], ms: Sequence[int]
@@ -159,7 +140,7 @@ def window_sums(windows: Sequence[Sequence[int]], ms: Sequence[int]
     ascending and each after the last -- in order, the table
     {m: S(m) mod p**2} over the nonzero integers m of `ms` that p does not
     divide.  The tables are computed a window at a time, and only one
-    window's trees are held: the cost of a window grows with its own span
+    window's leaves are held: the cost of a window grows with its own span
     of k and with the moduli still ahead, and the first window also pays
     for the prefix through its first prime."""
     moduli = [math.prod(p * p for p in w) for w in windows]

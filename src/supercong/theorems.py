@@ -646,7 +646,7 @@ def _eval_block(ids: tuple[str, ...], block: tuple[PrimeCtx, ...],
 
 
 _BLOCK = 8  # at most this many primes share one series build
-_WINDOW = 64  # primes whose S tables one remainder tree computes at a time
+_WINDOW = 64  # primes whose S tables sumtree computes in one scan
 
 
 def _blocks(primes: list[int], parts: int) -> list[tuple[int, ...]]:

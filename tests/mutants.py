@@ -128,12 +128,15 @@ MUTANTS = (
     ("sumtree: each leaf one k short", "src/supercong/sumtree.py",
      "_span(lo, hi, ms) for lo, hi", "_span(lo + 1, hi, ms) for lo, hi",
      TREE),
-    ("sumtree: a right child not times its left sibling's product",
+    ("sumtree: a scan step that drops its leaf", "src/supercong/sumtree.py",
+     "x = _mul(x, leaf)", "x = x", TREE),
+    ("sumtree: each scan step reduced mod its own prime's p**2 alone",
      "src/supercong/sumtree.py",
-     "_mod(_mul(v, nodes[2 * j]), moduli[2 * j + 1])",
-     "_mod(v, moduli[2 * j + 1])", TREE),
-    ("sumtree: up-tree products reduced without the later windows' moduli",
-     "src/supercong/sumtree.py", "    q = rest\n", "    q = 1\n", TREE),
+     "ahead = list(accumulate((p * p for p in reversed(primes)), mul))[::-1]",
+     "ahead = [p * p for p in primes]", TREE),
+    ("sumtree: the carry's product leaves out the window's first leaf",
+     "src/supercong/sumtree.py", "    while len(leaves) > 1:\n",
+     "    leaves[0] = _span(0, 0, ms)\n    while len(leaves) > 1:\n", TREE),
     ("sumtree: first prefix reduced mod the first window's moduli alone",
      "src/supercong/sumtree.py", "ms, rest)\n", "ms, moduli[0])\n", TREE),
     ("tables: one window for the whole range", "src/supercong/theorems.py",

@@ -1,7 +1,7 @@
-"""The remainder tree of supercong.sumtree against the packed series of
-binom, and the engine's use of it: the tables a dense conjecture sweep
-reads are the values each prime's packed series gives, the records are
-the same by either route, and the tables are held one window at a time.
+"""The tables of supercong.sumtree against the packed series of binom,
+and the engine's use of them: the tables a dense conjecture sweep reads
+are the values each prime's packed series gives, the records are the
+same by either route, and the tables are held one window at a time.
 """
 
 import itertools
@@ -46,7 +46,7 @@ def _windows(primes, sizes):
     (11, 11, (1,)),                # one prime, which divides some m
 ])
 def test_tree_matches_packed_series(lo, hi, sizes):
-    """At every prime and every point, the tree's S(m) is the packed
+    """At every prime and every point, the tables' S(m) is the packed
     series' (a PrimeCtx with no tables), on both sides of every window
     boundary; where p divides m the tables hold no value."""
     primes = primes_in(lo, hi)
@@ -93,7 +93,7 @@ def _no_series_packed(monkeypatch):
 def test_routes_agree_through_the_engine(workers, monkeypatch):
     """T2.1 reads the s series at points that depend on p, so a sweep that
     holds it packs every prime's series and reads S from there; without
-    it the sweep reads S from the tree, in this process, and packs no
+    it the sweep reads S from the tables, in this process, and packs no
     series.  Both give the same records, asked for one worker or two
     (which pools the packed route only)."""
     ids = CONJECTURE_IDS + ("T2.1",)
@@ -109,7 +109,7 @@ def test_routes_agree_through_the_engine(workers, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_tables_and_t_series_in_one_sweep(workers, monkeypatch):
     """C2.3, T3.1 and T3.5 read T, whose series each block still builds,
-    beside the conjectures' S at fixed m, which the tree gives: a sweep
+    beside the conjectures' S at fixed m, which sumtree gives: a sweep
     of both reads S from the tables and T from the series, and its
     records are those of the packed route (the same statements and T2.1,
     less T2.1's records).  On two workers the series are built in a pool
@@ -200,6 +200,6 @@ def _peak_of_tables(lo, hi):
 def test_tables_memory_does_not_grow_with_the_range():
     """Four times the primes, ending at the same prime, and the peak
     memory of the tables stays within half as much again: one window's
-    trees are held at a time.  (Held all at once, they take about five
+    leaves are held at a time, and one carried prefix.  (Held all at once, they take about five
     times as much.)"""
     assert _peak_of_tables(5, 4000) < 1.5 * _peak_of_tables(3000, 4000)
