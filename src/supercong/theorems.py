@@ -22,11 +22,13 @@ missing representation, a failure.  The sampled statements draw their
 claims from an rng seeded per statement and prime.  verify turns claims
 into VerdictReport records: it reduces both sides by the modulus and
 compares them.  verify_range sweeps a prime interval, optionally fanning
-out across worker processes with a deterministic ordered merge.  Where
-every selected statement reads S at fixed m only and the range is dense
-(_tabulated, the one rule), the sweep reads S(m) from sumtree's tables,
-computed a window of primes at a time, instead of packing each prime's
-s series: no conjecture reads S anywhere else.
+out across worker processes with a deterministic ordered merge.  Each
+statement declares what its claims read, in TheoremSpec.reads: the fixed m
+at which they read S, and "T" where they read T, or None where they read
+points that depend on p.  Where no selected statement declares None and
+the range is dense (_tabulated, the one rule), the sweep reads S(m) from
+sumtree's tables, computed a window of primes at a time, instead of
+packing each prime's s series: no conjecture reads S anywhere else.
 
 Failures of proven statements are genuine failures; failures of
 conjecture-kind statements are downgraded to counterexample candidates by
@@ -161,6 +163,9 @@ class TheoremSpec(NamedTuple):
     branches: tuple[Branch, ...] = ()
     claims: Callable[["TheoremSpec", PrimeCtx, int],
                      Iterable[Claim]] = _branch_claims
+    # the fixed m at which the claims read S, and "T" where they read T;
+    # None where they read points that depend on p
+    reads: tuple[int | str, ...] | None = ()
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +373,12 @@ def _register(tid: str, kind: str,
     by default) and the condition of each branch row are classes
     (mod, residues) of p; its period is the lcm of their moduli, and each
     is stored as residues mod the period.  A row is (label, mod, residues,
-    *rest), rest being Branch's mod_exp, witnesses and rhs."""
+    *rest), rest being Branch's mod_exp, witnesses and rhs.  A statement
+    with an m reads S there alone unless it declares its reads."""
     if tid in REGISTRY:
         raise ValueError(f"duplicate id {tid}")
+    if "m" in fields:
+        fields.setdefault("reads", (fields["m"],))
     n = lcm(applies[0], *(row[1] for row in rows))
     REGISTRY[tid] = TheoremSpec(
         tid, kind, n, _lift(n, *applies),
@@ -384,11 +392,11 @@ _register("RV256", "proven", m=256, rows=(
     _classes(8, (5, 7)),
 ))
 
-_register("T2.1", "proven", claims=_t21_claims)
+_register("T2.1", "proven", claims=_t21_claims, reads=None)
 
-_register("C2.1", "proven", claims=_c21_claims)
+_register("C2.1", "proven", claims=_c21_claims, reads=None)
 
-_register("C2.2", "proven", claims=_c22_claims)
+_register("C2.2", "proven", claims=_c22_claims)  # reads set below
 
 _register(
     "C2.3", "proven", (8, (1, 3)),
@@ -397,6 +405,7 @@ _register(
                    _rhs_c23),),
     claims=lambda spec, ctx, seed: _branch_claims(
         spec, ctx, seed, _t_at(0, ctx)),
+    reads=("T",),
 )
 
 _register(
@@ -410,6 +419,7 @@ _register(
     # opposite sign (see eq31_sign_survey in tests/test_theorems.py)
     claims=_p_claims(-7, (5, 9), (21, 3),
                      lambda ctx, w: jacobi(w["C"], 7) * 2 * w["C"]),
+    reads=(81, "T"),
 )
 
 _register(
@@ -420,6 +430,7 @@ _register(
         _classes(12, (11,)),
     ),
     claims=_p_claims(3, (7, 12), (2, 2), lambda ctx, w: 2 * w["x"]),
+    reads=(-12288, "T"),
 )
 
 # (d/p) = (p/d) for d = 13, 37, 29 (d = 1 mod 4), a class of p mod d
@@ -442,6 +453,7 @@ _register(
     claims=_p_claims(2, (2, 3), (0, 1),
                      lambda ctx, w: (-1) ** (ctx.half % 2)
                      * jacobi(w["x"], 3) * 2 * w["x"]),
+    reads=(48 ** 2, "T"),
 )
 
 _register("T3.6", "proven", (5, (1, 4)), m=12 ** 4, rows=(
@@ -474,7 +486,8 @@ _register("T3.10", "proven", (5, (1, 4)), m=_M_T310, rows=(
 ))
 
 # every prime, as classes mod 84, the period of _T311_PARTS
-_register("T3.11", "proven", (84, range(84)), claims=_t311_claims)
+_register("T3.11", "proven", (84, range(84)), claims=_t311_claims,
+          reads=tuple(m for m, _, _ in _T311_PARTS))
 
 _register("Conj-A3", "conjecture", m=81, excluded=frozenset({7}), rows=(
     _classes(7, (1, 2, 4), 2, _form_wit(7), _quad(4, -2)),
@@ -561,49 +574,28 @@ SUM_ARGUMENTS: tuple[tuple[str, int], ...] = tuple(
     if s.kind == "proven" and s.m is not None) + tuple(
     ("T3.11", m) for m, _, _ in _T311_PARTS)
 
-_C22_TEST_SET = tuple(sorted({m for _, m in SUM_ARGUMENTS}))
+# without 256, which C2.2's own (m - 256) % p filter drops at every prime
+_C22_TEST_SET = tuple(sorted({m for _, m in SUM_ARGUMENTS} - {256}))
+REGISTRY["C2.2"] = REGISTRY["C2.2"]._replace(reads=_C22_TEST_SET)
 
 _DENSE = 32  # the fewest primes on which sweeps read S from sumtree's tables
-
-#: The sum arguments at which the claims functions that read S elsewhere
-#: than at spec.m read it: None where they depend on p (T2.1 reads the s
-#: series at x(1 - 64x), C2.1 reads S at sampled m).
-_S_POINTS = {
-    _t21_claims: None,
-    _c21_claims: None,
-    _c22_claims: _C22_TEST_SET,
-    _t311_claims: tuple(m for m, _, _ in _T311_PARTS),
-}
-
-
-#: The claims functions whose only O(p) work is S at fixed m: over the
-#: tables, a prime costs them little.  Every other one reads T, whose
-#: series each block builds, or S at points that depend on p.
-_S_ONLY = frozenset({_branch_claims, _c22_claims, _t311_claims})
 
 
 def _tabulated(ids: Iterable[str], primes: list[int]) -> tuple[int, ...]:
     """The sum arguments m at which a sweep of the statements `ids` over the
     ascending `primes` reads S(m) from sumtree's tables, or () where each
     prime packs its own series.  The one rule for when the tables run:
-    every statement reads S at fixed points only (its m, or those of
-    _S_POINTS), since a point that depends on p needs p's packed series
-    anyway, and the range is dense: it holds at least _DENSE primes.  The
-    tables first build the prefix through the first prime, (p_0 - 1)/2
-    terms, and that costs about as much as packing the series of 15 to 30
-    primes near p_0, each of about as many terms (measured for p_0 up to
-    10**5): on fewer primes, packing is cheaper."""
-    points = set()
-    for tid in ids:
-        spec = REGISTRY[tid]
-        fixed = _S_POINTS.get(spec.claims,
-                              () if spec.m is None else (spec.m,))
-        if fixed is None:
-            return ()
-        points.update(fixed)
-    if len(primes) < _DENSE:
+    no statement's reads are None, since a point that depends on p needs
+    p's packed series anyway, and the range is dense: it holds at least
+    _DENSE primes.  The tables then hold every m the statements' reads
+    declare.  The tables first build the prefix through the first prime,
+    (p_0 - 1)/2 terms, and that costs about as much as packing the series
+    of 15 to 30 primes near p_0, each of about as many terms (measured for
+    p_0 up to 10**5): on fewer primes, packing is cheaper."""
+    reads = [REGISTRY[tid].reads for tid in ids]
+    if None in reads or len(primes) < _DENSE:
         return ()
-    return tuple(sorted(points))
+    return tuple(sorted({m for r in reads for m in r if m != "T"}))
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +689,7 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     computes sumtree's tables of S at them, a window of _WINDOW primes at
     a time as the blocks are reached, and each PrimeCtx carries its
     prime's table, to a worker where there is a pool.  There is none
-    where every claims function is one of _S_ONLY, as the tables are
+    where no statement declares "T" among its reads, as the tables are
     then all the O(p) work; otherwise at most min(os.cpu_count(), number
     of primes) processes start.  The records depend on neither.  A pool
     is handed at most 2 * workers blocks ahead of the block being read,
@@ -712,7 +704,7 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
         return
     primes = primes_in(pmin, pmax)
     ms = _tabulated(id_list, primes)
-    if ms and all(REGISTRY[tid].claims in _S_ONLY for tid in id_list):
+    if ms and not any("T" in REGISTRY[tid].reads for tid in id_list):
         workers = 1
     workers = max(1, min(workers, os.cpu_count() or 1, len(primes)))
     blocks = _blocks(primes, workers)

@@ -33,6 +33,7 @@ WITNESSES = (
 TREE = ("tests/test_sumtree.py::test_tree_matches_packed_series",)
 BLOCKS = (
     "tests/test_theorems.py::test_blocks_cover_the_primes_in_valid_runs",)
+READS = ("tests/test_sumtree.py::test_each_statement_reads_what_it_declares",)
 T_ROOTS = (
     "tests/test_theorems.py::test_t_roots_are_square_roots_of_a",
     "tests/test_cli.py::test_sum_names_the_roots_of_one_minus_256_over_m",
@@ -148,12 +149,17 @@ MUTANTS = (
      ("tests/test_sumtree.py::test_a_tabulated_sweep_starts_no_pool",)),
     ("a tabulated sweep that reads T kept in one process",
      "src/supercong/theorems.py",
-     "if ms and all(REGISTRY[tid].claims in _S_ONLY for tid in id_list):",
+     'if ms and not any("T" in REGISTRY[tid].reads for tid in id_list):',
      "if ms:",
      ("tests/test_sumtree.py::test_a_tabulated_sweep_starts_no_pool",)),
     ("tables: C2.1's sampled points taken as fixed",
-     "src/supercong/theorems.py", "    _c21_claims: None,\n", "",
-     ("tests/test_sumtree.py::test_dense_rule",)),
+     "src/supercong/theorems.py", "claims=_c21_claims, reads=None)",
+     "claims=_c21_claims)", ("tests/test_sumtree.py::test_dense_rule",)),
+    ("T3.1 declared without its T reads", "src/supercong/theorems.py",
+     'reads=(81, "T"),', "reads=(81,),", READS),
+    ("T3.11 declared without its first sum argument",
+     "src/supercong/theorems.py", "for m, _, _ in _T311_PARTS))",
+     "for m, _, _ in _T311_PARTS[1:]))", READS),
     ("sum_S: the tables never read", "src/supercong/binom.py",
      "if m in ctx.sums:", "if False:",
      ("tests/test_sumtree.py::test_routes_agree_through_the_engine",)),

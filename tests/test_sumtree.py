@@ -18,6 +18,7 @@ from supercong.theorems import (
     CONJECTURE_IDS,
     REGISTRY,
     SUM_ARGUMENTS,
+    verify,
     verify_range,
 )
 
@@ -44,6 +45,7 @@ def _windows(primes, sizes):
     (5, 1500, (64,)),              # windows as long as the engine's
     (3001, 3500, (7, 30)),         # a high start: a long first prefix
     (11, 11, (1,)),                # one prime, which divides some m
+    (100000, 100300, (7,)),        # a first prefix of 50 000 terms
 ])
 def test_tree_matches_packed_series(lo, hi, sizes):
     """At every prime and every point, the tables' S(m) is the packed
@@ -147,12 +149,12 @@ def test_a_tabulated_sweep_starts_no_pool(monkeypatch):
 
 
 def test_s_only_statements_build_no_series(monkeypatch):
-    """The rule that keeps a tabulated sweep in one process rests on
-    _S_ONLY: over the tables, the statements whose claims function is one
-    of those pack no series, s or t, while every other statement packs
+    """The rule that keeps a tabulated sweep in one process rests on the
+    declarations: over the tables, the statements that declare S at fixed
+    m and not T pack no series, s or t, while every other statement packs
     one."""
     s_only = tuple(tid for tid, spec in REGISTRY.items()
-                   if spec.claims in theorems._S_ONLY)
+                   if spec.reads is not None and "T" not in spec.reads)
     assert set(CONJECTURE_IDS) < set(s_only)
     assert theorems._tabulated(s_only, primes_in(5, 300))
     for tid in set(REGISTRY) - set(s_only):
@@ -167,10 +169,42 @@ def test_s_only_statements_build_no_series(monkeypatch):
     assert list(verify_range(s_only, 5, 300)) == _without(expected, "T2.1")
 
 
+def test_each_statement_reads_what_it_declares(monkeypatch):
+    """A wrong declaration changes where a sweep's work runs, never a
+    record (sum_S falls back to the packed series), so each is held exact
+    here.  Over 5..400, a statement that declares a tuple reads S at
+    exactly its declared m, reads T iff it declares "T", and never reads
+    the raw s series; one that declares None reads the raw series, or S
+    at more distinct m than there are primes."""
+    primes = primes_in(5, 400)
+    log = []
+
+    def spy(name, fn):
+        def call(x, *rest):
+            log.append((name, x))
+            return fn(x, *rest)
+        return call
+
+    for name in ("sum_S", "sum_T", "_poly_sum"):
+        monkeypatch.setattr(theorems, name, spy(name, getattr(theorems, name)))
+    for tid, spec in REGISTRY.items():
+        log.clear()
+        for p in primes:
+            verify(spec, p)
+        ms = {x for name, x in log if name == "sum_S"}
+        names = {name for name, _ in log}
+        if spec.reads is None:
+            assert "_poly_sum" in names or len(ms) > len(primes), tid
+        else:
+            assert ms == set(spec.reads) - {"T"}, tid
+            assert ("sum_T" in names) == ("T" in spec.reads), tid
+            assert "_poly_sum" not in names, tid
+
+
 def test_dense_rule():
-    """The tables run on ranges of at least 32 primes where every
-    statement reads S at fixed points, at every point those statements
-    read, and not otherwise."""
+    """The tables run on ranges of at least 32 primes where no statement
+    declares reads that depend on p, at every m those statements declare,
+    and not otherwise."""
     dense, sparse = primes_in(5, 200), primes_in(19900, 20100)
     assert len(dense) >= theorems._DENSE > len(sparse)
     assert theorems._tabulated(("Conj-A3", "T3.11", "C2.3"), dense) == (
