@@ -13,7 +13,8 @@ import sys
 from array import array
 from collections.abc import Mapping, Sequence
 from itertools import compress, repeat
-from operator import add, lshift, mul
+from operator import mul
+from struct import unpack
 
 __all__ = [
     "PackedPoly",
@@ -125,12 +126,9 @@ class PrimeCtx:
                 f"qcap={self.qcap})")
 
 
-def factorials(n: int, p: int, k: int | None = None
-               ) -> tuple[list[int], list[int]]:
+def factorials(n: int, p: int, k: int) -> tuple[list[int], list[int]]:
     """i! mod the prime p for i = 0 .. n < p, and 1/i! for i = 0 .. k
-    (k <= n, by default n): one walk up, one inverse and one walk down
-    from k."""
-    k = n if k is None else k
+    (k <= n): one walk up, one inverse and one walk down from k."""
     acc = 1
     fac = [1] + [acc := acc * i % p for i in range(1, n + 1)]
     acc = pow(fac[k], -1, p)
@@ -165,16 +163,18 @@ class PackedPoly:
     _layout) and g = ceil(n/b), column i < b packs a[s*b+i] for s < g into
     one int, block s in lane g-1-s, so the highest block is the lowest
     lane.  A call adds column i times y**i mod `mod` over all i, which puts
-    block s's sum over i of a[s*b+i] y**i in its lane; one array('Q') call
-    then reads every lane, and g Horner steps in y**b run over them as
-    plain ints: O(b + g) interpreter steps per point, the n products run
-    inside big-int multiplies.  A lane holds at most b*(mod-1)**2 <
-    2**(8W), so no lane carries.  One-limb lanes (W = 8) are read as they
-    are; wider lanes are first spread to whole limbs by W strided slice
-    copies, and a lane's limbs joined by C-level maps.
-    The columns are cut from one buffer of b*g W-byte lanes: limb j (64
-    bits) of all coefficients is converted by one array('Q') call, and
-    strided slices copy its low min(8, W-8j) bytes into every lane.
+    block s's sum over i of a[s*b+i] y**i in its lane, reads every lane,
+    and runs g Horner steps in y**b over them as plain ints: O(b + g)
+    interpreter steps per point, the n products run inside big-int
+    multiplies.  A lane holds at most b*(mod-1)**2 < 2**(8W), so no lane
+    carries.  One-limb lanes (W = 8) are read by one array('Q') call, and
+    wider lanes by int.from_bytes over the W-byte slices that one
+    struct.unpack call cuts.
+    A coefficient, reduced mod `mod`, is one 64-bit limb (array('Q')
+    raises OverflowError on one that is not; no route of the library
+    reaches a modulus above 2**64).  The columns are cut from the bytes
+    of one array('Q') conversion of all coefficients: as they stand for
+    one-limb lanes, and widened by 8 strided slice copies for wider ones.
 
     `memo` maps y % mod to the value there, so a point is evaluated once;
     it lives as long as the polynomial, and binom and legendre keep one
@@ -191,16 +191,16 @@ class PackedPoly:
         cells = []
         for i in range(b - 1, -1, -1):
             cells += desc[i::b]
-        buf = bytearray(b * g * width)
-        nlimbs = -(-(mod - 1).bit_length() // 64)
-        for j in range(nlimbs):
-            limbs = array("Q", cells if nlimbs == 1 else map(int.__and__, map(
-                int.__rshift__, cells, repeat(64 * j)), repeat(_LIMB)))
-            if sys.byteorder == "big":
-                limbs.byteswap()
-            raw = limbs.tobytes()
-            for r in range(min(8, width - 8 * j)):
-                buf[8 * j + r::width] = raw[r::8]
+        # Allocated before the conversion, which keeps the peak RSS lower.
+        wide = bytearray(b * g * width) if width > 8 else None
+        limbs = array("Q", cells)
+        if sys.byteorder == "big":
+            limbs.byteswap()
+        buf = limbs.tobytes()
+        if wide is not None:
+            for r in range(8):
+                wide[r::width] = buf[r::8]
+            buf = wide
         step = g * width
         self.mod, self.b, self.g, self.width = mod, b, g, width
         self.memo: dict[int, int] = {}
@@ -218,18 +218,13 @@ class PackedPoly:
         big = baby[-1] * y % mod  # y**b
         raw = sum(map(mul, self.cols, baby)).to_bytes(self.g * width,
                                                       "little")
-        nl = -(-width // 8)  # limbs per lane
-        if width % 8:
-            buf = bytearray(8 * nl * self.g)
-            for r in range(width):
-                buf[r::8 * nl] = raw[r::width]
-            raw = buf
-        limbs = array("Q", raw)
-        if sys.byteorder == "big":
-            limbs.byteswap()
-        lanes = limbs[nl - 1::nl] if nl > 1 else limbs  # highest block first
-        for j in range(nl - 2, -1, -1):
-            lanes = map(add, map(lshift, lanes, repeat(64)), limbs[j::nl])
+        if width == 8:
+            lanes = array("Q", raw)  # highest block first
+            if sys.byteorder == "big":
+                lanes.byteswap()
+        else:
+            lanes = map(int.from_bytes, unpack(f"{width}s" * self.g, raw),
+                        repeat("little"))
         acc = 0
         for v in lanes:
             acc = (acc * big + v) % mod

@@ -34,6 +34,8 @@ TREE = ("tests/test_sumtree.py::test_tree_matches_packed_series",)
 BLOCKS = (
     "tests/test_theorems.py::test_blocks_cover_the_primes_in_valid_runs",)
 READS = ("tests/test_sumtree.py::test_each_statement_reads_what_it_declares",)
+LANES = ("tests/test_binom.py::test_packed_lane_width_is_needed",
+         "tests/test_binom.py::test_packed_layout_boundaries")
 T_ROOTS = (
     "tests/test_theorems.py::test_t_roots_are_square_roots_of_a",
     "tests/test_cli.py::test_sum_names_the_roots_of_one_minus_256_over_m",
@@ -117,6 +119,16 @@ MUTANTS = (
     ("cornacchia: the smaller of x and y first", "src/supercong/quadform.py",
      "return b, y", "return y, b",
      ("tests/test_quadform.py::test_sum_of_two_squares_comes_larger_first",)),
+    ("PackedPoly: a tight lane one byte short", "src/supercong/arith.py",
+     ".bit_length() // 8 + 1", ".bit_length() // 8", LANES),
+    ("PackedPoly: the one-limb cap dropped", "src/supercong/arith.py",
+     "if 4 * cap >= b:", "if False:", LANES),
+    ("PackedPoly: a wide lane read as its low 8 bytes",
+     "src/supercong/arith.py", 'unpack(f"{width}s" * self.g, raw)',
+     'unpack(f"8s{width - 8}x" * self.g, raw)', LANES),
+    ("PackedPoly: a coefficient's top byte left out of its wide lane",
+     "src/supercong/arith.py", "for r in range(8):", "for r in range(7):",
+     ("tests/test_binom.py::test_packed_columns_match_to_bytes_packer",)),
     ("factorials: the inverse of (k-1)!", "src/supercong/arith.py",
      "pow(fac[k], -1, p)", "pow(fac[k - 1], -1, p)",
      ("tests/test_arith.py::test_factorials_match_math_factorial",)),

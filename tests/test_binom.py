@@ -493,12 +493,12 @@ def _to_bytes_cols(coeffs, mod):
                  for i in range(b))
 
 
-@pytest.mark.parametrize("mod", [7, 121, 65521, 2**61 - 1, (2**61 - 1) ** 2,
-                                 10**40 + 1])
+@pytest.mark.parametrize("mod", [7, 121, 65521, 2**61 - 1, 65537**2])
 def test_packed_columns_match_to_bytes_packer(mod):
-    """One limb (mod <= 2**64), two and three limbs; one-limb lanes, and
-    tight lanes of whole and of part limbs; coefficients outside
-    0..mod-1."""
+    """One-limb lanes (7, 121, 65521) and tight lanes of two whole limbs
+    (2**61 - 1, whose coefficients reach a limb's top byte) and of part
+    limbs (65537**2, 9 bytes, as S and T take above about p = 26700);
+    coefficients outside 0..mod-1."""
     rng = random.Random(mod)
     edges = (-1, mod, 2 * mod - 1, 0, mod - 1)
     for b in (1, 2, 3, 7):
@@ -585,13 +585,14 @@ def test_packed_layout_boundaries(series):
                                        rng.randrange(ctx.p2)), ctx.p2)
 
 
-def test_packed_lane_width_follows_the_modulus():
-    mod = (2**61 - 1) ** 2
-    rng = random.Random(61)
-    for n in (1, 17, 64, 300):
-        _assert_kernels_agree([rng.randrange(mod) for _ in range(n)],
-                              (mod - 1, rng.randrange(mod),
-                               rng.randrange(mod)), mod)
+@pytest.mark.parametrize("mod", [2**64 + 1, (2**61 - 1) ** 2])
+def test_packed_poly_refuses_a_coefficient_past_a_limb(mod):
+    """A coefficient is one 64-bit limb: packing one of 2**64 or more
+    raises OverflowError and never returns a polynomial, whatever the other
+    coefficients are."""
+    for desc in ([2**64], [1, 2, 2**64, 3], [0] * 50 + [mod - 1]):
+        with pytest.raises(OverflowError):
+            PackedPoly(desc, mod)
 
 
 def test_theorem21_examples():
