@@ -15,10 +15,10 @@ as a shell reports SIGPIPE, with the summary and no traceback.  Conjecture
 failures are flagged as counterexample candidates but do not change the
 exit status.  For a fixed seed the report stream is byte-identical
 regardless of --workers, which is capped at the machine's CPU count
-(os.cpu_count()) and at the number of blocks of primes that verify_range
-hands out: asking for more starts no more processes.  A negative leading
-coefficient is written --cubic=-3,5,-7, since argparse reads a separate
-"-3,5,-7" as an option.
+(os.cpu_count()) and at the number of primes, since verify_range hands
+every worker a block: asking for more starts no more processes.  A
+negative leading coefficient is written --cubic=-3,5,-7, since argparse
+reads a separate "-3,5,-7" as an option.
 """
 
 from __future__ import annotations

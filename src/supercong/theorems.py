@@ -233,8 +233,6 @@ def _classes(mod: int, classes: tuple[int, ...], *rest) -> tuple:
 
 def _lift(n: int, mod: int, classes: Iterable[int]) -> frozenset[int]:
     """The residues mod n, a multiple of mod, of the classes mod mod."""
-    if mod == n:
-        return frozenset(classes)
     return frozenset().union(*[range(c, n, mod) for c in classes])
 
 
@@ -374,11 +372,11 @@ def _register(tid: str, kind: str,
     (mod, residues) of p; its period is the lcm of their moduli, and each
     is stored as residues mod the period.  A row is (label, mod, residues,
     *rest), rest being Branch's mod_exp, witnesses and rhs.  A statement
-    with an m reads S there alone unless it declares its reads."""
+    with an m reads S there, before any reads it declares."""
     if tid in REGISTRY:
         raise ValueError(f"duplicate id {tid}")
     if "m" in fields:
-        fields.setdefault("reads", (fields["m"],))
+        fields["reads"] = (fields["m"], *fields.get("reads", ()))
     n = lcm(applies[0], *(row[1] for row in rows))
     REGISTRY[tid] = TheoremSpec(
         tid, kind, n, _lift(n, *applies),
@@ -419,7 +417,7 @@ _register(
     # opposite sign (see eq31_sign_survey in tests/test_theorems.py)
     claims=_p_claims(-7, (5, 9), (21, 3),
                      lambda ctx, w: jacobi(w["C"], 7) * 2 * w["C"]),
-    reads=(81, "T"),
+    reads=("T",),
 )
 
 _register(
@@ -430,7 +428,7 @@ _register(
         _classes(12, (11,)),
     ),
     claims=_p_claims(3, (7, 12), (2, 2), lambda ctx, w: 2 * w["x"]),
-    reads=(-12288, "T"),
+    reads=("T",),
 )
 
 # (d/p) = (p/d) for d = 13, 37, 29 (d = 1 mod 4), a class of p mod d
@@ -453,7 +451,7 @@ _register(
     claims=_p_claims(2, (2, 3), (0, 1),
                      lambda ctx, w: (-1) ** (ctx.half % 2)
                      * jacobi(w["x"], 3) * 2 * w["x"]),
-    reads=(48 ** 2, "T"),
+    reads=("T",),
 )
 
 _register("T3.6", "proven", (5, (1, 4)), m=12 ** 4, rows=(
@@ -570,9 +568,8 @@ ALL_IDS: tuple[str, ...] = tuple(REGISTRY)
 #: (statement id, sum argument m) for every truncated central sum a proven
 #: statement checks, in registry order; T3.11 contributes three arguments.
 SUM_ARGUMENTS: tuple[tuple[str, int], ...] = tuple(
-    (tid, s.m) for tid, s in REGISTRY.items()
-    if s.kind == "proven" and s.m is not None) + tuple(
-    ("T3.11", m) for m, _, _ in _T311_PARTS)
+    (tid, m) for tid, s in REGISTRY.items() if s.kind == "proven"
+    for m in s.reads or () if m != "T")
 
 # without 256, which C2.2's own (m - 256) % p filter drops at every prime
 _C22_TEST_SET = tuple(sorted({m for _, m in SUM_ARGUMENTS} - {256}))
@@ -644,11 +641,11 @@ _WINDOW = 64  # primes whose S tables sumtree computes in one scan
 def _blocks(primes: list[int], parts: int) -> list[tuple[int, ...]]:
     """The ascending primes cut by count into k runs whose lengths differ
     by at most one, longer first, k the least multiple of `parts` that is
-    at least n/_BLOCK (at most n, the number of primes); each run is then
-    split greedily where its primes stop passing shares_block with its
-    first.  So no block exceeds _BLOCK primes, and there are at least
-    min(parts, n) blocks.  Splits fall only among small primes (none
-    above 139 up to 10**5), where a series has at most 104 terms."""
+    at least n/_BLOCK (at most n, the number of primes).  A run stays one
+    block where its first and last primes pass shares_block, else each of
+    its primes is a block: only below p = 140 (up to 10**5), where a
+    series has at most 104 terms.  So no block exceeds _BLOCK primes, and
+    there are at least min(parts, n) blocks."""
     n = len(primes)
     runs = -(-n // _BLOCK)
     runs = min(n, -(-runs // parts) * parts)
@@ -656,12 +653,8 @@ def _blocks(primes: list[int], parts: int) -> list[tuple[int, ...]]:
     for j in range(runs):
         run = primes[i:i + n // runs + (j < n % runs)]
         i += len(run)
-        while run:
-            size = 1
-            while size < len(run) and shares_block(run[0], run[size]):
-                size += 1
-            out.append(tuple(run[:size]))
-            run = run[size:]
+        out += ([tuple(run)] if shares_block(run[0], run[-1])
+                else [(p,) for p in run])
     return out
 
 
@@ -683,17 +676,18 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     """Verdicts for every statement in `ids` and every prime in
     [pmin, pmax], in ascending (p, id) order regardless of worker count.
 
-    The primes are cut into blocks that share their series builds, one
-    block per task, by _blocks: at least as many as workers, so every
-    worker has one.  Where _tabulated names sum arguments, this process
-    computes sumtree's tables of S at them, a window of _WINDOW primes at
-    a time as the blocks are reached, and each PrimeCtx carries its
-    prime's table, to a worker where there is a pool.  There is none
-    where no statement declares "T" among its reads, as the tables are
-    then all the O(p) work; otherwise at most min(os.cpu_count(), number
-    of primes) processes start.  The records depend on neither.  A pool
-    is handed at most 2 * workers blocks ahead of the block being read,
-    so a stalled reader holds that many blocks of records at most."""
+    The primes are cut by _blocks into even runs that share their series
+    builds, or below p = 140 into single primes, one block per task: at
+    least as many as workers, so every worker has one.  Where _tabulated
+    names sum arguments, this process computes sumtree's tables of S at
+    them, a window of _WINDOW primes at a time as the blocks are reached,
+    and each PrimeCtx carries its prime's table, to a worker where there
+    is a pool.  There is none where no statement declares "T" among its
+    reads, as the tables are then all the O(p) work; otherwise at most
+    min(os.cpu_count(), number of primes) processes start.  The records
+    depend on neither.  A pool is handed at most 2 * workers blocks ahead
+    of the block being read, so a stalled reader holds that many blocks
+    of records at most."""
     if pmin <= 3 or pmin > pmax:
         raise ValueError("need 3 < pmin <= pmax")
     id_list = tuple(sorted(set(ids)))

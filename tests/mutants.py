@@ -168,15 +168,20 @@ MUTANTS = (
      "src/supercong/theorems.py", "claims=_c21_claims, reads=None)",
      "claims=_c21_claims)", ("tests/test_sumtree.py::test_dense_rule",)),
     ("T3.1 declared without its T reads", "src/supercong/theorems.py",
-     'reads=(81, "T"),', "reads=(81,),", READS),
+     'jacobi(w["C"], 7) * 2 * w["C"]),\n    reads=("T",),',
+     'jacobi(w["C"], 7) * 2 * w["C"]),', READS),
+    ("a declared read drops its m", "src/supercong/theorems.py",
+     'fields["reads"] = (fields["m"], *fields.get("reads", ()))',
+     'fields.setdefault("reads", (fields["m"],))', READS),
     ("T3.11 declared without its first sum argument",
      "src/supercong/theorems.py", "for m, _, _ in _T311_PARTS))",
      "for m, _, _ in _T311_PARTS[1:]))", READS),
     ("sum_S: the tables never read", "src/supercong/binom.py",
      "if m in ctx.sums:", "if False:",
      ("tests/test_sumtree.py::test_routes_agree_through_the_engine",)),
-    ("blocks: a run never split", "src/supercong/theorems.py",
-     "shares_block(run[0], run[size])", "True", BLOCKS),
+    ("blocks: a run that cannot share kept whole",
+     "src/supercong/theorems.py",
+     "if shares_block(run[0], run[-1])", "if True", BLOCKS),
     ("blocks: count not rounded to the worker count",
      "src/supercong/theorems.py",
      "-(-runs // parts) * parts", "-(-runs // parts)", BLOCKS),

@@ -35,7 +35,7 @@ from supercong.theorems import (
     verify,
     verify_range,
 )
-from test_binom import _tiles, count_column_sums
+from test_binom import count_column_sums
 from test_quadform import normalize
 
 
@@ -730,11 +730,22 @@ def _even_runs(primes, parts):
     return [primes[a:b] for a, b in zip(ends, ends[1:])]
 
 
+def _whole_or_single(run):
+    """The run as one block where PrimeCtx accepts it as one, else one
+    block per prime."""
+    try:
+        PrimeCtx(run[0], run)
+    except ValueError:
+        return [(p,) for p in run]
+    return [tuple(run)]
+
+
 def test_blocks_cover_the_primes_in_valid_runs():
     """Every prime once, in order, in runs PrimeCtx accepts: exactly the
-    even runs by count, each tiled greedily into blocks of at most 8 that
-    share a series build, so at least one block per worker.  A run is
-    split only among small primes: at none above 139 up to 10**5."""
+    even runs by count, each kept whole where its primes share a series
+    build and cut into one-prime blocks where not, so at least one block
+    per worker.  A run is cut only among small primes: at none above 139
+    up to 10**5."""
     small = set(primes_in(5, 139))
     for lo, hi in ((5, 4000), (5, 80), (19900, 20100), (11, 12), (8, 10),
                    (5, 10 ** 5)):
@@ -742,8 +753,8 @@ def test_blocks_cover_the_primes_in_valid_runs():
         for parts in (1, 2, 3):
             blocks = theorems._blocks(primes, parts)
             runs = _even_runs(primes, parts)
-            assert blocks == [b for run in runs for b in _tiles(run, 8)], \
-                (lo, hi, parts)
+            assert blocks == [b for run in runs
+                              for b in _whole_or_single(run)], (lo, hi, parts)
             assert len(blocks) >= min(parts, len(primes))
             assert {b[0] for b in blocks} - {r[0] for r in runs} <= small
             assert [p for b in blocks for p in b] == primes
