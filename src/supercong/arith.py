@@ -2,8 +2,10 @@
 
 Residues mod p and mod p**2, quadratic characters, modular square roots,
 and the packed polynomial-evaluation kernel.  Everything is exact integer
-arithmetic; Python's arbitrary-precision ints mean primes up to and beyond
-2**31 work without any overflow handling.
+arithmetic.  The kernel keeps each coefficient, reduced mod its modulus,
+in one 64-bit limb, so it takes moduli up to 2**64: S and T, which work
+mod p**2, need p < 2**32, and the mod-p polynomials need p < 2**64.  A
+larger modulus raises OverflowError; nothing wraps silently.
 """
 
 from __future__ import annotations

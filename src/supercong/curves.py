@@ -1,9 +1,8 @@
 """Quadratic character sums and power sums of cubics over F_p.
 
-char_sum brute-forces sum_x chi(x^3 + a x^2 + b x + c) as an exact integer,
-reading chi from the set of nonzero squares.  power_sum is its Euler-
-criterion twin sum_x f(x)**h mod p, h = (p-1)/2, read from one coefficient
-of f**h (Deuring; Silverman, The Arithmetic of Elliptic Curves, V.4):
+power_sum is the Euler-criterion sum sum_x f(x)**h mod p, h = (p-1)/2,
+f = x^3 + a x^2 + b x + c, read from one coefficient of f**h (Deuring;
+Silverman, The Arithmetic of Elliptic Curves, V.4):
 
     sum_{x in F_p} f(x)**h  =  -[x**(p-1)] f(x)**h   (mod p).
 
@@ -27,10 +26,15 @@ packed as an arith.PackedPoly, the kernel that also evaluates S, T and
 P_[p/4].  The degenerate cubics keep one term each: C = 0 is the point
 z = 0, where W(0) = w_lo (term i = lo, nonzero only when 2lo = h), and
 B = 0 keeps the term j = 0, w_hi C**(2hi-h) (nonzero only when
-3hi = 2h).  The two routes share no table, so tests comparing them
-compare two computations.  These sums are
-the bridge between Legendre-polynomial values and point counts on
-y^2 = f(x): the count is p + 1 + char_sum.  Both take the coefficients a,
+3hi = 2h).
+
+char_sum is the exact integer sum_x chi(f(x)), the bridge between
+Legendre-polynomial values and point counts on y^2 = f(x): the count is
+p + 1 + char_sum.  By Euler's criterion chi(z) = z**h mod p term by term,
+so char_sum = power_sum mod p, and for p >= 17 char_sum is power_sum
+lifted to (-p/2, p/2): |char_sum| <= 2 sqrt(p) < p/2 by Hasse's bound when
+f has no repeated root (Silverman, V.1.1), and a repeated root gives 0 or
++-1.  Below 17 it sums quad_char over F_p.  Both take the coefficients a,
 b, c as plain integers and reduce them mod p.
 """
 
@@ -38,34 +42,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import PackedPoly, PrimeCtx, factorials
+from .arith import PackedPoly, PrimeCtx, factorials, quad_char
 
 __all__ = [
     "char_sum",
     "power_sum",
 ]
-
-
-@lru_cache(maxsize=1)
-def _chi_table(ctx: PrimeCtx) -> tuple[int, ...]:
-    """chi(z) for z = 0..p-1, built from the set of nonzero squares."""
-    p = ctx.p
-    chi = [-1] * p
-    chi[0] = 0
-    for x in range(1, (p + 1) // 2):
-        chi[x * x % p] = 1
-    return tuple(chi)
-
-
-def char_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
-    """Exact integer sum_x chi(x^3 + a x^2 + b x + c), brute force over F_p."""
-    p = ctx.p
-    a, b, c = a % p, b % p, c % p
-    chi = _chi_table(ctx)
-    total = 0
-    for x in range(p):
-        total += chi[(((x + a) * x + b) * x + c) % p]
-    return total
 
 
 @lru_cache(maxsize=1)
@@ -102,3 +84,15 @@ def power_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
     else:
         coeff = 0
     return -coeff % p
+
+
+def char_sum(a: int, b: int, c: int, ctx: PrimeCtx) -> int:
+    """Exact integer sum_x chi(x^3 + a x^2 + b x + c): power_sum lifted to
+    (-p/2, p/2) for p >= 17, quad_char over F_p below (see the module
+    docstring)."""
+    p = ctx.p
+    if p < 17:
+        return sum(quad_char(((x + a) * x + b) * x + c, ctx)
+                   for x in range(p))
+    s = power_sum(a, b, c, ctx)
+    return s - p if 2 * s > p else s

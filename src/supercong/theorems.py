@@ -242,8 +242,7 @@ def _squares(n: int) -> set[int]:
 
 def _char_classes(q: int, value: int) -> set[int]:
     """The classes r mod the odd prime q where (r/q) = value (1 or -1)."""
-    residues = _squares(q) - {0}
-    return residues if value == 1 else set(range(1, q)) - residues
+    return {r for r in range(1, q) if jacobi(r, q) == value}
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 CURVES = ("tests/test_curves.py",)
+CHAR_SUM = ("tests/test_curves.py::test_char_sum_matches_loop_on_every_cubic",)
+JACOBI = ("tests/test_arith.py::test_quad_char_agrees_with_jacobi",)
+SQRT = ("tests/test_arith.py::test_sqrt_consistency_with_character",)
 CERTIFICATE = (
     "tests/test_theorems.py::test_branch_tables_partition_every_residue_class",
 )
@@ -57,6 +60,34 @@ MUTANTS = (
      CURVES),
     ("power_sum: final sign dropped", "src/supercong/curves.py",
      "return -coeff % p", "return coeff % p", CURVES),
+    ("char_sum: the lift of power_sum from p = 13 up",
+     "src/supercong/curves.py", "if p < 17:", "if p < 13:", CHAR_SUM),
+    ("char_sum: power_sum not lifted to (-p/2, p/2)",
+     "src/supercong/curves.py", "return s - p if 2 * s > p else s",
+     "return s", CHAR_SUM),
+    ("jacobi: (2/n) = -1 for n = 3, 7 mod 8", "src/supercong/arith.py",
+     "n % 8 in (3, 5)", "n % 8 in (3, 7)", JACOBI),
+    ("jacobi: the reciprocity sign flip dropped", "src/supercong/arith.py",
+     "if a % 4 == 3 and n % 4 == 3:\n            result = -result",
+     "if a % 4 == 3 and n % 4 == 3:\n            pass", JACOBI),
+    ("Tonelli-Shanks: c not squared", "src/supercong/arith.py",
+     "c = b * b % p", "c = b % p", SQRT),
+    ("Tonelli-Shanks: a residue taken as the generator",
+     "src/supercong/arith.py", "quad_char(z, ctx) != -1",
+     "quad_char(z, ctx) != 1", SQRT),
+    ("verify: the right side left unreduced", "src/supercong/theorems.py",
+     "lhs, rhs = lhs % mod, rhs % mod", "lhs, rhs = lhs % mod, rhs",
+     ("tests/test_theorems.py::test_verify_spot_records",)),
+    ("JSONL: lhs written from rhs", "src/supercong/cli.py",
+     '"lhs":{_json_res(rec.lhs)}', '"lhs":{_json_res(rec.rhs)}',
+     ("tests/test_cli.py::test_jsonl_lines_equal_json_dumps",)),
+    ("csv: the modulus cell always empty", "src/supercong/cli.py",
+     '"" if rec.modulus is None else rec.modulus,', '"",',
+     ("tests/test_cli.py::test_csv_rows_equal_to_record_rows",)),
+    ("_ratio_series: the factorial walk read upward",
+     "src/supercong/binom.py", "zip(numerators, reversed(down))",
+     "zip(numerators, down)",
+     ("tests/test_binom.py::test_sum_s_spot_values",)),
     ("RV256: a class removed from the zero branch",
      "src/supercong/theorems.py",
      '_register("RV256", "proven", m=256, rows=(\n'

@@ -36,6 +36,19 @@ def scale_check(a, m, n, ctx):
     return lhs == rhs
 
 
+def char_sum_loop(a, b, c, ctx):
+    """sum_x chi(x^3 + a x^2 + b x + c) over all of F_p, with chi read from
+    the set of nonzero squares: the reference for char_sum, which lifts
+    power_sum from p = 17 up."""
+    p = ctx.p
+    a, b, c = a % p, b % p, c % p
+    chi = [-1] * p
+    chi[0] = 0
+    for x in range(1, (p + 1) // 2):
+        chi[x * x % p] = 1
+    return sum(chi[(((x + a) * x + b) * x + c) % p] for x in range(p))
+
+
 def _power_sum_loop(a, b, c, ctx):
     """sum_x f(x)**((p-1)/2) mod p with one pow per x over all of F_p: the
     reference for power_sum, which reads the same sum from the coefficient
@@ -61,6 +74,16 @@ def test_char_sum_matches_quad_char():
         direct = sum(quad_char(x**3 + x * x + 2 * x + 3, ctx)
                      for x in range(p))
         assert char_sum(1, 2, 3, ctx) == direct
+
+
+@pytest.mark.parametrize("p", primes_in(5, 31))
+def test_char_sum_matches_loop_on_every_cubic(p):
+    """Every (a, b, c) in F_p**3, on both sides of p = 17, where char_sum
+    turns from the quad_char sum to the lift of power_sum."""
+    ctx = PrimeCtx(p)
+    for a, b, c in itertools.product(range(p), repeat=3):
+        assert char_sum(a, b, c, ctx) == char_sum_loop(a, b, c, ctx), \
+            (p, a, b, c)
 
 
 def test_point_counts():
@@ -158,7 +181,7 @@ def test_power_sum_matches_pow_loop_at_larger_primes(p):
        st.integers())
 def test_power_sum_is_char_sum_mod_p(p, a, b, c):
     ctx = PrimeCtx(p)
-    assert power_sum(a, b, c, ctx) == char_sum(a, b, c, ctx) % p
+    assert power_sum(a, b, c, ctx) == char_sum_loop(a, b, c, ctx) % p
 
 
 def test_euler_consistency_sweep():
@@ -167,7 +190,7 @@ def test_euler_consistency_sweep():
         ctx = PrimeCtx(p)
         for _ in range(10):
             cu = (rng.randrange(p), rng.randrange(p), rng.randrange(p))
-            assert power_sum(*cu, ctx) == char_sum(*cu, ctx) % p
+            assert power_sum(*cu, ctx) == char_sum_loop(*cu, ctx) % p
 
 
 def test_hasse_bound_nonsingular():
@@ -178,7 +201,9 @@ def test_hasse_bound_nonsingular():
             cu = (rng.randrange(p), rng.randrange(p), rng.randrange(p))
             if discriminant(*cu, ctx) == 0:
                 continue
-            assert char_sum(*cu, ctx) ** 2 <= 4 * p
+            cs = char_sum_loop(*cu, ctx)
+            assert cs ** 2 <= 4 * p
+            assert char_sum(*cu, ctx) == cs, (p, cu)
 
 
 def test_shift_invariance():

@@ -19,7 +19,6 @@ from supercong.arith import (
     quad_char,
     sqrt_mod_p,
 )
-from supercong.curves import char_sum
 from supercong.quadform import cornacchia, represent
 from supercong.theorems import (
     ALL_IDS,
@@ -36,6 +35,7 @@ from supercong.theorems import (
     verify_range,
 )
 from test_binom import count_column_sums
+from test_curves import char_sum_loop
 from test_quadform import normalize
 
 
@@ -89,7 +89,7 @@ def eq31_sign_survey(pmax: int = 1000) -> dict[int, int]:
     for p in primes_in(5, pmax):
         if p % 7 not in (1, 2, 4):
             continue
-        cs = char_sum(21, 112, 0, PrimeCtx(p))
+        cs = char_sum_loop(21, 112, 0, PrimeCtx(p))
         c, _ = cornacchia(7, p)
         ref = 2 * c * jacobi(c, 7)
         if cs == 0 or abs(cs) != abs(ref):
@@ -815,7 +815,7 @@ def test_sweep_keeps_one_prime_of_tables():
     assert sorted(caches) == [
         "binom._s_block", "binom._t_block",
         "binom.central_poly", "binom.t_poly",
-        "curves._chi_table", "curves._deuring_poly",
+        "curves._deuring_poly",
         "legendre._legendre_poly", "theorems.t_roots"]
     for name, cached in caches.items():
         assert cached.cache_info().currsize <= 1, name
