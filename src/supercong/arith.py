@@ -26,20 +26,23 @@ __all__ = [
     "jacobi",
     "primes_in",
     "quad_char",
-    "shares_block",
     "sqrt_mod_p",
     "sqrt_mod_p2",
 ]
 
-# Fixed Miller-Rabin witness set; the test is deterministic and exact for
-# every n < 3.3 * 10**24 (far beyond anything this library touches).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Fixed Miller-Rabin witnesses, the first 13 primes: exact below psi_13, the
+# least strong pseudoprime to them all (Sorenson and Webster, Math. Comp.
+# 86, 2017), and no fixed set is proven exact from psi_13 on.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Deterministic Miller-Rabin primality test; ValueError from psi_13 on."""
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"no proven primality test from psi_13 on: {n}")
     for q in _MR_WITNESSES:
         if n == q:
             return True
@@ -75,25 +78,18 @@ def primes_in(lo: int, hi: int) -> list[int]:
     return list(compress(range(lo, hi + 1), segment))
 
 
-def shares_block(lo: int, hi: int) -> bool:
-    """May the primes lo <= hi build their s and t series as one block?
-    Yes when (3*hi - 1)//4, the last k of hi's t prefix, is below lo: then
-    every k! the build divides by is a unit mod lo**2 (see binom)."""
-    return (3 * hi - 1) // 4 < lo
-
-
 class PrimeCtx:
     """A validated odd prime p > 3 with cached derived constants: p2 = p**2,
     half = (p-1)/2 and qcap = [p/4].
 
-    `block` names the ascending run of primes, p among them, whose s and
-    t series are built together, modulo the product of their squares
-    (see binom); its least and greatest primes must pass shares_block.
-    It defaults to (p,) and takes no part in equality or hashing: it
-    changes how the series are built, not what they are.  `sums`, in the
-    same way, maps sum arguments m to S(m) mod p**2 where a sweep has
-    tabulated them (see theorems.verify_range); binom.sum_S reads them
-    there instead of packing p's series.  It defaults to no entries.
+    `block` names the ascending run of primes, p among them, whose series
+    binom builds together, modulo the product of their squares; binom
+    refuses a block whose primes cannot share a build.  It defaults to
+    (p,) and takes no part in equality or hashing: it changes how the
+    series are built, not what they are.  `sums`, in the same way, maps
+    sum arguments m to S(m) mod p**2 where a sweep has tabulated them (see
+    theorems.verify_range); binom.sum_S reads them there instead of
+    packing p's series.  It defaults to no entries.
 
     Immutable after construction (assigning an attribute raises
     AttributeError); safe to share across workers.
@@ -105,10 +101,9 @@ class PrimeCtx:
         if not isinstance(p, int) or p <= 3 or not is_prime(p):
             raise ValueError(f"p must be a prime greater than 3, got {p!r}")
         if block != (p,) and (p not in block
-                              or list(block) != sorted(set(block))
-                              or not shares_block(block[0], block[-1])):
+                              or list(block) != sorted(set(block))):
             raise ValueError(f"{block!r} is not a strictly ascending block "
-                             f"holding p = {p} whose ends pass shares_block")
+                             f"holding p = {p}")
         self.__dict__.update(p=p, block=block, sums=dict(sums or {}),
                              p2=p * p, half=(p - 1) // 2, qcap=p // 4)
 

@@ -3,21 +3,21 @@ a prefix product carried from window to window of primes, as in an
 accumulating remainder tree (Costa, Gerbicz and Harvey, "A search for
 Wilson primes", Math. Comp. 83, 2014; Harvey, Ann. of Math. 179, 2014).
 
-With a_k = 8(4k-1)(4k-3)(2k-1), the numerator of s(k)/s(k-1) (see binom),
+With s(k)/s(k-1) = a_k/k**e, as binom's record _S of s states it,
 
-    M_k = [[a_k, a_k], [0, k**3 m]],    M_1 M_2 ... M_K = [[A, Y], [0, B]]
+    M_k = [[a_k, a_k], [0, k**e m]],    M_1 M_2 ... M_K = [[A, Y], [0, B]]
 
-gives A = a_1 ... a_K, B = prod_{k<=K} k**3 m and
-Y/B = sum_{1<=k<=K} s(k) m**(-k).  At K = (p-1)/2, past which s(k) = 0
+gives A = a_1 ... a_K, B = prod_{k<=K} k**e m and
+Y/B = sum_{1<=k<=K} s(k) m**(-k).  At K = _S.last(p), past which s(k) = 0
 mod p**2, S(m) = (Y + B)/B mod p**2 wherever p does not divide m, so
 that B is a unit mod p; where p divides m the tables hold no value.  A
 product is held as (A, C, [Y for each m], [B for each m]), C the product
-of the cubes k**3: A and C do not depend on m, so every m shares them,
+of the powers k**e: A and C do not depend on m, so every m shares them,
 and each m adds its own Y and B.  A prefix M_1 ... M_K, whose B is
 C m**K, keeps no B: its B is needed only at the end, as a unit mod p**2,
 and a prefix times a product needs only the product's B.
 
-For ascending primes p_0 < p_1 < ... with K_i = (p_i - 1)/2, prime i needs
+For ascending primes p_0 < p_1 < ... with K_i = _S.last(p_i), prime i needs
 the prefix through K_i mod p_i**2.  The prefix through K_0 is one product,
 by binary splitting.  The leaf at prime i is the product over
 (K_i, K_{i+1}], up to the next prime's K (empty at the last prime), so
@@ -46,7 +46,7 @@ from collections.abc import Iterator, Sequence
 from itertools import accumulate
 from operator import mul
 
-from .binom import _s_numerators
+from .binom import _S
 
 __all__ = [
     "window_sums",
@@ -61,16 +61,16 @@ _SPLIT = 16  # longer spans are split in two (binary splitting)
 
 def _span(lo: int, hi: int, ms: Sequence[int], q: int = 0) -> Node:
     """M_{lo+1} ... M_hi: with n = hi - lo terms, Y is
-    sum_j (a_{lo+1} ... a_{lo+j}) ((lo+j+1)**3 ... hi**3) m**(n-j), by
+    sum_j (a_{lo+1} ... a_{lo+j}) ((lo+j+1)**e ... hi**e) m**(n-j), by
     Horner in m over those coefficients, and B = C m**n.  Exact, but for
     the halves of a long span, which are reduced mod q where they outgrow
     it (q = 0: never)."""
     if hi - lo > _SPLIT:
         mid = (lo + hi) // 2
         return _reduced(_mul(_span(lo, mid, ms, q), _span(mid, hi, ms, q)), q)
-    ks = range(lo + 1, hi + 1)
-    heads = list(accumulate(_s_numerators(lo, hi), mul, initial=1))
-    tails = list(accumulate((k ** 3 for k in reversed(ks)), mul, initial=1))
+    heads = list(accumulate(_S.numerators(lo, hi), mul, initial=1))
+    tails = list(accumulate((k ** _S.e for k in range(hi, lo, -1)), mul,
+                            initial=1))
     n = hi - lo
     coeffs = [heads[j] * tails[n - j] for j in range(1, n + 1)]
     ys = []
@@ -114,12 +114,12 @@ def _window(primes: Sequence[int], after: int, carry: Node, rest: int,
     `carry` is the prefix through the window's first prime, reduced mod
     the moduli of this window and `rest` (those of every later prime);
     `after` is the next window's first prime, or the last prime here."""
-    halves = [(p - 1) // 2 for p in (*primes, after)]
-    leaves = [_span(lo, hi, ms) for lo, hi in zip(halves, halves[1:])]
+    cuts = [_S.last(p) for p in (*primes, after)]
+    leaves = [_span(lo, hi, ms) for lo, hi in zip(cuts, cuts[1:])]
     ahead = list(accumulate((p * p for p in reversed(primes)), mul))[::-1]
     tables = []
     x = carry
-    for p, k, leaf, q in zip(primes, halves, leaves, ahead):
+    for p, k, leaf, q in zip(primes, cuts, leaves, ahead):
         x = _mod(x, q)
         _, c, ys, _ = x
         p2 = p * p
@@ -145,7 +145,7 @@ def window_sums(windows: Sequence[Sequence[int]], ms: Sequence[int]
     for the prefix through its first prime."""
     moduli = [math.prod(p * p for p in w) for w in windows]
     rest = math.prod(moduli)
-    a, c, ys, _ = _span(0, (windows[0][0] - 1) // 2, ms, rest)
+    a, c, ys, _ = _span(0, _S.last(windows[0][0]), ms, rest)
     carry = _mod((a, c, ys, []), rest)
     for i, (primes, q) in enumerate(zip(windows, moduli)):
         rest //= q

@@ -57,11 +57,10 @@ from .arith import (
     jacobi,
     primes_in,
     quad_char,
-    shares_block,
     sqrt_mod_p,
     sqrt_mod_p2,
 )
-from .binom import central_poly, sum_S, sum_T
+from .binom import central_poly, shares_block, sum_S, sum_T
 from .curves import char_sum, power_sum
 from .legendre import legendre_eval
 from .quadform import cornacchia, represent

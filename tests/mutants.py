@@ -84,10 +84,23 @@ MUTANTS = (
     ("csv: the modulus cell always empty", "src/supercong/cli.py",
      '"" if rec.modulus is None else rec.modulus,', '"",',
      ("tests/test_cli.py::test_csv_rows_equal_to_record_rows",)),
-    ("_ratio_series: the factorial walk read upward",
-     "src/supercong/binom.py", "zip(numerators, reversed(down))",
-     "zip(numerators, down)",
+    ("_block: the factorial walk read upward",
+     "src/supercong/binom.py",
+     "zip(series.numerators(0, last), reversed(down))",
+     "zip(series.numerators(0, last), down)",
      ("tests/test_binom.py::test_sum_s_spot_values",)),
+    ("s's record: r = 3, t's cut-off", "src/supercong/binom.py",
+     "e=3, r=2)", "e=3, r=3)",
+     ("tests/test_binom.py::test_records_state_the_cut_offs",)),
+    ("t's record: e = 1", "src/supercong/binom.py",
+     "e=2, r=3)", "e=1, r=3)",
+     ("tests/test_binom.py::test_sum_t_spot_values",)),
+    ("shares_block: t's cut-off may reach lo", "src/supercong/binom.py",
+     "return _T.last(hi) < lo", "return _T.last(hi) <= lo",
+     ("tests/test_binom.py::test_shares_block_is_t_cut_off_below_lo",)),
+    ("sumtree: t's e in place of s's", "src/supercong/sumtree.py",
+     "from .binom import _S\n",
+     "from .binom import _S, _T\n_S = _S._replace(e=_T.e)\n", TREE),
     ("RV256: a class removed from the zero branch",
      "src/supercong/theorems.py",
      '_register("RV256", "proven", m=256, rows=(\n'

@@ -41,13 +41,14 @@ def test_prime_ctx_rejects_non_primes_and_small(bad):
 
 
 def test_prime_ctx_block():
-    """A block defaults to (p,), must hold p, strictly ascend and keep
-    (3*max - 1)//4 < min, and leaves equality and hashing alone."""
+    """A block defaults to (p,), must hold p and strictly ascend, and
+    leaves equality and hashing alone.  (Whether its primes can share a
+    series build is binom's test: see test_binom.)"""
     assert PrimeCtx(11).block == (11,)
     ctx = PrimeCtx(13, (11, 13))
     assert ctx.block == (11, 13)
     assert ctx == PrimeCtx(13) and hash(ctx) == hash(PrimeCtx(13))
-    for block in ((11,), (13, 11), (11, 13, 13), (11, 13, 17)):
+    for block in ((11,), (13, 11), (11, 13, 13)):
         with pytest.raises(ValueError):
             PrimeCtx(13, block)
 
@@ -61,6 +62,24 @@ def test_is_prime_spot():
     assert [n for n in range(60) if is_prime(n)] == primes_in(0, 59)
     assert is_prime(2**31 - 1)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_is_exact_up_to_its_bound():
+    """psi_12, the least strong pseudoprime to the witnesses 2..37, tests
+    composite (41 is a witness), and from psi_13, which passes 2..41, no
+    witness set is proven: is_prime refuses to answer, and so PrimeCtx
+    refuses the number."""
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    for n in (PSI_13, PSI_13 + 2, 2**89 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeCtx(n)
 
 
 def primes_in_reference(lo: int, hi: int) -> list[int]:

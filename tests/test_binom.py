@@ -201,7 +201,7 @@ def central_series(ctx):
 def t_series(ctx):
     """Residues mod p**2 of (4k)!/((2k)! k!**2) for k = 0..p-1, from the
     stored prefix padded with the zeros past k = (3p-1)/4."""
-    prefix = _residues(binom._t_prefix(ctx), ctx)
+    prefix = _residues(binom._prefix(binom._T, ctx), ctx)
     return prefix[::-1] + (0,) * (ctx.p - len(prefix))
 
 
@@ -209,7 +209,7 @@ def _prefixes(ctx):
     """The s and t prefixes of ctx's block build, highest k first, mod
     p**2."""
     return (_residues(binom._series(ctx), ctx),
-            _residues(binom._t_prefix(ctx), ctx))
+            _residues(binom._prefix(binom._T, ctx), ctx))
 
 
 def test_series_follow_the_block_of_the_same_prime():
@@ -223,6 +223,34 @@ def test_series_follow_the_block_of_the_same_prime():
                         % 11**2 for k in range(5, -1, -1))
     assert block == tuple(math.factorial(4 * k) // math.factorial(k) ** 4
                           % (11 * 13) ** 2 for k in range(5, -1, -1))
+
+
+def test_records_state_the_cut_offs():
+    """s's prefix stops at (p-1)/2 and t's at (3p-1)/4, past which
+    v_p(s(k)) = [4k/p] and v_p(t(k)) = [4k/p] - [2k/p] reach 2."""
+    for p in range(1, 10**4, 2):
+        assert binom._S.last(p) == (p - 1) // 2, p
+        assert binom._T.last(p) == (3 * p - 1) // 4, p
+
+
+def test_shares_block_is_t_cut_off_below_lo():
+    """On every pair of primes lo <= hi below 2000."""
+    primes = primes_in(5, 1999)
+    for i, lo in enumerate(primes):
+        for hi in primes[i:]:
+            assert binom.shares_block(lo, hi) == ((3 * hi - 1) // 4 < lo), \
+                (lo, hi)
+
+
+def test_a_block_that_cannot_share_is_refused():
+    """PrimeCtx takes any ascending block that holds p, but the series are
+    never built from one whose ends fail shares_block: 17's t prefix runs
+    to k = 12, whose k! is not a unit mod 11**2."""
+    ctx = PrimeCtx(13, (11, 13, 17))
+    with pytest.raises(ValueError):
+        binom._series(ctx)
+    with pytest.raises(ValueError):
+        binom._prefix(binom._T, ctx)
 
 
 def test_series_agree_with_factorial_route():

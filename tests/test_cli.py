@@ -37,6 +37,15 @@ def test_tools_cornacchia():
     assert (code, out.strip()) == (0, "(1,1)")
 
 
+def test_tools_cornacchia_refuses_a_strong_pseudoprime(capsys):
+    """psi_12 = 399165290221 * 798330580441, the least strong pseudoprime
+    to the bases 2..37, is not taken for a prime: usage error, no output."""
+    assert main(["tools", "cornacchia", "--d", "1",
+                 "--p", "318665857834031151167461"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "prime" in err
+
+
 def test_tools_charsum():
     code, out, _ = run_cli("tools", "charsum", "--cubic", "1,21,112,0",
                            "--p", "11")

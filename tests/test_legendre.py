@@ -134,7 +134,7 @@ def test_p_quarter_is_t_at_every_point():
     for p in primes_in(5, 1999):
         ctx = PrimeCtx(p)
         n, p2 = ctx.qcap, ctx.p2
-        tail = binom._t_prefix(ctx)[:-(n + 1)]  # k > [p/4], highest first
+        tail = binom._prefix(binom._T, ctx)[:-(n + 1)]  # k > [p/4], high first
         assert all(c % p == 0 for c in tail), p
         inv128 = pow(128, -1, p2)
         for t in range(n + 1):

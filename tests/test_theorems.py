@@ -692,13 +692,17 @@ def test_conjecture_sweep_never_builds_t_tail(monkeypatch):
     prime's t prefix read from one."""
     expected = list(verify_range(CONJECTURE_IDS, 5, 300))
     binom.t_poly.cache_clear()
-    binom._t_block.cache_clear()
+    binom._block.cache_clear()
 
-    def tail(arg):
-        raise AssertionError(f"t built for {arg}")
+    def s_only(read):
+        def call(series, arg):
+            if series is binom._T:
+                raise AssertionError(f"t built for {arg}")
+            return read(series, arg)
+        return call
 
-    monkeypatch.setattr(binom, "_t_prefix", tail)
-    monkeypatch.setattr(binom, "_t_block", tail)
+    monkeypatch.setattr(binom, "_prefix", s_only(binom._prefix))
+    monkeypatch.setattr(binom, "_block", s_only(binom._block))
     assert list(verify_range(CONJECTURE_IDS, 5, 300)) == expected
 
 
@@ -731,17 +735,16 @@ def _even_runs(primes, parts):
 
 
 def _whole_or_single(run):
-    """The run as one block where PrimeCtx accepts it as one, else one
+    """The run as one block where its ends pass shares_block, else one
     block per prime."""
-    try:
-        PrimeCtx(run[0], run)
-    except ValueError:
-        return [(p,) for p in run]
-    return [tuple(run)]
+    if binom.shares_block(run[0], run[-1]):
+        return [tuple(run)]
+    return [(p,) for p in run]
 
 
 def test_blocks_cover_the_primes_in_valid_runs():
-    """Every prime once, in order, in runs PrimeCtx accepts: exactly the
+    """Every prime once, in order, in runs that can share a series build
+    (PrimeCtx accepts them, and their ends pass shares_block): exactly the
     even runs by count, each kept whole where its primes share a series
     build and cut into one-prime blocks where not, so at least one block
     per worker.  A run is cut only among small primes: at none above 139
@@ -760,6 +763,7 @@ def test_blocks_cover_the_primes_in_valid_runs():
             assert [p for b in blocks for p in b] == primes
             for block in blocks:
                 assert 1 <= len(block) <= 8
+                assert binom.shares_block(block[0], block[-1])
                 for p in block:
                     PrimeCtx(p, block)
     near = primes_in(19900, 20100)
@@ -799,8 +803,9 @@ def _module_caches():
 
 def test_sweep_keeps_one_prime_of_tables():
     """After a whole-registry sweep and the consistency checks, each
-    per-prime cache holds one entry at most, each block cache one block,
-    and the memos of the live packed polynomials one prime's points."""
+    per-prime cache holds one entry at most, the block cache one build
+    per series, and the memos of the live packed polynomials one prime's
+    points."""
     list(verify_range(ALL_IDS, 5, 200))
     for p in (193, 197, 199):
         ctx = PrimeCtx(p)
@@ -813,12 +818,12 @@ def test_sweep_keeps_one_prime_of_tables():
                 ishii_char_sum(tid, root, ctx)
     caches = _module_caches()
     assert sorted(caches) == [
-        "binom._s_block", "binom._t_block",
-        "binom.central_poly", "binom.t_poly",
+        "binom._block", "binom.central_poly", "binom.t_poly",
         "curves._deuring_poly",
         "legendre._legendre_poly", "theorems.t_roots"]
     for name, cached in caches.items():
-        assert cached.cache_info().currsize <= 1, name
+        assert cached.cache_info().currsize <= 1 + (name == "binom._block"), \
+            name
     # The live S and T polynomials are 199's, and their memos hold only
     # points that the consistency checks at 199 asked for: S(m) at 1/m,
     # and T at (1 - t)/128 with t**2 = 1 - 256/m.
