@@ -725,11 +725,14 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
 def t_roots(m: int, ctx: PrimeCtx):
     """The square roots t of a = 1 - 256/m mod p, for an integer m that p
     does not divide, their lifts mod p**2 and S(m) when there are any
-    roots (else None): the one route from m to t, read by both consistency
-    checks (a sweep asks twice in a row for each (m, p)) and by `supercong
-    sum`.  Where a is a unit mod p, one Hensel lift gives both: the roots
-    are the lifts' residues.  Where a = 0 mod p, the root is 0, lifted to
-    0 when a = 0 (m = 256) and to nothing otherwise."""
+    roots (else None).  Read by both consistency checks (a sweep asks twice
+    in a row for each (m, p)) and by `supercong sum`; C2.1's sampler still
+    takes its t from `sqrt_mod_p2` itself.  Where a is a unit mod p, one
+    Hensel lift gives both: the roots are the lifts' residues.  Where
+    a = 0 mod p, the root is 0, lifted to 0 only when m = 256: where
+    m = 256 mod p**2 and m != 256, a = 0 mod p**2 too and 0 is a square
+    root of it, but no lift is returned (a known gap, kept while it would
+    move a pinned consistency digest)."""
     p, p2 = ctx.p, ctx.p2
     a = (m - 256) * pow(m, -1, p2) % p2
     if a % p:
@@ -746,8 +749,11 @@ def consistency_triangle(m: int, ctx: PrimeCtx) -> dict:
 
     Returns {"skipped": reason} when t is not in F_p; otherwise
     {"mod_p": bool, "mod_p2": bool | None} where the mod-p**2 leg is None
-    when t = 0 mod p and the exact value 1 - 256/m is nonzero (no unit
-    square root exists mod p**2 to feed the 128-denominator sum).
+    when `t_roots` gives no lift: where t = 0 mod p and m != 256.  Where
+    a = 1 - 256/m = 0 mod p but not mod p**2, no square root exists mod
+    p**2.  Where a = 0 mod p**2 (m = 256 mod p**2), t = 0 is one, and it
+    would feed the 128-denominator sum: S(m) = T(1/128)**2 mod p**2 holds
+    there, but `t_roots` does not lift it yet.
     """
     p, p2 = ctx.p, ctx.p2
     roots, lifts, s_val = t_roots(m, ctx)
