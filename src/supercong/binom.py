@@ -115,7 +115,11 @@ def _block(series: _Series, block: tuple[int, ...]) -> list[int]:
 def _prefix(series: _Series, ctx: PrimeCtx) -> tuple[int, ...]:
     """The series' terms for k = last(p) .. 0, highest k first (as
     PackedPoly takes them), modulo the block's modulus: read from the
-    series' build for ctx's block."""
+    series' build for ctx's block.  PackedPoly keeps each term mod p**2
+    in one 64-bit limb, so p >= 2**32 raises OverflowError here, before
+    an O(p) build."""
+    if ctx.p >= 2**32:
+        raise OverflowError(f"S and T need p < 2**32, got p = {ctx.p}")
     return tuple(_block(series, ctx.block)[series.last(ctx.p)::-1])
 
 

@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sum":
             return cmd_sum(args.m, args.p)
         return cmd_tools(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

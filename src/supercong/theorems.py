@@ -685,7 +685,11 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     min(os.cpu_count(), number of primes) processes start.  The records
     depend on neither.  A pool is handed at most 2 * workers blocks ahead
     of the block being read, so a stalled reader holds that many blocks
-    of records at most."""
+    of records at most.  Each worker starts with SIGTERM's default
+    action, whatever handler the caller installed, so the SIGTERM that
+    ends the pool (when the sweep is read to its end or closed) ends
+    every worker wherever it is: a worker left with a Python handler can
+    miss it and hang the teardown."""
     if pmin <= 3 or pmin > pmax:
         raise ValueError("need 3 < pmin <= pmax")
     id_list = tuple(sorted(set(ids)))
@@ -707,9 +711,11 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
         for block in ctxs:
             yield from _eval_block(id_list, block, seed)
         return
-    import multiprocessing  # only a pool needs it: keeps start-up lean
+    import multiprocessing  # only a pool needs them: keeps start-up lean
+    import signal
 
-    with multiprocessing.Pool(workers) as pool:
+    with multiprocessing.Pool(workers, signal.signal,
+                              (signal.SIGTERM, signal.SIG_DFL)) as pool:
         results = (pool.apply_async(_eval_block, (id_list, block, seed))
                    for block in ctxs)
         window = deque(islice(results, 2 * workers))

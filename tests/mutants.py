@@ -98,6 +98,9 @@ MUTANTS = (
     ("shares_block: t's cut-off may reach lo", "src/supercong/binom.py",
      "return _T.last(hi) < lo", "return _T.last(hi) <= lo",
      ("tests/test_binom.py::test_shares_block_is_t_cut_off_below_lo",)),
+    ("_prefix: p past 2**32 left to the packer, after the build",
+     "src/supercong/binom.py", "if ctx.p >= 2**32:", "if False:",
+     ("tests/test_cli.py::test_sum_past_the_limb_bound_is_a_bad_argument",)),
     ("sumtree: t's e in place of s's", "src/supercong/sumtree.py",
      "from .binom import _S\n",
      "from .binom import _S, _T\n_S = _S._replace(e=_T.e)\n", TREE),
@@ -143,6 +146,11 @@ MUTANTS = (
     ("the pool window unbounded", "src/supercong/theorems.py",
      "deque(islice(results, 2 * workers))", "deque(results)",
      ("tests/test_theorems.py::test_pool_holds_a_bounded_window_of_blocks",)),
+    ("pool workers start with SIGINT's default action in place of SIGTERM's",
+     "src/supercong/theorems.py", "(signal.SIGTERM, signal.SIG_DFL)",
+     "(signal.SIGINT, signal.SIG_DFL)",
+     ("tests/test_theorems.py::"
+      "test_pool_workers_start_with_sigterms_default_action",)),
     ("segmented sieve: first multiple off by one", "src/supercong/arith.py",
      "(lo + q - 1) // q * q", "(lo + q) // q * q",
      ("tests/test_arith.py::test_segmented_sieve_matches_whole_sieve",)),

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from supercong import binom
 from supercong.arith import PrimeCtx, primes_in, sqrt_mod_p
 from supercong.binom import sum_S
 from supercong.cli import (_render_csv, _render_jsonl, _wit_str, cmd_sum,
@@ -79,6 +80,23 @@ def test_sum_command():
     assert "not in F_p" in out
     code, _, err = run_cli("sum", "--m", "81", "--p", "3")
     assert code == 2
+
+
+def test_sum_past_the_limb_bound_is_a_bad_argument(monkeypatch, capsys):
+    """S and T keep each term mod p**2 in one 64-bit limb, so they need
+    p < 2**32.  Past that `sum` exits 2 as a bad argument, and `verify`
+    3 as an engine fault, each before a series is built (about 2*10**9
+    terms at p = 4294967311)."""
+    def build(series, block):
+        raise AssertionError(f"a series built for {block}")
+
+    monkeypatch.setattr(binom, "_block", build)
+    assert main(["sum", "--m", "256", "--p", "4294967311"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "need p < 2**32" in err
+    assert main(["verify", "--theorems", "RV256",
+                 "--primes", "4294967311..4294967311"]) == 3
+    assert "OverflowError: S and T need p < 2**32" in capsys.readouterr()[1]
 
 
 def test_sum_prints_both_roots():

@@ -137,7 +137,7 @@ def test_a_tabulated_sweep_starts_no_pool(monkeypatch):
     and an untabulated one, still ask for one."""
     serial = list(verify_range(CONJECTURE_IDS, 5, 1500, workers=1))
 
-    def pool(processes):
+    def pool(processes, *initializer):
         raise AssertionError(f"a pool of {processes} started")
 
     monkeypatch.setattr(multiprocessing, "Pool", pool)

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import pkgutil
 import random
+import signal
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -655,7 +656,7 @@ def serial_pool(sizes: list, tasks: list):
     and runs a task when its result is read."""
 
     class SerialPool:
-        def __init__(self, processes):
+        def __init__(self, processes, *initializer):
             sizes.append(processes)
 
         def __enter__(self):
@@ -706,6 +707,31 @@ def test_pool_holds_a_bounded_window_of_blocks(monkeypatch):
     assert 0 < len(tasks) <= 4
     assert [first, *records] == list(verify_range(["C2.3"], 5, 3000))
     assert len(tasks) > 4
+
+
+def test_pool_workers_start_with_sigterms_default_action(monkeypatch):
+    """The pool's teardown ends its workers by SIGTERM, so each worker
+    starts with the default action even where the caller installed a
+    Python handler, which a worker about to block on the task queue can
+    miss.  The stubbed statement reads each worker's action and then
+    sets the default itself, so even a pool without that rule cannot
+    hang this test; fork hands the stub to the workers."""
+    def action(spec, ctx, seed):
+        seen = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        return [seen]
+
+    def stop(signum, frame):
+        raise SystemExit(f"signal {signum}")
+
+    monkeypatch.setattr(theorems, "verify", action)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    previous = signal.signal(signal.SIGTERM, stop)
+    try:
+        seen = list(verify_range(["C2.3"], 5, 400, workers=2))
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert seen == [True] * len(primes_in(5, 400))
 
 
 def test_conjectures_have_no_candidates_to_300():
