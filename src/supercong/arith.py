@@ -86,10 +86,10 @@ class PrimeCtx:
     binom builds together, modulo the product of their squares; binom
     refuses a block whose primes cannot share a build.  It defaults to
     (p,) and takes no part in equality or hashing: it changes how the
-    series are built, not what they are.  `sums`, in the same way, maps
-    sum arguments m to S(m) mod p**2 where a sweep has tabulated them (see
-    theorems.verify_range); binom.sum_S reads them there instead of
-    packing p's series.  It defaults to no entries.
+    series are built, not what they are.  `sums`, in the same way, holds
+    the sums mod p**2 a sweep has tabulated (see theorems.verify_range),
+    S(m) at ("s", m) and T(x) at ("t", x); binom.sum_S and sum_T read them
+    there instead of packing p's series.  It defaults to no entries.
 
     Immutable after construction (assigning an attribute raises
     AttributeError); safe to share across workers.

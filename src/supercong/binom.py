@@ -38,12 +38,12 @@ reduction a value takes.  The packed polynomials are the per-prime cache:
 the prefixes are not cached, since they keep the block's modulus and a
 PrimeCtx compares by p alone.
 
-A sweep whose statements read S only at fixed m, over a dense range (the
-conjectures, for one; see theorems._tabulated), builds no s series at
-all: sumtree gives S(m) at those m for a whole window of primes from
-products of _S's term-ratio matrices, and sum_S reads the value from
+A sweep whose statements read a series only at fixed points 1/n, over a
+dense range (see theorems._tabulated), builds no such series: sumtree
+gives its sums there for a window of primes at a time from products of
+the record's term-ratio matrices, and sum_S and sum_T read them from
 PrimeCtx.sums.  The packed series stays the route for every other point
-(T2.1's raw points, C2.1's samples), for `supercong sum` and the
+(T2.1's, C2.1's, the P_[p/4] claims'), for `supercong sum` and the
 consistency checks, and the oracle the tables are tested against.
 """
 
@@ -71,6 +71,7 @@ class _Series(NamedTuple):
     """A series whose term at k is its term at k-1 times a numerator over
     k**e, and whose terms are 0 mod p**2 past last(p) = (r*p - 1)//4."""
 
+    name: str  # tags its values in PrimeCtx.sums: a record does not pickle
     numerators: Callable[[int, int], Iterator[int]]  # for lo < k <= hi
     e: int
     r: int
@@ -79,11 +80,11 @@ class _Series(NamedTuple):
         return (self.r * p - 1) // 4
 
 
-_S = _Series(lambda lo, hi: map(mul, map(mul, range(16 * lo + 8, 16 * hi, 16),
-                                         range(4 * lo + 3, 4 * hi, 4)),
-                                range(4 * lo + 1, 4 * hi, 4)), e=3, r=2)
-_T = _Series(lambda lo, hi: map(mul, range(16 * lo + 12, 16 * hi, 16),
-                                range(4 * lo + 1, 4 * hi, 4)), e=2, r=3)
+_S = _Series("s", lambda lo, hi: map(mul, map(
+    mul, range(16 * lo + 8, 16 * hi, 16), range(4 * lo + 3, 4 * hi, 4)),
+    range(4 * lo + 1, 4 * hi, 4)), e=3, r=2)
+_T = _Series("t", lambda lo, hi: map(mul, range(16 * lo + 12, 16 * hi, 16),
+                                     range(4 * lo + 1, 4 * hi, 4)), e=2, r=3)
 
 
 def shares_block(lo: int, hi: int) -> bool:
@@ -150,11 +151,12 @@ def sum_S(m: int, ctx: PrimeCtx) -> int:
         raise ValueError("m must be nonzero")
     if m % ctx.p == 0:
         raise ValueError(f"p = {ctx.p} divides m = {m}")
-    if m in ctx.sums:
-        return ctx.sums[m]
+    if (key := (_S.name, m)) in ctx.sums:
+        return ctx.sums[key]
     return central_poly(ctx)(pow(m, -1, ctx.p2))
 
 
 def sum_T(x: int, ctx: PrimeCtx) -> int:
-    """sum_{k=0}^{p-1} (4k)!/((2k)! k!**2) * x**k mod p**2."""
-    return t_poly(ctx)(x)
+    """sum_{k=0}^{p-1} (4k)!/((2k)! k!**2) * x**k mod p**2 (see sum_S)."""
+    key = (_T.name, x % ctx.p2)
+    return ctx.sums[key] if key in ctx.sums else t_poly(ctx)(x)

@@ -1,15 +1,15 @@
-"""S(m) mod p**2 at fixed sum arguments m for every prime of a range, by
-a prefix product carried from window to window of primes, as in an
+"""A series' sums mod p**2 at fixed points 1/m for every prime of a range,
+by a prefix product carried from window to window of primes, as in an
 accumulating remainder tree (Costa, Gerbicz and Harvey, "A search for
 Wilson primes", Math. Comp. 83, 2014; Harvey, Ann. of Math. 179, 2014).
 
-With s(k)/s(k-1) = a_k/k**e, as binom's record _S of s states it,
+With c(k)/c(k-1) = a_k/k**e, as the binom record passed in (_S, _T) states,
 
     M_k = [[a_k, a_k], [0, k**e m]],    M_1 M_2 ... M_K = [[A, Y], [0, B]]
 
 gives A = a_1 ... a_K, B = prod_{k<=K} k**e m and
-Y/B = sum_{1<=k<=K} s(k) m**(-k).  At K = _S.last(p), past which s(k) = 0
-mod p**2, S(m) = (Y + B)/B mod p**2 wherever p does not divide m, so
+Y/B = sum_{1<=k<=K} c(k) m**(-k).  At K = last(p) < p, past which c(k) = 0
+mod p**2, the sum is (Y + B)/B mod p**2 wherever p does not divide m, so
 that B is a unit mod p; where p divides m the tables hold no value.  A
 product is held as (A, C, [Y for each m], [B for each m]), C the product
 of the powers k**e: A and C do not depend on m, so every m shares them,
@@ -17,7 +17,7 @@ and each m adds its own Y and B.  A prefix M_1 ... M_K, whose B is
 C m**K, keeps no B: its B is needed only at the end, as a unit mod p**2,
 and a prefix times a product needs only the product's B.
 
-For ascending primes p_0 < p_1 < ... with K_i = _S.last(p_i), prime i needs
+For ascending primes p_0 < p_1 < ... with K_i = last(p_i), prime i needs
 the prefix through K_i mod p_i**2.  The prefix through K_0 is one product,
 by binary splitting.  The leaf at prime i is the product over
 (K_i, K_{i+1}], up to the next prime's K (empty at the last prime), so
@@ -46,7 +46,7 @@ from collections.abc import Iterator, Sequence
 from itertools import accumulate
 from operator import mul
 
-from .binom import _S
+from .binom import _Series
 
 __all__ = [
     "window_sums",
@@ -59,7 +59,8 @@ Node = tuple[int, int, list[int], list[int]]
 _SPLIT = 16  # longer spans are split in two (binary splitting)
 
 
-def _span(lo: int, hi: int, ms: Sequence[int], q: int = 0) -> Node:
+def _span(series: _Series, lo: int, hi: int, ms: Sequence[int],
+          q: int = 0) -> Node:
     """M_{lo+1} ... M_hi: with n = hi - lo terms, Y is
     sum_j (a_{lo+1} ... a_{lo+j}) ((lo+j+1)**e ... hi**e) m**(n-j), by
     Horner in m over those coefficients, and B = C m**n.  Exact, but for
@@ -67,9 +68,10 @@ def _span(lo: int, hi: int, ms: Sequence[int], q: int = 0) -> Node:
     it (q = 0: never)."""
     if hi - lo > _SPLIT:
         mid = (lo + hi) // 2
-        return _reduced(_mul(_span(lo, mid, ms, q), _span(mid, hi, ms, q)), q)
-    heads = list(accumulate(_S.numerators(lo, hi), mul, initial=1))
-    tails = list(accumulate((k ** _S.e for k in range(hi, lo, -1)), mul,
+        return _reduced(_mul(_span(series, lo, mid, ms, q),
+                             _span(series, mid, hi, ms, q)), q)
+    heads = list(accumulate(series.numerators(lo, hi), mul, initial=1))
+    tails = list(accumulate((k ** series.e for k in range(hi, lo, -1)), mul,
                             initial=1))
     n = hi - lo
     coeffs = [heads[j] * tails[n - j] for j in range(1, n + 1)]
@@ -107,15 +109,16 @@ def _reduced(x: Node, q: int) -> Node:
     return _mod(x, q) if q and _bits(x) > q.bit_length() else x
 
 
-def _window(primes: Sequence[int], after: int, carry: Node, rest: int,
-            ms: Sequence[int]) -> tuple[list[dict[int, int]], Node]:
+def _window(series: _Series, primes: Sequence[int], after: int, carry: Node,
+            rest: int, ms: Sequence[int]
+            ) -> tuple[list[dict[int, int]], Node]:
     """The tables of one window, by a scan over its primes, and the carry
     past it, `carry` times the product of the window's leaves mod `rest`.
     `carry` is the prefix through the window's first prime, reduced mod
     the moduli of this window and `rest` (those of every later prime);
     `after` is the next window's first prime, or the last prime here."""
-    cuts = [_S.last(p) for p in (*primes, after)]
-    leaves = [_span(lo, hi, ms) for lo, hi in zip(cuts, cuts[1:])]
+    cuts = [series.last(p) for p in (*primes, after)]
+    leaves = [_span(series, lo, hi, ms) for lo, hi in zip(cuts, cuts[1:])]
     ahead = list(accumulate((p * p for p in reversed(primes)), mul))[::-1]
     tables = []
     x = carry
@@ -134,21 +137,21 @@ def _window(primes: Sequence[int], after: int, carry: Node, rest: int,
     return tables, _mod(_mul(carry, leaves[0]), rest)
 
 
-def window_sums(windows: Sequence[Sequence[int]], ms: Sequence[int]
-                ) -> Iterator[dict[int, int]]:
+def window_sums(windows: Sequence[Sequence[int]], series: _Series,
+                ms: Sequence[int]) -> Iterator[dict[int, int]]:
     """For each prime of `windows` -- runs of primes greater than 3, each
-    ascending and each after the last -- in order, the table
-    {m: S(m) mod p**2} over the nonzero integers m of `ms` that p does not
-    divide.  The tables are computed a window at a time, and only one
+    ascending and each after the last -- in order, the table {m: the sum
+    of `series` at 1/m mod p**2} over the nonzero m of `ms` that p does
+    not divide.  The tables are computed a window at a time, and only one
     window's leaves are held: the cost of a window grows with its own span
     of k and with the moduli still ahead, and the first window also pays
     for the prefix through its first prime."""
     moduli = [math.prod(p * p for p in w) for w in windows]
     rest = math.prod(moduli)
-    a, c, ys, _ = _span(0, _S.last(windows[0][0]), ms, rest)
+    a, c, ys, _ = _span(series, 0, series.last(windows[0][0]), ms, rest)
     carry = _mod((a, c, ys, []), rest)
     for i, (primes, q) in enumerate(zip(windows, moduli)):
         rest //= q
         after = windows[i + 1][0] if i + 1 < len(windows) else primes[-1]
-        tables, carry = _window(primes, after, carry, rest, ms)
+        tables, carry = _window(series, primes, after, carry, rest, ms)
         yield from tables

@@ -23,12 +23,12 @@ claims from an rng seeded per statement and prime.  verify turns claims
 into VerdictReport records: it reduces both sides by the modulus and
 compares them.  verify_range sweeps a prime interval, optionally fanning
 out across worker processes with a deterministic ordered merge.  Each
-statement declares what its claims read, in TheoremSpec.reads: the fixed m
-at which they read S, and "T" where they read T, or None where they read
-points that depend on p.  Where no selected statement declares None and
-the range is dense (_tabulated, the one rule), the sweep reads S(m) from
-sumtree's tables, computed a window of primes at a time, instead of
-packing each prime's s series: no conjecture reads S anywhere else.
+statement declares its reads in TheoremSpec.reads, as pairs (series, n):
+binom's record _S or _T, read at 1/n, n None where the point depends on
+p.  For each series that no selected statement reads at such a point,
+over a dense range (_tabulated, the one rule), the sweep reads its sums
+from sumtree's tables, a window of primes at a time, instead of packing
+each prime's series: the conjectures' S(m), C2.3's T(1/128).
 
 Failures of proven statements are genuine failures; failures of
 conjecture-kind statements are downgraded to counterexample candidates by
@@ -60,7 +60,7 @@ from .arith import (
     sqrt_mod_p,
     sqrt_mod_p2,
 )
-from .binom import central_poly, shares_block, sum_S, sum_T
+from .binom import _S, _T, _Series, central_poly, shares_block, sum_S, sum_T
 from .curves import char_sum, power_sum
 from .legendre import legendre_eval
 from .quadform import cornacchia, represent
@@ -162,9 +162,9 @@ class TheoremSpec(NamedTuple):
     branches: tuple[Branch, ...] = ()
     claims: Callable[["TheoremSpec", PrimeCtx, int],
                      Iterable[Claim]] = _branch_claims
-    # the fixed m at which the claims read S, and "T" where they read T;
-    # None where they read points that depend on p
-    reads: tuple[int | str, ...] | None = ()
+    # (series, n): the claims read the series' sum at 1/n, n None where
+    # the point depends on p
+    reads: tuple[tuple[_Series, int | None], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +374,7 @@ def _register(tid: str, kind: str,
     if tid in REGISTRY:
         raise ValueError(f"duplicate id {tid}")
     if "m" in fields:
-        fields["reads"] = (fields["m"], *fields.get("reads", ()))
+        fields["reads"] = ((_S, fields["m"]), *fields.get("reads", ()))
     n = lcm(applies[0], *(row[1] for row in rows))
     REGISTRY[tid] = TheoremSpec(
         tid, kind, n, _lift(n, *applies),
@@ -388,9 +388,9 @@ _register("RV256", "proven", m=256, rows=(
     _classes(8, (5, 7)),
 ))
 
-_register("T2.1", "proven", claims=_t21_claims, reads=None)
+_register("T2.1", "proven", claims=_t21_claims, reads=((_S, None), (_T, None)))
 
-_register("C2.1", "proven", claims=_c21_claims, reads=None)
+_register("C2.1", "proven", claims=_c21_claims, reads=((_S, None), (_T, None)))
 
 _register("C2.2", "proven", claims=_c22_claims)  # reads set below
 
@@ -401,7 +401,7 @@ _register(
                    _rhs_c23),),
     claims=lambda spec, ctx, seed: _branch_claims(
         spec, ctx, seed, _t_at(0, ctx)),
-    reads=("T",),
+    reads=((_T, 128),),
 )
 
 _register(
@@ -415,7 +415,7 @@ _register(
     # opposite sign (see eq31_sign_survey in tests/test_theorems.py)
     claims=_p_claims(-7, (5, 9), (21, 3),
                      lambda ctx, w: jacobi(w["C"], 7) * 2 * w["C"]),
-    reads=("T",),
+    reads=((_T, None),),
 )
 
 _register(
@@ -426,7 +426,7 @@ _register(
         _classes(12, (11,)),
     ),
     claims=_p_claims(3, (7, 12), (2, 2), lambda ctx, w: 2 * w["x"]),
-    reads=("T",),
+    reads=((_T, None),),
 )
 
 # (d/p) = (p/d) for d = 13, 37, 29 (d = 1 mod 4), a class of p mod d
@@ -449,7 +449,7 @@ _register(
     claims=_p_claims(2, (2, 3), (0, 1),
                      lambda ctx, w: (-1) ** (ctx.half % 2)
                      * jacobi(w["x"], 3) * 2 * w["x"]),
-    reads=("T",),
+    reads=((_T, None),),
 )
 
 _register("T3.6", "proven", (5, (1, 4)), m=12 ** 4, rows=(
@@ -483,7 +483,7 @@ _register("T3.10", "proven", (5, (1, 4)), m=_M_T310, rows=(
 
 # every prime, as classes mod 84, the period of _T311_PARTS
 _register("T3.11", "proven", (84, range(84)), claims=_t311_claims,
-          reads=tuple(m for m, _, _ in _T311_PARTS))
+          reads=tuple((_S, m) for m, _, _ in _T311_PARTS))
 
 _register("Conj-A3", "conjecture", m=81, excluded=frozenset({7}), rows=(
     _classes(7, (1, 2, 4), 2, _form_wit(7), _quad(4, -2)),
@@ -567,30 +567,31 @@ ALL_IDS: tuple[str, ...] = tuple(REGISTRY)
 #: statement checks, in registry order; T3.11 contributes three arguments.
 SUM_ARGUMENTS: tuple[tuple[str, int], ...] = tuple(
     (tid, m) for tid, s in REGISTRY.items() if s.kind == "proven"
-    for m in s.reads or () if m != "T")
+    for series, m in s.reads if series is _S and m is not None)
 
 # without 256, which C2.2's own (m - 256) % p filter drops at every prime
 _C22_TEST_SET = tuple(sorted({m for _, m in SUM_ARGUMENTS} - {256}))
-REGISTRY["C2.2"] = REGISTRY["C2.2"]._replace(reads=_C22_TEST_SET)
+REGISTRY["C2.2"] = REGISTRY["C2.2"]._replace(
+    reads=tuple((_S, m) for m in _C22_TEST_SET))
 
-_DENSE = 32  # the fewest primes on which sweeps read S from sumtree's tables
+_DENSE = 32  # the fewest primes on which sweeps read sumtree's tables
+_Points = dict[_Series, tuple[int, ...] | None]  # as _tabulated gives them
 
 
-def _tabulated(ids: Iterable[str], primes: list[int]) -> tuple[int, ...]:
-    """The sum arguments m at which a sweep of the statements `ids` over the
-    ascending `primes` reads S(m) from sumtree's tables, or () where each
-    prime packs its own series.  The one rule for when the tables run:
-    no statement's reads are None, since a point that depends on p needs
-    p's packed series anyway, and the range is dense: it holds at least
-    _DENSE primes.  The tables then hold every m the statements' reads
-    declare.  The tables first build the prefix through the first prime,
-    (p_0 - 1)/2 terms, and that costs about as much as packing the series
-    of 15 to 30 primes near p_0, each of about as many terms (measured for
-    p_0 up to 10**5): on fewer primes, packing is cheaper."""
-    reads = [REGISTRY[tid].reads for tid in ids]
-    if None in reads or len(primes) < _DENSE:
-        return ()
-    return tuple(sorted({m for r in reads for m in r if m != "T"}))
+def _tabulated(ids: Iterable[str], primes: list[int]) -> _Points:
+    """For each series the statements `ids` read, every n they declare
+    for it, where a sweep over the ascending `primes` reads its sums at
+    1/n from sumtree's tables, or None where each prime packs the series.
+    The one rule, the same for every series: the range is dense (at least
+    _DENSE primes) and no statement reads the series at a point that
+    depends on p (n None), which needs p's packed series anyway.  The
+    tables first build the prefix through the first prime, about as
+    costly as packing the series of 15 to 30 primes near p_0 (measured
+    for s, p_0 up to 10**5): on fewer primes, packing is cheaper."""
+    reads = {read for tid in ids for read in REGISTRY[tid].reads}
+    return {series: tuple(sorted(n for s, n in reads if s is series))
+            if len(primes) >= _DENSE and (series, None) not in reads else None
+            for series, _ in reads}
 
 
 # ---------------------------------------------------------------------------
@@ -656,17 +657,21 @@ def _blocks(primes: list[int], parts: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _prime_sums(ms: tuple[int, ...], primes: list[int]
-                ) -> Iterator[dict[int, int]]:
-    """The S(m) table of each of the ascending primes at the points `ms`:
-    sumtree's, one window of _WINDOW primes at a time, or empty tables
-    where `ms` is () (sumtree is then not imported)."""
-    if not ms:
+def _prime_sums(points: _Points, primes: list[int]) -> Iterator[dict]:
+    """The tables of each of the ascending primes, keyed as binom reads
+    them, S(m) at ("s", m) and T(1/n) at ("t", 1/n mod p**2): sumtree's
+    for each series that `points` tabulates, a window of _WINDOW primes at
+    a time, or empty (sumtree is then not imported)."""
+    runs = [(series, ns) for series, ns in points.items() if ns]
+    if not runs:
         return repeat({})
     from .sumtree import window_sums
 
-    return window_sums([primes[i:i + _WINDOW]
-                        for i in range(0, len(primes), _WINDOW)], ms)
+    windows = [primes[i:i + _WINDOW] for i in range(0, len(primes), _WINDOW)]
+    rows = zip(*(window_sums(windows, *run) for run in runs))
+    return ({(s.name, n if s is _S else pow(n, -1, p * p)): value
+             for (s, _), table in zip(runs, row) for n, value in table.items()}
+            for p, row in zip(primes, rows))
 
 
 def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
@@ -676,12 +681,12 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
 
     The primes are cut by _blocks into even runs that share their series
     builds, or below p = 140 into single primes, one block per task: at
-    least as many as workers, so every worker has one.  Where _tabulated
-    names sum arguments, this process computes sumtree's tables of S at
-    them, a window of _WINDOW primes at a time as the blocks are reached,
-    and each PrimeCtx carries its prime's table, to a worker where there
-    is a pool.  There is none where no statement declares "T" among its
-    reads, as the tables are then all the O(p) work; otherwise at most
+    least as many as workers, so every worker has one.  For each series
+    that _tabulated gives points, this process computes sumtree's tables
+    at them, a window of _WINDOW primes at a time as the blocks are
+    reached, and each PrimeCtx carries its prime's tables, to a worker
+    where there is a pool.  There is none where no series is packed, as
+    the tables are then all the O(p) work; otherwise at most
     min(os.cpu_count(), number of primes) processes start.  The records
     depend on neither.  A pool is handed at most 2 * workers blocks ahead
     of the block being read, so a stalled reader holds that many blocks
@@ -699,12 +704,12 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     if not id_list:
         return
     primes = primes_in(pmin, pmax)
-    ms = _tabulated(id_list, primes)
-    if ms and not any("T" in REGISTRY[tid].reads for tid in id_list):
+    points = _tabulated(id_list, primes)
+    if None not in points.values():
         workers = 1
     workers = max(1, min(workers, os.cpu_count() or 1, len(primes)))
     blocks = _blocks(primes, workers)
-    sums = _prime_sums(ms, primes)
+    sums = _prime_sums(points, primes)
     ctxs = (tuple(PrimeCtx(p, block, s) for p, s in zip(block, sums))
             for block in blocks)
     if workers <= 1:

@@ -37,6 +37,7 @@ TREE = ("tests/test_sumtree.py::test_tree_matches_packed_series",)
 BLOCKS = (
     "tests/test_theorems.py::test_blocks_cover_the_primes_in_valid_runs",)
 READS = ("tests/test_sumtree.py::test_each_statement_reads_what_it_declares",)
+C23 = ("tests/test_sumtree.py::test_c23_reads_t_from_the_tables",)
 LANES = ("tests/test_binom.py::test_packed_lane_width_is_needed",
          "tests/test_binom.py::test_packed_layout_boundaries")
 T_ROOTS = (
@@ -102,8 +103,7 @@ MUTANTS = (
      "src/supercong/binom.py", "if ctx.p >= 2**32:", "if False:",
      ("tests/test_cli.py::test_sum_past_the_limb_bound_is_a_bad_argument",)),
     ("sumtree: t's e in place of s's", "src/supercong/sumtree.py",
-     "from .binom import _S\n",
-     "from .binom import _S, _T\n_S = _S._replace(e=_T.e)\n", TREE),
+     "k ** series.e for k", "k ** 2 for k", TREE),
     ("RV256: a class removed from the zero branch",
      "src/supercong/theorems.py",
      '_register("RV256", "proven", m=256, rows=(\n'
@@ -191,7 +191,8 @@ MUTANTS = (
      "(1 - t)", "(1 + t)",
      ("tests/test_theorems.py::test_p_claim_robust_under_root_choice",)),
     ("sumtree: each leaf one k short", "src/supercong/sumtree.py",
-     "_span(lo, hi, ms) for lo, hi", "_span(lo + 1, hi, ms) for lo, hi",
+     "_span(series, lo, hi, ms) for lo, hi",
+     "_span(series, lo + 1, hi, ms) for lo, hi",
      TREE),
     ("sumtree: a scan step that drops its leaf", "src/supercong/sumtree.py",
      "x = _mul(x, leaf)", "x = x", TREE),
@@ -201,7 +202,8 @@ MUTANTS = (
      "ahead = [p * p for p in primes]", TREE),
     ("sumtree: the carry's product leaves out the window's first leaf",
      "src/supercong/sumtree.py", "    while len(leaves) > 1:\n",
-     "    leaves[0] = _span(0, 0, ms)\n    while len(leaves) > 1:\n", TREE),
+     "    leaves[0] = _span(series, 0, 0, ms)\n    while len(leaves) > 1:\n",
+     TREE),
     ("sumtree: first prefix reduced mod the first window's moduli alone",
      "src/supercong/sumtree.py", "ms, rest)\n", "ms, moduli[0])\n", TREE),
     ("tables: one window for the whole range", "src/supercong/theorems.py",
@@ -213,24 +215,31 @@ MUTANTS = (
      ("tests/test_sumtree.py::test_a_tabulated_sweep_starts_no_pool",)),
     ("a tabulated sweep that reads T kept in one process",
      "src/supercong/theorems.py",
-     'if ms and not any("T" in REGISTRY[tid].reads for tid in id_list):',
-     "if ms:",
+     "if None not in points.values():", "if any(points.values()):",
      ("tests/test_sumtree.py::test_a_tabulated_sweep_starts_no_pool",)),
     ("tables: C2.1's sampled points taken as fixed",
-     "src/supercong/theorems.py", "claims=_c21_claims, reads=None)",
+     "src/supercong/theorems.py",
+     "claims=_c21_claims, reads=((_S, None), (_T, None)))",
      "claims=_c21_claims)", ("tests/test_sumtree.py::test_dense_rule",)),
     ("T3.1 declared without its T reads", "src/supercong/theorems.py",
-     'jacobi(w["C"], 7) * 2 * w["C"]),\n    reads=("T",),',
+     'jacobi(w["C"], 7) * 2 * w["C"]),\n    reads=((_T, None),),',
      'jacobi(w["C"], 7) * 2 * w["C"]),', READS),
     ("a declared read drops its m", "src/supercong/theorems.py",
-     'fields["reads"] = (fields["m"], *fields.get("reads", ()))',
-     'fields.setdefault("reads", (fields["m"],))', READS),
+     'fields["reads"] = ((_S, fields["m"]), *fields.get("reads", ()))',
+     'fields.setdefault("reads", ((_S, fields["m"]),))', READS),
     ("T3.11 declared without its first sum argument",
      "src/supercong/theorems.py", "for m, _, _ in _T311_PARTS))",
      "for m, _, _ in _T311_PARTS[1:]))", READS),
     ("sum_S: the tables never read", "src/supercong/binom.py",
-     "if m in ctx.sums:", "if False:",
+     "if (key := (_S.name, m)) in ctx.sums:", "if False:",
      ("tests/test_sumtree.py::test_routes_agree_through_the_engine",)),
+    ("sum_T: the tables never read", "src/supercong/binom.py",
+     "if key in ctx.sums else t_poly", "if False else t_poly", C23),
+    ("C2.3 declared (_T, None)", "src/supercong/theorems.py",
+     "reads=((_T, 128),)", "reads=((_T, None),)", C23),
+    ("T tables keyed at n instead of 1/n mod p**2",
+     "src/supercong/theorems.py", "n if s is _S else pow(n, -1, p * p)", "n",
+     C23),
     ("blocks: a run that cannot share kept whole",
      "src/supercong/theorems.py",
      "if shares_block(run[0], run[-1])", "if True", BLOCKS),

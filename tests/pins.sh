@@ -27,8 +27,9 @@ row() {  # theorems, primes, seed, format, workers, sha256 of the stream
     pin "$name" "$got" "$6"
 }
 
-# Tabulated sweep that reads T (S from the remainder-tree tables, t series
-# in the pool), on 3 workers and on 1.
+# Tabulated sweep that packs t (T3.1 and T3.5 read T at points that depend
+# on p; S from the remainder-tree tables, t series in the pool), on 3
+# workers and on 1.
 mixed=all-conjectures,C2.3,T3.1,T3.5
 row $mixed 5..4000 0 jsonl 3 f547afc1e6d66ea1a10cf97131b99701a8dd59cbc68d334c7544e020b18b380d
 row $mixed 5..4000 0 jsonl 1 f547afc1e6d66ea1a10cf97131b99701a8dd59cbc68d334c7544e020b18b380d
@@ -75,6 +76,13 @@ row all-conjectures 5..10000 0 jsonl 1 f529ade35b53aaf000a796ede71072fd9512b36df
 # All-conjectures from a high start: a first prefix of 50 000 terms carried
 # across two windows of tables.
 row all-conjectures 100000..101000 0 jsonl 1 ae94f243eb27d4a0b20b0581969a3e91376719691415d0615b098aa4504b924c
+
+# All-conjectures with C2.3, asked for 2 workers: S at the conjectures' m and
+# T at 1/128 both from the tables, so no series is packed and the sweep runs
+# in one process, from p = 5 and from a high start (t's first prefix then
+# has 75 000 terms).
+row all-conjectures,C2.3 5..10000 0 jsonl 2 20ff6b2d6677a4ce6e6acb6db3fb86fea9554ede77e3039a477f9b46c30d4d72
+row all-conjectures,C2.3 100000..101000 0 jsonl 2 59899ad153cd206c2c0eda272c92ef03b6541adfcaa00d506d18fbdf2bf40a7e
 
 # Whole registry through wide packed lanes: S and T in 9-byte lanes over
 # 30000..30100 and in 10-byte lanes over 100000..100060, on 2 workers and on 1.

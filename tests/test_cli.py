@@ -339,9 +339,12 @@ def test_a_closed_stdout_is_not_an_engine_error(workers):
                           stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline().startswith(b'{"record":"header"')
         proc.stdout.close()
-        err = proc.stderr.read().decode()
-        code = proc.wait(timeout=120)
-    assert code == 141, err
+        try:
+            err = proc.communicate(timeout=120)[1].decode()
+        except subprocess.TimeoutExpired:
+            proc.kill()  # Popen.__exit__ waits for the child, unbounded
+            pytest.fail(f"{' '.join(cmd[1:])} still running after 120 s")
+    assert proc.returncode == 141, err
     assert "Traceback" not in err and "internal error" not in err
     assert err.rstrip().endswith(" records: 0 failures, "
                                  "0 counterexample-candidates")

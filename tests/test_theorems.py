@@ -697,15 +697,15 @@ def test_pool_holds_a_bounded_window_of_blocks(monkeypatch):
     """A pool is handed at most 2 * workers blocks ahead of the reader: when
     the first record of a 5..3000 sweep on 2 workers has been read, at
     most 4 of its blocks have been submitted, and the records are the
-    one-worker sweep's.  C2.3 reads T only, so the sweep is untabulated
-    and pooled."""
+    one-worker sweep's.  T3.1 reads T at points that depend on p, so
+    each block packs t's series and the sweep is pooled."""
     tasks = []
     monkeypatch.setattr(multiprocessing, "Pool", serial_pool([], tasks))
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
-    records = verify_range(["C2.3"], 5, 3000, workers=2)
+    records = verify_range(["T3.1"], 5, 3000, workers=2)
     first = next(records)
     assert 0 < len(tasks) <= 4
-    assert [first, *records] == list(verify_range(["C2.3"], 5, 3000))
+    assert [first, *records] == list(verify_range(["T3.1"], 5, 3000))
     assert len(tasks) > 4
 
 
@@ -715,7 +715,8 @@ def test_pool_workers_start_with_sigterms_default_action(monkeypatch):
     Python handler, which a worker about to block on the task queue can
     miss.  The stubbed statement reads each worker's action and then
     sets the default itself, so even a pool without that rule cannot
-    hang this test; fork hands the stub to the workers."""
+    hang this test; fork hands the stub to the workers.  T3.1 packs t's
+    series, so its sweep is pooled."""
     def action(spec, ctx, seed):
         seen = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -728,7 +729,7 @@ def test_pool_workers_start_with_sigterms_default_action(monkeypatch):
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     previous = signal.signal(signal.SIGTERM, stop)
     try:
-        seen = list(verify_range(["C2.3"], 5, 400, workers=2))
+        seen = list(verify_range(["T3.1"], 5, 400, workers=2))
     finally:
         signal.signal(signal.SIGTERM, previous)
     assert seen == [True] * len(primes_in(5, 400))
