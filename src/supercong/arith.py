@@ -96,7 +96,7 @@ class PrimeCtx:
     """
 
     def __init__(self, p: int, block: Sequence[int] = (),
-                 sums: Mapping[int, int] | None = None) -> None:
+                 sums: Mapping[tuple[str, int], int] | None = None) -> None:
         block = tuple(block) or (p,)
         if not isinstance(p, int) or p <= 3 or not is_prime(p):
             raise ValueError(f"p must be a prime greater than 3, got {p!r}")

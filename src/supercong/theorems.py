@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import os
 import random
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -679,22 +678,15 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
     """Verdicts for every statement in `ids` and every prime in
     [pmin, pmax], in ascending (p, id) order regardless of worker count.
 
-    The primes are cut by _blocks into even runs that share their series
-    builds, or below p = 140 into single primes, one block per task: at
-    least as many as workers, so every worker has one.  For each series
-    that _tabulated gives points, this process computes sumtree's tables
-    at them, a window of _WINDOW primes at a time as the blocks are
-    reached, and each PrimeCtx carries its prime's tables, to a worker
-    where there is a pool.  There is none where no series is packed, as
-    the tables are then all the O(p) work; otherwise at most
-    min(os.cpu_count(), number of primes) processes start.  The records
-    depend on neither.  A pool is handed at most 2 * workers blocks ahead
-    of the block being read, so a stalled reader holds that many blocks
-    of records at most.  Each worker starts with SIGTERM's default
-    action, whatever handler the caller installed, so the SIGTERM that
-    ends the pool (when the sweep is read to its end or closed) ends
-    every worker wherever it is: a worker left with a Python handler can
-    miss it and hang the teardown."""
+    _blocks cuts the primes into blocks, at least as many as workers.
+    This process computes sumtree's tables at the points that _tabulated
+    gives, a window of _WINDOW primes at a time as the blocks are reached,
+    and each PrimeCtx carries its prime's tables.  Where some series is
+    packed, at most min(os.cpu_count(), number of primes) workers start
+    (_work), each with its own pipe; the records depend on neither.
+    Block j goes to worker j mod workers, and block j + 2 * workers once
+    block j's records have been read.  A worker that dies is an engine
+    error; when the sweep ends or is closed, the workers are killed."""
     if pmin <= 3 or pmin > pmax:
         raise ValueError("need 3 < pmin <= pmax")
     id_list = tuple(sorted(set(ids)))
@@ -716,17 +708,55 @@ def verify_range(ids: Iterable[str], pmin: int, pmax: int, seed: int = 0,
         for block in ctxs:
             yield from _eval_block(id_list, block, seed)
         return
-    import multiprocessing  # only a pool needs them: keeps start-up lean
-    import signal
+    import multiprocessing  # only workers need it: keeps start-up lean
 
-    with multiprocessing.Pool(workers, signal.signal,
-                              (signal.SIGTERM, signal.SIG_DFL)) as pool:
-        results = (pool.apply_async(_eval_block, (id_list, block, seed))
-                   for block in ctxs)
-        window = deque(islice(results, 2 * workers))
-        while window:
-            yield from window.popleft().get()
-            window.extend(islice(results, 1))
+    ends, procs = [], []
+    try:
+        for _ in range(workers):
+            ours, theirs = multiprocessing.Pipe()
+            ends.append(ours)
+            proc = multiprocessing.Process(
+                target=_work, args=(theirs, tuple(ends), id_list, seed),
+                daemon=True)  # terminated at exit if the sweep is left open
+            proc.start()
+            procs.append(proc)
+            theirs.close()  # else a worker that dies never reads as EOF
+        for j in range(len(blocks) + 2 * workers):
+            end = ends[j % workers]  # block j's worker, and j - 2 * workers'
+            if j >= 2 * workers:
+                yield from _over(end.recv)
+            if j < len(blocks):
+                _over(end.send, next(ctxs))
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.join()
+
+
+def _work(end, inherited: tuple, ids: tuple[str, ...], seed: int) -> None:
+    """Close the reader's inherited ends, then answer each block on `end`
+    with its records, or the exception raised instead, until EOF."""
+    for copy in inherited:
+        copy.close()
+    try:
+        for block in iter(end.recv, None):
+            try:
+                end.send(_eval_block(ids, block, seed))
+            except Exception as exc:  # the reader raises it (_over)
+                end.send(exc)
+    except (EOFError, OSError):  # the reader has gone
+        pass
+
+
+def _over(call: Callable, *args):
+    """call(*args) on a worker's pipe, where a broken pipe is a dead worker."""
+    try:
+        result = call(*args)
+    except (EOFError, OSError) as exc:
+        raise RuntimeError("a sweep worker died") from exc
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -143,14 +143,29 @@ MUTANTS = (
      "src/supercong/binom.py", "def _series(",
      "@lru_cache(maxsize=1)\ndef _series(",
      ("tests/test_binom.py::test_series_follow_the_block_of_the_same_prime",)),
-    ("the pool window unbounded", "src/supercong/theorems.py",
-     "deque(islice(results, 2 * workers))", "deque(results)",
-     ("tests/test_theorems.py::test_pool_holds_a_bounded_window_of_blocks",)),
-    ("pool workers start with SIGINT's default action in place of SIGTERM's",
-     "src/supercong/theorems.py", "(signal.SIGTERM, signal.SIG_DFL)",
-     "(signal.SIGINT, signal.SIG_DFL)",
-     ("tests/test_theorems.py::"
-      "test_pool_workers_start_with_sigterms_default_action",)),
+    ("workers: the window of blocks unbounded", "src/supercong/theorems.py",
+     "range(len(blocks) + 2 * workers):\n"
+     "            end = ends[j % workers]  # block j's worker, and j - 2 * "
+     "workers'\n            if j >= 2 * workers:",
+     "range(len(blocks) * (workers + 1)):\n"
+     "            end = ends[j % workers]\n"
+     "            if j >= len(blocks) * workers:",
+     ("tests/test_theorems.py::test_workers_hold_a_bounded_window_of_blocks",
+      )),
+    ("workers: the reader keeps each worker's pipe end open",
+     "src/supercong/theorems.py", "            theirs.close()",
+     "            pass",
+     ("tests/test_theorems.py::test_a_dead_worker_is_an_engine_error",)),
+    ("workers: a worker keeps the reader's ends that it inherited",
+     "src/supercong/theorems.py", "        copy.close()", "        pass",
+     ("tests/test_theorems.py::test_a_killed_reader_leaves_no_worker",)),
+    ("workers: an exception in a worker not sent back",
+     "src/supercong/theorems.py", "                end.send(exc)",
+     "                raise",
+     ("tests/test_cli.py::test_engine_error_exits_three",)),
+    ("workers: the teardown joins without killing",
+     "src/supercong/theorems.py", "            proc.kill()\n", "",
+     ("tests/test_theorems.py::test_a_closed_sweep_leaves_no_worker",)),
     ("segmented sieve: first multiple off by one", "src/supercong/arith.py",
      "(lo + q - 1) // q * q", "(lo + q) // q * q",
      ("tests/test_arith.py::test_segmented_sieve_matches_whole_sieve",)),
@@ -212,11 +227,11 @@ MUTANTS = (
       )),
     ("a tabulated sweep handed to the pool", "src/supercong/theorems.py",
      "        workers = 1\n", "        pass\n",
-     ("tests/test_sumtree.py::test_a_tabulated_sweep_starts_no_pool",)),
+     ("tests/test_sumtree.py::test_a_tabulated_sweep_starts_no_worker",)),
     ("a tabulated sweep that reads T kept in one process",
      "src/supercong/theorems.py",
      "if None not in points.values():", "if any(points.values()):",
-     ("tests/test_sumtree.py::test_a_tabulated_sweep_starts_no_pool",)),
+     ("tests/test_sumtree.py::test_a_tabulated_sweep_starts_no_worker",)),
     ("tables: C2.1's sampled points taken as fixed",
      "src/supercong/theorems.py",
      "claims=_c21_claims, reads=((_S, None), (_T, None)))",

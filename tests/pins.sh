@@ -28,7 +28,7 @@ row() {  # theorems, primes, seed, format, workers, sha256 of the stream
 }
 
 # Tabulated sweep that packs t (T3.1 and T3.5 read T at points that depend
-# on p; S from the remainder-tree tables, t series in the pool), on 3
+# on p; S from the remainder-tree tables, t series in the workers), on 3
 # workers and on 1.
 mixed=all-conjectures,C2.3,T3.1,T3.5
 row $mixed 5..4000 0 jsonl 3 f547afc1e6d66ea1a10cf97131b99701a8dd59cbc68d334c7544e020b18b380d
@@ -59,7 +59,7 @@ for line in sys.stdin:
 pin "$name" "$got" 182cc332dcbeafba293d778ab6014de36c914b56efccb0966937a204b1c8e2aa
 
 # Whole-registry text, csv and JSONL streams, and the JSONL stream on 2
-# workers (the lazily imported pool, through python -m supercong).
+# workers (the lazily imported workers, through python -m supercong).
 row all 5..3000 7 text 1 b800262bab0822fcf508d9d8084f0782d787f51217947df2be2160eccfdb4b31
 row all 5..3000 7 csv 1 2791f8c149029a926fd0633f5ef545d3fcbd1329ace6660d7bc7bb7bbd2f87d7
 row all 5..3000 7 jsonl 1 182cc332dcbeafba293d778ab6014de36c914b56efccb0966937a204b1c8e2aa

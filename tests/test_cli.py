@@ -298,11 +298,15 @@ def _faulty_rhs(ctx, w):
     return 4 * w["C"] ** 2
 
 
-@pytest.mark.parametrize("fault", ["overlap", "gap", "rhs"])
-def test_engine_error_exits_three(fault, monkeypatch, capsys):
+@pytest.mark.parametrize("fault,workers", [
+    pytest.param(fault, workers, id=fault + "-2-workers" * (workers == "2"))
+    for workers in ("1", "2") for fault in ("overlap", "gap", "rhs")])
+def test_engine_error_exits_three(fault, workers, monkeypatch, capsys):
     """An exception inside the engine is neither a failed statement (1) nor
     a bad argument (2): exit 3, with the records already written and their
-    summary kept."""
+    summary kept.  On 2 workers the worker sends the exception back, and
+    it is raised with the type and message it had there (forked workers
+    inherit the broken table)."""
     if fault == "overlap":  # both branches hold at p = 13 (6 mod 7)
         classes = REGISTRY["T3.1"].branches[0].classes
         _break_first_branch(monkeypatch, classes=classes | {6})
@@ -314,8 +318,9 @@ def test_engine_error_exits_three(fault, monkeypatch, capsys):
     else:  # the first branch applies at p = 11 (4 mod 7)
         _break_first_branch(monkeypatch, rhs=_faulty_rhs)
         message = "ValueError: rhs broke at p = 11"
+    monkeypatch.setattr("supercong.theorems.os.cpu_count", lambda: 2)
     code = main(["verify", "--theorems", "T3.1", "--primes", "5..50",
-                 "--format", "jsonl"])
+                 "--format", "jsonl", "--workers", workers])
     out, err = capsys.readouterr()
     assert code == 3
     records = [json.loads(ln) for ln in out.splitlines()[1:]]
@@ -363,14 +368,14 @@ def _imported(*args: str) -> set[str]:
 def test_a_verify_run_imports_only_what_it_uses():
     """Start-up budget: beyond what a bare interpreter imports, a
     one-worker jsonl run imports no dataclass machinery (dataclasses,
-    inspect), no pool (multiprocessing), no csv writer, no fractions
+    inspect), no workers (multiprocessing), no csv writer, no fractions
     (the library uses no rational type) and no remainder tree
     (supercong.sumtree), which only a sweep that reads its tables loads:
     a dense conjecture sweep does, a whole-registry sweep (T2.1 reads S
     at points that depend on p) and a one-prime conjecture sweep do not.
-    A dense conjecture sweep asked for 2 workers still imports no pool:
-    it runs in one process.  A csv run, as a positive control, does
-    import csv."""
+    A dense conjecture sweep asked for 2 workers still imports no
+    multiprocessing: it runs in one process.  A csv run, as a positive
+    control, does import csv."""
     bare = _imported("-c", "pass")
     run = ("-m", "supercong", "verify", "--theorems", "all", "--primes",
            "5..5")

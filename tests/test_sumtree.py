@@ -117,7 +117,7 @@ def test_routes_agree_through_the_engine(workers, monkeypatch):
     holds it packs every prime's series and reads S from there; without
     it the sweep reads S from the tables, in this process, and packs no
     series.  Both give the same records, asked for one worker or two
-    (which pools the packed route only)."""
+    (which starts workers for the packed route only)."""
     ids = CONJECTURE_IDS + ("T2.1",)
     packed = _without(verify_range(ids, 5, 1500, workers=workers), "T2.1")
     assert theorems._tabulated(ids, primes_in(5, 1500)) == {
@@ -137,9 +137,9 @@ def test_tables_and_t_series_in_one_sweep(workers, monkeypatch):
     conjectures' S at fixed m, which sumtree gives: a sweep of both reads
     S from the tables and T from the series, and its records are those
     of the packed route (the same statements and T2.1, less T2.1's
-    records).  On two workers the series are built in a pool of two, and
-    each block's tables ride to it on the PrimeCtx of its primes (forked
-    workers inherit the raising central_poly)."""
+    records).  On two workers the series are built by two worker
+    processes, and each block's tables ride to one on the PrimeCtx of its
+    primes (forked workers inherit the raising central_poly)."""
     ids = CONJECTURE_IDS + ("C2.3", "T3.1", "T3.5")
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     packed = _without(verify_range(ids + ("T2.1",), 5, 1500,
@@ -153,44 +153,42 @@ def test_tables_and_t_series_in_one_sweep(workers, monkeypatch):
     assert len(both) > 3000
 
 
-def test_a_tabulated_sweep_starts_no_pool(monkeypatch):
+def _no_worker(*args, **kwargs):
+    """Stands in for multiprocessing.Process where no worker may start."""
+    raise AssertionError("a worker started")
+
+
+def test_a_tabulated_sweep_starts_no_worker(monkeypatch):
     """The tables are computed in the reading process, so a sweep whose
     only O(p) work they are runs there whatever `workers` asks: on two
-    CPUs and asked for two workers it starts no pool, and its records
-    are the one-worker sweep's.  A tabulated sweep that also packs t's
-    series (T3.1 reads T at points that depend on p), and an untabulated
-    one, still ask for one."""
+    CPUs and asked for two workers it starts no worker process, and its
+    records are the one-worker sweep's.  A tabulated sweep that also
+    packs t's series (T3.1 reads T at points that depend on p), and an
+    untabulated one, still start workers."""
     serial = list(verify_range(CONJECTURE_IDS, 5, 1500, workers=1))
-
-    def pool(processes, *initializer):
-        raise AssertionError(f"a pool of {processes} started")
-
-    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    monkeypatch.setattr(multiprocessing, "Process", _no_worker)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     assert list(verify_range(CONJECTURE_IDS, 5, 1500, workers=2)) == serial
     for ids in (CONJECTURE_IDS + ("T3.1",), ("T2.1",)):
-        with pytest.raises(AssertionError, match="a pool of 2 started"):
+        with pytest.raises(AssertionError, match="a worker started"):
             next(verify_range(ids, 5, 1500, workers=2))
 
 
 def test_c23_reads_t_from_the_tables(monkeypatch):
     """C2.3 reads T only at 1/128, so over a dense range the tables serve
-    it: asked for two workers on two CPUs, a C2.3 sweep starts no pool and
-    builds no t block, and its records are the packed route's (C2.3 with
-    T2.1, which reads T at points that depend on p, less T2.1's)."""
+    it: asked for two workers on two CPUs, a C2.3 sweep starts no worker
+    and builds no t block, and its records are the packed route's (C2.3
+    with T2.1, which reads T at points that depend on p, less T2.1's)."""
     packed = _without(verify_range(("C2.3", "T2.1"), 5, 1500), "T2.1")
     assert theorems._tabulated(("C2.3",), primes_in(5, 1500)) == {
         _T: (128,)}
-
-    def pool(processes, *initializer):
-        raise AssertionError(f"a pool of {processes} started")
 
     def block(series, primes):
         raise AssertionError(f"{series.name} block built for {primes}")
 
     binom.t_poly.cache_clear()
     binom._block.cache_clear()
-    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    monkeypatch.setattr(multiprocessing, "Process", _no_worker)
     monkeypatch.setattr(binom, "_block", block)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     tree = list(verify_range(("C2.3",), 5, 1500, workers=2))

@@ -1,13 +1,17 @@
 import importlib
 import itertools
+import json
 import math
 import multiprocessing
+import os
 import pkgutil
 import random
 import signal
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
-from functools import partial
-from types import SimpleNamespace
+from multiprocessing.connection import Connection
 
 import pytest
 
@@ -650,89 +654,149 @@ def test_t_roots_lifts_zero_where_m_is_256_mod_p2():
     assert theorems.t_roots(81, PrimeCtx(5))[1] == (0,)
 
 
-def serial_pool(sizes: list, tasks: list):
-    """A stand-in for multiprocessing.Pool that starts no process: it logs
-    each pool's size in `sizes` and each task handed to it in `tasks`,
-    and runs a task when its result is read."""
+def _logged(monkeypatch) -> tuple[list, list]:
+    """Log each worker process that a sweep starts and each block that it
+    hands to one: multiprocessing.Process and Connection.send are patched
+    (forked workers inherit the patch, but log into their own copies)."""
+    started, sent = [], []
 
-    class SerialPool:
-        def __init__(self, processes, *initializer):
-            sizes.append(processes)
+    class Process(multiprocessing.Process):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def apply_async(self, fn, args):
-            tasks.append(args)
-            return SimpleNamespace(get=partial(fn, *args))
-
-    return SerialPool
+    send = Connection.send
+    monkeypatch.setattr(multiprocessing, "Process", Process)
+    monkeypatch.setattr(Connection, "send",
+                        lambda end, obj: sent.append(obj) or send(end, obj))
+    return started, sent
 
 
 def test_worker_count_is_capped_at_cpu_count(monkeypatch):
-    """A stub pool records its size and runs serially: no process starts."""
-    sizes = []
-    monkeypatch.setattr(multiprocessing, "Pool", serial_pool(sizes, []))
+    """A sweep starts at most os.cpu_count() workers and never more than
+    there are primes, and its records do not depend on the count."""
+    started, _ = _logged(monkeypatch)
     ids = ("RV256", "T3.1", "Conj-A25")
     serial = list(verify_range(ids, 5, 80, workers=1))
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     assert list(verify_range(ids, 5, 80, workers=10**6)) == serial
-    assert sizes == [2]
+    assert len(started) == 2
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: None)
     assert list(verify_range(ids, 5, 80, workers=4)) == serial
-    assert sizes == [2]
+    assert len(started) == 2
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 64)
     two = list(verify_range(["RV256"], 5, 7, workers=64))
     assert two == list(verify_range(["RV256"], 5, 7, workers=1))
-    assert sizes == [2, 2]  # one process per block (5 and 7), not 64
+    assert len(started) == 2 + 2  # one process per block (5 and 7), not 64
     one = list(verify_range(ids, 11, 12, workers=64))
     assert one == list(verify_range(ids, 11, 12, workers=1))
-    assert sizes == [2, 2]  # a one-prime range starts no pool
+    assert len(started) == 2 + 2  # a one-prime range starts none
 
 
-def test_pool_holds_a_bounded_window_of_blocks(monkeypatch):
-    """A pool is handed at most 2 * workers blocks ahead of the reader: when
-    the first record of a 5..3000 sweep on 2 workers has been read, at
-    most 4 of its blocks have been submitted, and the records are the
+def test_workers_hold_a_bounded_window_of_blocks(monkeypatch):
+    """Workers are handed at most 2 * workers blocks ahead of the reader:
+    when the first record of a 5..3000 sweep on 2 workers has been read,
+    at most 4 of its blocks have been sent, and the records are the
     one-worker sweep's.  T3.1 reads T at points that depend on p, so
-    each block packs t's series and the sweep is pooled."""
-    tasks = []
-    monkeypatch.setattr(multiprocessing, "Pool", serial_pool([], tasks))
+    each block packs t's series and the sweep starts workers."""
+    _, sent = _logged(monkeypatch)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
     records = verify_range(["T3.1"], 5, 3000, workers=2)
     first = next(records)
-    assert 0 < len(tasks) <= 4
+    assert 0 < len(sent) <= 4
     assert [first, *records] == list(verify_range(["T3.1"], 5, 3000))
-    assert len(tasks) > 4
+    assert len(sent) > 4
 
 
-def test_pool_workers_start_with_sigterms_default_action(monkeypatch):
-    """The pool's teardown ends its workers by SIGTERM, so each worker
-    starts with the default action even where the caller installed a
-    Python handler, which a worker about to block on the task queue can
-    miss.  The stubbed statement reads each worker's action and then
-    sets the default itself, so even a pool without that rule cannot
-    hang this test; fork hands the stub to the workers.  T3.1 packs t's
-    series, so its sweep is pooled."""
-    def action(spec, ctx, seed):
-        seen = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        return [seen]
+def _interpreter(script: str) -> list[str]:
+    """The command that runs `script` in a fresh interpreter that sees two
+    CPUs (theorems' view of os.cpu_count is patched)."""
+    return [sys.executable, "-c",
+            "import multiprocessing, os, signal, sys\n"
+            "from supercong import cli, theorems\n"
+            "theorems.os.cpu_count = lambda: 2\n" + textwrap.dedent(script)]
 
-    def stop(signum, frame):
-        raise SystemExit(f"signal {signum}")
 
-    monkeypatch.setattr(theorems, "verify", action)
-    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
-    previous = signal.signal(signal.SIGTERM, stop)
-    try:
-        seen = list(verify_range(["T3.1"], 5, 400, workers=2))
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-    assert seen == [True] * len(primes_in(5, 400))
+def _child(script: str, timeout: float = 30) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of `script` run by _interpreter; a
+    child still running after `timeout` seconds fails the test, so that a
+    sweep that hangs cannot hang tier-1."""
+    with subprocess.Popen(_interpreter(script), text=True,
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            proc.kill()  # its workers then read EOF and end
+            pytest.fail(f"still running after {timeout} s:{script}")
+    return proc.returncode, out, err
+
+
+def test_a_dead_worker_is_an_engine_error():
+    """A worker killed by SIGKILL at p = 101 breaks its pipe: the sweep
+    raises at once, and `verify` exits 3 with the internal error and the
+    summary of the records already written, where a reader that waited
+    for the dead worker's records would wait forever."""
+    code, out, err = _child("""
+        verify = theorems.verify
+        def probe(spec, ctx, seed):
+            if ctx.p == 101:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return verify(spec, ctx, seed)
+        theorems.verify = probe
+        try:
+            list(theorems.verify_range(["T3.1"], 5, 400, workers=2))
+        except RuntimeError as exc:
+            print(exc)
+        sys.exit(cli.main(["verify", "--theorems", "T3.1", "--primes",
+                           "5..400", "--format", "jsonl", "--workers", "2"]))
+        """)
+    lines = out.splitlines()
+    assert lines[0] == "a sweep worker died"
+    assert code == 3, err
+    assert "internal error: RuntimeError: a sweep worker died" in err
+    assert err.rstrip().endswith(f"checked {len(lines) - 2} records: "
+                                 "0 failures, 0 counterexample-candidates")
+    assert lines[2:] and all(json.loads(ln)["p"] < 101 for ln in lines[2:])
+
+
+def test_a_closed_sweep_leaves_no_worker():
+    """Closed after its first record, a sweep on 2 workers kills and joins
+    them even where the program installed a SIGTERM handler that raises
+    SystemExit, which a worker inherits but SIGKILL never reaches."""
+    code, out, err = _child("""
+        def stop(signum, frame):
+            raise SystemExit(f"signal {signum}")
+        signal.signal(signal.SIGTERM, stop)
+        records = theorems.verify_range(["T3.1"], 5, 3000, workers=2)
+        next(records)
+        print(len(multiprocessing.active_children()))
+        records.close()
+        print(multiprocessing.active_children())
+        """)
+    assert (code, out) == (0, "2\n[]\n"), err
+
+
+def test_a_killed_reader_leaves_no_worker():
+    """A reader killed by SIGKILL leaves its workers EOF on their pipes,
+    since each closed the reader's ends that fork copied into it: they
+    end, and with them the last holders of the child's stdout."""
+    with subprocess.Popen(_interpreter("""
+            records = theorems.verify_range(["T3.1"], 5, 3000, workers=2)
+            next(records)
+            print(*(p.pid for p in multiprocessing.active_children()))
+            sys.stdout.flush()
+            signal.pause()
+            """), stdout=subprocess.PIPE) as proc:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        proc.kill()
+        try:
+            proc.communicate(timeout=20)  # EOF once every worker has ended
+        except subprocess.TimeoutExpired:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            pytest.fail(f"workers {pids} outlived their reader by 20 s")
+    assert len(pids) == 2
 
 
 def test_conjectures_have_no_candidates_to_300():
